@@ -10,7 +10,10 @@ Subcommands:
 * ``verify`` -- sweep the full property suite over ranges of (a, b).
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
-parameters or usage, 3 file I/O failure.
+parameters or usage, 3 file I/O failure.  Every package error ends with
+``error: ...`` on stderr: MalformedComplex (a structural invariant of a
+built complex failed, which is a failed check) exits 1, every other
+PillowDegError exits 2.
 """
 from __future__ import annotations
 
@@ -22,12 +25,7 @@ from pathlib import Path
 
 from . import degeneration, pillow, surfaces
 from .checks import Check, Report
-from .errors import (
-    InvalidParameter,
-    NegativeCharacter,
-    NonIntegral,
-    NonIntegralNodeCount,
-)
+from .errors import InvalidParameter, MalformedComplex, PillowDegError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -408,9 +406,9 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     try:
         return args.func(args)
-    except (InvalidParameter, NonIntegralNodeCount, NegativeCharacter, NonIntegral) as exc:
+    except PillowDegError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return EXIT_CHECK_FAILED if isinstance(exc, MalformedComplex) else EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

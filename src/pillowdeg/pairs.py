@@ -1,57 +1,22 @@
-"""Disjoint-pair counting with a compiled kernel and a pure-Python fallback.
+"""Disjoint-pair counting by exhaustive enumeration: the brute-force oracle.
 
-The exhaustive pair enumeration is the one quadratic inner loop in the
-package (E = 6ab segments gives E(E-1)/2 comparisons), so it is also
-provided as a Cython extension.  Import-time selection: the compiled
-kernel is used when the extension built, otherwise the pure-Python
-fallback -- results are identical either way.  `benchmarks/bench_pairs.py`
-times the two against each other.
+Compares every unordered pair of edges, O(E^2) for E edges, and makes no
+assumption about the input: loops and repeated endpoint pairs are counted
+as they stand.  That independence is its job.  The verification paths
+compare it with the closed form and with the O(V + E) degree route
+(`pillowdeg.pillow.disjoint_pairs_via_degrees`), which is what the
+singularity-distribution table uses.
 """
 from __future__ import annotations
 
-from array import array
-from typing import Callable, Iterable, Sequence
-
-from . import _pairs_py
-
-try:
-    from . import _pairs_cy
-except ImportError:  # extension not built; pure fallback
-    _pairs_cy = None
-
-KERNEL = "compiled" if _pairs_cy is not None else "python"
-
-
-def _columns(edges: Iterable[tuple[int, int]]) -> tuple[array, array]:
-    us = array("q")
-    vs = array("q")
-    for u, v in edges:
-        us.append(u)
-        vs.append(v)
-    return us, vs
+from typing import Sequence
 
 
 def count_disjoint_pairs(edges: Sequence[tuple[int, int]]) -> int:
-    """Unordered pairs of edges sharing no endpoint, by exhaustive enumeration."""
-    us, vs = _columns(edges)
-    if _pairs_cy is not None:
-        return _pairs_cy.count_disjoint_pairs(us, vs)
-    return _pairs_py.count_disjoint_pairs(us, vs)
-
-
-def implementations() -> dict[str, Callable[[Sequence[tuple[int, int]]], int]]:
-    """All available kernels, keyed by name (for tests and benchmarks)."""
-
-    def run_python(edges):
-        us, vs = _columns(edges)
-        return _pairs_py.count_disjoint_pairs(us, vs)
-
-    impls = {"python": run_python}
-    if _pairs_cy is not None:
-
-        def run_compiled(edges):
-            us, vs = _columns(edges)
-            return _pairs_cy.count_disjoint_pairs(us, vs)
-
-        impls["compiled"] = run_compiled
-    return impls
+    """Number of index pairs i < j whose edges share no endpoint."""
+    total = 0
+    for i, (u1, v1) in enumerate(edges):
+        for u2, v2 in edges[i + 1:]:
+            if u2 != u1 and u2 != v1 and v2 != u1 and v2 != v1:
+                total += 1
+    return total

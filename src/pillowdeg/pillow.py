@@ -63,9 +63,6 @@ class Line:
     def pair(self) -> tuple[int, int]:
         return (self.u, self.v)
 
-    def meets(self, other: "Line") -> bool:
-        return len({self.u, self.v} & {other.u, other.v}) > 0
-
 
 @dataclass(frozen=True)
 class Triangle:
@@ -129,9 +126,6 @@ class PillowConfig:
             for v in tri.vertices:
                 deg[v] += 1
         return deg
-
-    def lines_at(self, vertex: int) -> list[Line]:
-        return [ln for ln in self.lines if vertex in (ln.u, ln.v)]
 
 
 def _boundary_label(a: int, b: int, i: int, j: int) -> int:
@@ -345,14 +339,23 @@ def verify_sphere_triangulation(c: PillowConfig) -> Report:
 
 
 def count_disjoint_line_pairs(c: PillowConfig) -> int:
-    """Unordered pairs of lines sharing no vertex, by exhaustive enumeration."""
+    """Unordered pairs of lines sharing no vertex, by exhaustive O(E^2)
+    enumeration: the oracle the other two routes are checked against."""
     return pairs.count_disjoint_pairs([ln.pair for ln in c.lines])
 
 
 def disjoint_pairs_via_degrees(c: PillowConfig) -> int:
-    """Same count through the vertex degrees: all pairs minus the meeting
-    pairs, which (since two lines share at most one vertex) number
-    sum over vertices of C(degree, 2)."""
+    """Same count through the vertex degrees in O(V + E): all pairs minus
+    the meeting pairs, which number sum over vertices of C(degree, 2).
+
+    That holds only when two distinct lines share at most one vertex,
+    i.e. no endpoint pair repeats (``Line`` already rules out loops), so a
+    repeated pair raises MalformedComplex instead of a wrong count.
+    """
+    if len({ln.pair for ln in c.lines}) != len(c.lines):
+        raise MalformedComplex(
+            "lines repeat an endpoint pair; the degree route needs distinct pairs"
+        )
     degrees = c.line_degrees()
     return comb(len(c.lines), 2) - sum(comb(d, 2) for d in degrees.values())
 

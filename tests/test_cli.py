@@ -8,6 +8,7 @@ import pytest
 
 from pillowdeg.checks import Report
 from pillowdeg.cli import main
+from pillowdeg.errors import MalformedComplex, PillowDegError
 
 
 def run_cli(capsys, *argv):
@@ -198,7 +199,8 @@ class TestVerify:
 
 
 class TestExitCodeContract:
-    """Exit code 0 iff every check passed; 2 on usage; 3 on I/O failure."""
+    """Exit code 0 iff every check passed; 1 on a malformed complex; 2 on
+    usage and every other package error; 3 on I/O failure."""
 
     def test_no_subcommand_exit_2(self, capsys):
         code, _, _ = run_cli(capsys)
@@ -221,6 +223,20 @@ class TestExitCodeContract:
         for argv, expected in fixture:
             code, _, _ = run_cli(capsys, *argv)
             assert code == expected, argv
+
+    @pytest.mark.parametrize("error,expected", [
+        (MalformedComplex("forced: vertex on 4 lines"), 1),
+        (PillowDegError("forced: base class"), 2),
+    ])
+    def test_package_errors_end_with_exit_code(self, capsys, monkeypatch, error, expected):
+        def broken(a, b):
+            raise error
+
+        monkeypatch.setattr("pillowdeg.pillow.build_pillow", broken)
+        code, out, err = run_cli(capsys, "table", "--a", "2", "--b", "2")
+        assert code == expected
+        assert out == ""
+        assert err == f"error: {error}\n"
 
 
 class TestDeterminism:

@@ -1,11 +1,13 @@
-"""The two pair-counting kernels agree with each other and with a
-set-based reference on arbitrary input."""
+"""The brute-force pair kernel agrees with a set-based reference on
+arbitrary input, and the table's degree route agrees with it on the
+pillow."""
 
 from itertools import combinations
 
+import pytest
 from hypothesis import given, strategies as st
 
-from pillowdeg import build_pillow, count_disjoint_line_pairs
+from pillowdeg import build_pillow, build_table, count_disjoint_line_pairs
 from pillowdeg import pairs
 
 
@@ -23,54 +25,37 @@ edge_lists = st.lists(
 )
 
 
-def test_kernel_selected():
-    assert pairs.KERNEL in ("compiled", "python")
-    assert "python" in pairs.implementations()
-
-
 @given(edge_lists)
-def test_all_implementations_match_reference(edges):
-    expected = reference_count(edges)
-    for name, impl in pairs.implementations().items():
-        assert impl(edges) == expected, name
+def test_kernel_matches_reference(edges):
+    assert pairs.count_disjoint_pairs(edges) == reference_count(edges)
 
 
 def test_empty_and_singleton():
-    for name, impl in pairs.implementations().items():
-        assert impl([]) == 0, name
-        assert impl([(1, 2)]) == 0, name
-        assert impl([(1, 2), (3, 4)]) == 1, name
-        assert impl([(1, 2), (2, 3)]) == 0, name
+    assert pairs.count_disjoint_pairs([]) == 0
+    assert pairs.count_disjoint_pairs([(1, 2)]) == 0
+    assert pairs.count_disjoint_pairs([(1, 2), (3, 4)]) == 1
+    assert pairs.count_disjoint_pairs([(1, 2), (2, 3)]) == 0
 
 
 def test_frozen_pillow_values():
     expected = {(2, 2): 174, (2, 3): 468, (3, 3): 1179, (5, 4): 6558}
     for (a, b), value in expected.items():
-        edges = [ln.pair for ln in build_pillow(a, b).lines]
-        for name, impl in pairs.implementations().items():
-            assert impl(edges) == value, (a, b, name)
-        assert count_disjoint_line_pairs(build_pillow(a, b)) == value
+        c = build_pillow(a, b)
+        assert pairs.count_disjoint_pairs([ln.pair for ln in c.lines]) == value, (a, b)
+        assert count_disjoint_line_pairs(c) == value, (a, b)
 
 
-def test_fallback_selected_when_extension_missing():
-    """With the compiled module blocked, import selects the pure kernel
-    and results are unchanged."""
-    import subprocess
-    import sys
+@pytest.mark.parametrize("a", range(2, 7))
+@pytest.mark.parametrize("b", range(2, 7))
+def test_table_two_points_match_brute_force(a, b):
+    c = build_pillow(a, b)
+    assert build_table(c).row("two_points").count == count_disjoint_line_pairs(c)
 
-    script = (
-        "import sys\n"
-        "class Block:\n"
-        "    def find_spec(self, name, path=None, target=None):\n"
-        "        if name == 'pillowdeg._pairs_cy':\n"
-        "            raise ImportError('blocked for test')\n"
-        "sys.meta_path.insert(0, Block())\n"
-        "from pillowdeg import pairs, build_pillow\n"
-        "assert pairs.KERNEL == 'python', pairs.KERNEL\n"
-        "edges = [ln.pair for ln in build_pillow(2, 2).lines]\n"
-        "assert pairs.count_disjoint_pairs(edges) == 174\n"
-        "print('fallback ok')\n"
-    )
-    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert "fallback ok" in proc.stdout
+
+def test_table_never_calls_brute_kernel(monkeypatch):
+    def forbidden(edges):
+        raise AssertionError("build_table called the brute-force pair kernel")
+
+    monkeypatch.setattr(pairs, "count_disjoint_pairs", forbidden)
+    table = build_table(build_pillow(8, 8))
+    assert table.row("two_points").count == 71634

@@ -4,6 +4,7 @@ import pytest
 
 from pillowdeg import (
     InvalidParameter,
+    MalformedComplex,
     PillowConfig,
     build_pillow,
     config_to_dict,
@@ -193,6 +194,15 @@ class TestDisjointPairs:
         brute = count_disjoint_line_pairs(c)
         assert brute == formula_disjoint_pairs(c.g)
         assert brute == disjoint_pairs_via_degrees(c)
+
+    def test_degree_route_rejects_repeated_pairs(self):
+        c = build_pillow(2, 2)
+        line = c.lines[0]
+        # the same line twice: C(2, 2) - 2 C(2, 2) would give -1
+        doubled = PillowConfig(c.a, c.b, c.vertices, (line, line), c.triangles, c.grid_map)
+        assert count_disjoint_line_pairs(doubled) == 0
+        with pytest.raises(MalformedComplex):
+            disjoint_pairs_via_degrees(doubled)
 
     def test_formula_rejects_bad_g(self):
         with pytest.raises(InvalidParameter):
