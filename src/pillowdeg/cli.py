@@ -1,4 +1,5 @@
-"""Command-line front end.
+"""Command-line front end: it only parses arguments and renders the
+reports of the library's verifiers.
 
 Subcommands:
 
@@ -24,7 +25,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import degeneration, pillow, surfaces
-from .checks import Check, Report
+from .checks import Check
 from .errors import InvalidParameter, MalformedComplex, PillowDegError
 
 EXIT_OK = 0
@@ -130,19 +131,11 @@ def cmd_characters(args) -> int:
 # pillow
 
 
-def _pillow_verification(c: pillow.PillowConfig) -> Report:
-    report = pillow.verify_sphere_triangulation(c)
-    brute = pillow.count_disjoint_line_pairs(c)
-    report.add("disjoint_pairs_brute_vs_formula", brute, pillow.formula_disjoint_pairs(c.g))
-    report.add("disjoint_pairs_brute_vs_degree_method", brute, pillow.disjoint_pairs_via_degrees(c))
-    return report
-
-
 def cmd_pillow(args) -> int:
     c = pillow.build_pillow(args.a, args.b)
     checks: list[Check] = []
     if args.verify:
-        checks = _pillow_verification(c).checks
+        checks = pillow.verify_pillow(c).checks
     report = RunReport(
         command="pillow",
         parameters=_parameters(args, ("a", "b", "verify", "export", "dot_graph", "out")),
@@ -217,75 +210,6 @@ def cmd_table(args) -> int:
 # verify sweep
 
 
-def _family_report() -> Report:
-    """Closed forms versus the general formulas, plus the four identities,
-    over the documented parameter sweeps of every family."""
-    report = Report("families")
-    sweeps = [
-        ("veronese", range(1, 21), surfaces.veronese, surfaces.veronese_characters),
-        ("scroll", range(1, 21), surfaces.scroll_p1p1, surfaces.scroll_characters),
-        ("delpezzo", range(3, 10), surfaces.del_pezzo, surfaces.del_pezzo_characters),
-        ("k3", range(3, 101), surfaces.k3, surfaces.k3_characters),
-    ]
-    for name, params, constructor, closed_form in sweeps:
-        mismatches = 0
-        identity_failures = 0
-        for p in params:
-            s = constructor(p)
-            chars = surfaces.branch_characters(s)
-            if chars != closed_form(p):
-                mismatches += 1
-            if not surfaces.verify_character_identities(s, chars).all_passed:
-                identity_failures += 1
-        report.add(f"{name}_closed_forms", mismatches, 0)
-        report.add(f"{name}_identities", identity_failures, 0)
-    report.add(
-        "veronese3_equals_delpezzo9",
-        surfaces.branch_characters(surfaces.veronese(3)),
-        surfaces.branch_characters(surfaces.del_pezzo(9)),
-    )
-    return report
-
-
-def _configuration_report(a: int, b: int) -> Report:
-    """Every per-configuration invariant: triangulation, pair counts,
-    stage contracts, conservation, and the transpose isomorphism."""
-    report = Report(f"configuration ({a}, {b})")
-    c = pillow.build_pillow(a, b)
-    report.extend(pillow.verify_sphere_triangulation(c))
-
-    brute = pillow.count_disjoint_line_pairs(c)
-    report.add("disjoint_pairs_brute_vs_formula", brute, pillow.formula_disjoint_pairs(c.g))
-    report.add("disjoint_pairs_brute_vs_degree_method", brute,
-               pillow.disjoint_pairs_via_degrees(c))
-
-    quad = pillow.quadric_stage(a, b)
-    report.add("quadric_face_count", len(quad.cells), 2 * a * b)
-    report.add("quadric_line_count", len(quad.lines), 4 * a * b)
-    shared_counts = {}
-    for face in quad.cells:
-        for ln in face.boundary:
-            shared_counts[ln.pair] = shared_counts.get(ln.pair, 0) + 1
-    report.add("quadric_lines_shared_by_two_faces",
-               sum(1 for n in shared_counts.values() if n != 2), 0)
-
-    two = pillow.two_surface_stage(a, b)
-    report.add("two_surface_spans",
-               (two.spans.top, two.spans.bottom, two.spans.intersection),
-               (a * b + a + b, a * b + a + b, 2 * a + 2 * b - 1))
-    top, bottom = two.cells
-    report.add("two_surface_point_inclusion_exclusion",
-               len(top.vertices) + len(bottom.vertices) - (2 * a + 2 * b),
-               2 * a * b + 2)
-
-    report.extend(degeneration.verify_conservation(c))
-
-    ct = pillow.build_pillow(b, a)
-    report.add("transpose_isomorphism",
-               pillow.is_complex_isomorphism(c, ct, pillow.transpose_map(c, ct)), True)
-    return report
-
-
 def _parse_range(text: str) -> tuple[int, int]:
     try:
         if ".." in text:
@@ -310,10 +234,11 @@ def cmd_verify(args) -> int:
                 f"{flag} range {lo}..{hi} outside [2, {limit}] (raise --limit to widen)"
             )
 
-    sections: list[Report] = [_family_report()]
-    for a in range(a_lo, a_hi + 1):
-        for b in range(b_lo, b_hi + 1):
-            sections.append(_configuration_report(a, b))
+    sections = [surfaces.verify_families()] + [
+        degeneration.verify_configuration(pillow.build_pillow(a, b))
+        for a in range(a_lo, a_hi + 1)
+        for b in range(b_lo, b_hi + 1)
+    ]
 
     checks = [
         Check(f"{section.title}: {c.name}", c.lhs, c.rhs)

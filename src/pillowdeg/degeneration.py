@@ -19,10 +19,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from . import pillow
 from .checks import Report
 from .errors import InvalidParameter, MalformedComplex
-from .pillow import PillowConfig, disjoint_pairs_via_degrees
-from .surfaces import BranchCharacters, branch_characters, k3
+from .surfaces import BranchCharacters, branch_characters, del_pezzo_characters, k3
 
 ROW_ORDER = ("lines", "three_points", "six_points", "two_points")
 
@@ -46,12 +46,14 @@ class NPointBudget:
 
 
 def npoint_budget(n: int) -> NPointBudget:
-    """Per-point budget for an n-point of the limit branch curve."""
+    """Per-point budget for an n-point of the limit branch curve; for n >= 3
+    the local Del Pezzo characters, less the n branch points on the lines."""
     if n == 2:
         return NPointBudget(2, 0, 4, 0)
-    if 3 <= n <= 6:
-        return NPointBudget(n, 12 - n, 2 * (n - 2) * (n - 3), 6 * n - 12)
-    raise InvalidParameter(f"n-point multiplicity must be in {{2, 3, 4, 5, 6}}, got {n}")
+    if not 3 <= n <= 6:
+        raise InvalidParameter(f"n-point multiplicity must be in {{2, 3, 4, 5, 6}}, got {n}")
+    local = del_pezzo_characters(n)
+    return NPointBudget(n, local.turning_points - n, local.nodes, local.cusps)
 
 
 def local_del_pezzo_characters(n: int) -> BranchCharacters:
@@ -59,7 +61,7 @@ def local_del_pezzo_characters(n: int) -> BranchCharacters:
     smooths n concurrent planes (3 <= n <= 6)."""
     if not 3 <= n <= 6:
         raise InvalidParameter(f"local model needs 3 <= n <= 6, got {n}")
-    return BranchCharacters(2 * n, 2 * (n - 2) * (n - 3), 6 * n - 12, 12)
+    return del_pezzo_characters(n)
 
 
 @dataclass(frozen=True)
@@ -110,7 +112,7 @@ def _totals(rows: tuple[TableRow, ...]) -> TableTotals:
     return TableTotals(branch, nodes, cusps)
 
 
-def build_table(c: PillowConfig) -> DegenerationTable:
+def build_table(c: pillow.PillowConfig) -> DegenerationTable:
     """Assemble the singularity-distribution table from the built complex.
 
     Object counts come from the configuration itself: the line count, the
@@ -126,7 +128,7 @@ def build_table(c: PillowConfig) -> DegenerationTable:
         )
     three_points = sum(1 for d in degrees.values() if d == 3)
     six_points = sum(1 for d in degrees.values() if d == 6)
-    two_points = disjoint_pairs_via_degrees(c)
+    two_points = pillow.disjoint_pairs_via_degrees(c)
 
     b3 = npoint_budget(3)
     b6 = npoint_budget(6)
@@ -140,7 +142,7 @@ def build_table(c: PillowConfig) -> DegenerationTable:
     return DegenerationTable(c.g, rows, _totals(rows))
 
 
-def verify_conservation(c: PillowConfig, table: DegenerationTable | None = None) -> Report:
+def verify_conservation(c: pillow.PillowConfig, table: DegenerationTable | None = None) -> Report:
     """Compare the table totals with the branch characters of the smooth
     K3 surface of the same g: every branch point, node, and cusp must be
     accounted for, and none may land on a smooth point of a line."""
@@ -158,6 +160,20 @@ def verify_conservation(c: PillowConfig, table: DegenerationTable | None = None)
         (0, 0, 0),
     )
     report.add("doubled_lines_give_branch_degree", 2 * lines_row.count, smooth.degree)
+    return report
+
+
+def verify_configuration(c: pillow.PillowConfig) -> Report:
+    """Every invariant of one configuration: the sphere and pair checks,
+    the stage contracts, conservation, and the isomorphism with the
+    transposed bidegree (b, a), the only other complex built here."""
+    report = Report(f"configuration ({c.a}, {c.b})")
+    report.extend(pillow.verify_pillow(c))
+    report.extend(pillow.verify_stages(c))
+    report.extend(verify_conservation(c))
+    ct = pillow.build_pillow(c.b, c.a)
+    report.add("transpose_isomorphism",
+               pillow.is_complex_isomorphism(c, ct, pillow.transpose_map(c, ct)), True)
     return report
 
 

@@ -26,6 +26,8 @@ of coordinate points intersect precisely when the pairs overlap.
 """
 from __future__ import annotations
 
+from collections import Counter
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
 from math import comb, gcd
 
@@ -110,21 +112,11 @@ class PillowConfig:
     def boundary_ids(self) -> range:
         return range(1, 2 * self.a + 2 * self.b + 1)
 
-    def lines_by_pair(self) -> dict[tuple[int, int], Line]:
-        return {line.pair: line for line in self.lines}
-
     def line_degrees(self) -> dict[int, int]:
         deg = {v: 0 for v in self.vertices}
         for line in self.lines:
             deg[line.u] += 1
             deg[line.v] += 1
-        return deg
-
-    def triangle_degrees(self) -> dict[int, int]:
-        deg = {v: 0 for v in self.vertices}
-        for tri in self.triangles:
-            for v in tri.vertices:
-                deg[v] += 1
         return deg
 
 
@@ -242,60 +234,35 @@ def _line_incidence(c: PillowConfig) -> dict[tuple[int, int], list[int]]:
     return incidence
 
 
-def _vertex_link_is_single_cycle(c: PillowConfig, vertex: int,
+def _components(nodes: Iterable[int], edges: Iterable[Sequence[int]]) -> int:
+    """Number of connected components of a graph, by union-find."""
+    root = {n: n for n in nodes}
+
+    def find(x: int) -> int:
+        while root[x] != x:
+            root[x] = root[root[x]]
+            x = root[x]
+        return x
+
+    for u, v in edges:
+        root[find(u)] = find(v)
+    return sum(1 for n, r in root.items() if n == r)
+
+
+def _vertex_link_is_single_cycle(c: PillowConfig, vertex: int, star: list[int],
                                  incidence: dict[tuple[int, int], list[int]]) -> bool:
-    """The triangles around a vertex, glued along shared lines through it,
-    must form exactly one closed cycle (the closed-surface condition)."""
-    tri_ids = [i for i, tri in enumerate(c.triangles) if vertex in tri.vertices]
-    if not tri_ids:
-        return False
-    adjacency: dict[int, set[int]] = {i: set() for i in tri_ids}
-    for i in tri_ids:
+    """The triangles of a vertex's star, glued along shared lines through
+    it, must form exactly one closed cycle (the closed-surface condition)."""
+    adjacency: dict[int, set[int]] = {i: set() for i in star}
+    for i in adjacency:
         for other in c.triangles[i].vertices:
-            if other == vertex:
-                continue
-            incident = incidence.get(_sorted_pair(vertex, other), [])
-            for j in incident:
-                if j != i and j in adjacency:
-                    adjacency[i].add(j)
+            if other != vertex:
+                adjacency[i].update(incidence.get(_sorted_pair(vertex, other), ()))
+        adjacency[i].discard(i)
     if any(len(neigh) != 2 for neigh in adjacency.values()):
         return False
-    # connected + 2-regular => a single cycle
-    seen = {tri_ids[0]}
-    frontier = [tri_ids[0]]
-    while frontier:
-        cur = frontier.pop()
-        for nxt in adjacency[cur]:
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append(nxt)
-    return len(seen) == len(tri_ids)
-
-
-def _face_components(c: PillowConfig, incidence: dict[tuple[int, int], list[int]]) -> int:
-    n = len(c.triangles)
-    if n == 0:
-        return 0
-    adjacency: dict[int, set[int]] = {i: set() for i in range(n)}
-    for tris in incidence.values():
-        if len(tris) == 2:
-            adjacency[tris[0]].add(tris[1])
-            adjacency[tris[1]].add(tris[0])
-    seen: set[int] = set()
-    components = 0
-    for start in range(n):
-        if start in seen:
-            continue
-        components += 1
-        seen.add(start)
-        frontier = [start]
-        while frontier:
-            cur = frontier.pop()
-            for nxt in adjacency[cur]:
-                if nxt not in seen:
-                    seen.add(nxt)
-                    frontier.append(nxt)
-    return components
+    # connected + 2-regular => a single cycle (an empty star has no component)
+    return _components(adjacency, ((i, j) for i in adjacency for j in adjacency[i])) == 1
 
 
 def verify_sphere_triangulation(c: PillowConfig) -> Report:
@@ -305,24 +272,36 @@ def verify_sphere_triangulation(c: PillowConfig) -> Report:
     link a single closed cycle; connected face-adjacency graph; Euler
     characteristic 2; and the vertex census (the four corners on exactly
     three lines and three triangles, every other vertex on six).
+
+    The line incidence and the vertex stars are each built in one pass
+    over the triangles, so the check is linear in the size of ``c``.
     """
     report = Report(f"sphere triangulation, bidegree ({c.a}, {c.b})")
     incidence = _line_incidence(c)
+    star: dict[int, list[int]] = {v: [] for v in c.vertices}
+    for idx, tri in enumerate(c.triangles):
+        for v in tri.vertices:
+            if v in star:
+                star[v].append(idx)
 
     bad_lines = sum(1 for tris in incidence.values() if len(tris) != 2)
     report.add("line_in_two_triangles", bad_lines, 0)
 
     bad_links = sum(
-        1 for v in c.vertices if not _vertex_link_is_single_cycle(c, v, incidence)
+        1 for v, tris in star.items()
+        if not _vertex_link_is_single_cycle(c, v, tris, incidence)
     )
     report.add("vertex_link_single_cycle", bad_links, 0)
 
-    report.add("face_adjacency_connected", _face_components(c, incidence), 1)
+    face_components = _components(
+        range(len(c.triangles)), (tris for tris in incidence.values() if len(tris) == 2)
+    )
+    report.add("face_adjacency_connected", face_components, 1)
 
     euler = len(c.vertices) - len(c.lines) + len(c.triangles)
     report.add("euler_characteristic", euler, 2)
 
-    tri_deg = c.triangle_degrees()
+    tri_deg = {v: len(tris) for v, tris in star.items()}
     degree_three = tuple(sorted(v for v, d in tri_deg.items() if d == 3))
     report.add("degree3_vertices_are_corners", degree_three, tuple(sorted(c.corner_ids)))
     census = tuple(sorted((d, sum(1 for x in tri_deg.values() if x == d))
@@ -371,6 +350,17 @@ def formula_disjoint_pairs(g: int) -> int:
     return numerator // 2
 
 
+def verify_pillow(c: PillowConfig) -> Report:
+    """The sphere checks, then the brute-force disjoint-pair count against
+    the closed form and against the degree route."""
+    report = Report(f"pillow ({c.a}, {c.b})")
+    report.extend(verify_sphere_triangulation(c))
+    brute = count_disjoint_line_pairs(c)
+    report.add("disjoint_pairs_brute_vs_formula", brute, formula_disjoint_pairs(c.g))
+    report.add("disjoint_pairs_brute_vs_degree_method", brute, disjoint_pairs_via_degrees(c))
+    return report
+
+
 # ---------------------------------------------------------------------------
 # Intermediate degeneration stages.
 
@@ -417,10 +407,10 @@ class StageConfig:
     spans: SpanDims | None = None
 
 
-def two_surface_stage(a: int, b: int) -> StageConfig:
-    """First stage: the two grids as whole surfaces meeting along the
-    boundary cycle of 2a + 2b lines."""
-    c = build_pillow(a, b)
+def two_surface_stage(c: PillowConfig) -> StageConfig:
+    """First stage: the two grids of ``c`` as whole surfaces meeting along
+    the boundary cycle of 2a + 2b lines."""
+    a, b = c.a, c.b
     boundary_lines = tuple(ln for ln in c.lines if ln.kind == BOUNDARY)
     side_vertices = {
         side: tuple(sorted({vid for (s, _, _), vid in c.grid_map.items() if s == side}))
@@ -443,11 +433,11 @@ def two_surface_stage(a: int, b: int) -> StageConfig:
     return StageConfig("two_surfaces", a, b, faces, boundary_lines, spans)
 
 
-def quadric_stage(a: int, b: int) -> StageConfig:
-    """Second stage: remove the diagonals; 2ab rectangles remain, each
-    bounded by a cycle of four lines (two horizontal, two vertical)."""
-    c = build_pillow(a, b)
-    by_pair = c.lines_by_pair()
+def quadric_stage(c: PillowConfig) -> StageConfig:
+    """Second stage: remove the diagonals of ``c``; 2ab rectangles remain,
+    each bounded by a cycle of four lines (two horizontal, two vertical)."""
+    a, b = c.a, c.b
+    by_pair = {ln.pair: ln for ln in c.lines}
     lines = tuple(ln for ln in c.lines if ln.kind != DIAGONAL)
 
     cells = []
@@ -482,10 +472,33 @@ def quadric_stage(a: int, b: int) -> StageConfig:
     return StageConfig("quadrics", a, b, tuple(cells), lines)
 
 
-def plane_stage(a: int, b: int) -> StageConfig:
-    """Final stage: the full pillow of 4ab planes."""
-    c = build_pillow(a, b)
-    return StageConfig("planes", a, b, c.triangles, c.lines)
+def plane_stage(c: PillowConfig) -> StageConfig:
+    """Final stage: the full pillow ``c`` of 4ab planes."""
+    return StageConfig("planes", c.a, c.b, c.triangles, c.lines)
+
+
+def verify_stages(c: PillowConfig) -> Report:
+    """Contracts of the intermediate stages built on ``c``: 2ab quadrics
+    whose 4ab lines each bound two of them, and two surfaces of the
+    expected spans meeting in the 2a + 2b boundary points."""
+    a, b = c.a, c.b
+    report = Report(f"stages, bidegree ({a}, {b})")
+    quad = quadric_stage(c)
+    report.add("quadric_face_count", len(quad.cells), 2 * a * b)
+    report.add("quadric_line_count", len(quad.lines), 4 * a * b)
+    shared = Counter(ln.pair for face in quad.cells for ln in face.boundary)
+    report.add("quadric_lines_shared_by_two_faces",
+               sum(1 for n in shared.values() if n != 2), 0)
+
+    two = two_surface_stage(c)
+    report.add("two_surface_spans",
+               (two.spans.top, two.spans.bottom, two.spans.intersection),
+               (a * b + a + b, a * b + a + b, 2 * a + 2 * b - 1))
+    top, bottom = two.cells
+    report.add("two_surface_point_inclusion_exclusion",
+               len(top.vertices) + len(bottom.vertices) - (2 * a + 2 * b),
+               2 * a * b + 2)
+    return report
 
 
 @dataclass(frozen=True)
@@ -526,8 +539,11 @@ def transpose_map(c: PillowConfig, ct: PillowConfig) -> dict[int, int]:
 
 def is_complex_isomorphism(c: PillowConfig, other: PillowConfig,
                            vertex_map: dict[int, int]) -> bool:
-    """True when the bijection carries lines to lines and triangles to triangles."""
+    """True when the bijection carries lines onto lines and triangles onto
+    triangles (equal counts, so a proper subcomplex of ``other`` fails)."""
     if sorted(vertex_map) != list(c.vertices) or sorted(vertex_map.values()) != list(other.vertices):
+        return False
+    if len(c.lines) != len(other.lines) or len(c.triangles) != len(other.triangles):
         return False
     other_lines = {ln.pair for ln in other.lines}
     for ln in c.lines:

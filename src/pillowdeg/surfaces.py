@@ -222,3 +222,33 @@ def k3_characters(g: int) -> BranchCharacters:
         24 * (g - 2),
         6 * g + 18,
     )
+
+
+def verify_families() -> Report:
+    """Closed forms versus the general formulas, plus the four identities,
+    over the documented parameter sweeps of every family."""
+    report = Report("families")
+    sweeps = [
+        ("veronese", range(1, 21), veronese, veronese_characters),
+        ("scroll", range(1, 21), scroll_p1p1, scroll_characters),
+        ("delpezzo", range(3, 10), del_pezzo, del_pezzo_characters),
+        ("k3", range(3, 101), k3, k3_characters),
+    ]
+    for name, params, constructor, closed_form in sweeps:
+        mismatches = 0
+        identity_failures = 0
+        for p in params:
+            s = constructor(p)
+            chars = branch_characters(s)
+            if chars != closed_form(p):
+                mismatches += 1
+            if not verify_character_identities(s, chars).all_passed:
+                identity_failures += 1
+        report.add(f"{name}_closed_forms", mismatches, 0)
+        report.add(f"{name}_identities", identity_failures, 0)
+    report.add(
+        "veronese3_equals_delpezzo9",
+        branch_characters(veronese(3)),
+        branch_characters(del_pezzo(9)),
+    )
+    return report

@@ -134,14 +134,14 @@ def test_criterion_7_stage_contracts():
     start = time.perf_counter()
     for a in range(2, 7):
         for b in range(2, 7):
-            quad = quadric_stage(a, b)
+            quad = quadric_stage(build_pillow(a, b))
             assert len(quad.cells) == 2 * a * b, (a, b)
             for face in quad.cells:
                 assert len(set(face.boundary)) == 4
                 nw, ne, se, sw = face.corners
                 cycle = {tuple(sorted(p)) for p in ((nw, ne), (ne, se), (se, sw), (sw, nw))}
                 assert {ln.pair for ln in face.boundary} == cycle
-            two = two_surface_stage(a, b)
+            two = two_surface_stage(build_pillow(a, b))
             assert (two.spans.top, two.spans.bottom, two.spans.intersection) == (
                 a * b + a + b, a * b + a + b, 2 * a + 2 * b - 1,
             ), (a, b)

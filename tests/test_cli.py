@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from pillowdeg import pillow
 from pillowdeg.checks import Report
 from pillowdeg.cli import main
 from pillowdeg.errors import MalformedComplex, PillowDegError
@@ -188,6 +189,22 @@ class TestVerify:
     def test_bad_ranges_exit_2(self, capsys, a_range):
         code, _, _ = run_cli(capsys, "verify", "--a", a_range, "--b", "2..2")
         assert code == 2
+
+    def test_two_builds_per_configuration(self, capsys, monkeypatch):
+        # each (a, b) once, and once more as the transpose (b, a)
+        built = []
+        original = pillow.build_pillow
+
+        def counting(a, b):
+            built.append((a, b))
+            return original(a, b)
+
+        monkeypatch.setattr(pillow, "build_pillow", counting)
+        code, _, _ = run_cli(capsys, "verify", "--a", "2..3", "--b", "2..3")
+        assert code == 0
+        configurations = [(a, b) for a in (2, 3) for b in (2, 3)]
+        assert len(built) == 2 * len(configurations)
+        assert sorted(built) == sorted(configurations + [(b, a) for a, b in configurations])
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--a", "2..2", "--b", "2..2",

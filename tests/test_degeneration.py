@@ -3,6 +3,7 @@
 import pytest
 
 from pillowdeg import (
+    Report,
     DegenerationTable,
     InvalidParameter,
     MalformedComplex,
@@ -19,6 +20,7 @@ from pillowdeg import (
     npoint_budget,
     render_table,
     table_to_dict,
+    verify_configuration,
     verify_conservation,
 )
 
@@ -164,6 +166,43 @@ class TestConservation:
             check = report["doubled_lines_give_branch_degree"]
             assert check.passed
             assert check.lhs == 6 * c.g - 6
+
+
+class TestVerifyConfiguration:
+    def test_check_order(self):
+        report = verify_configuration(build_pillow(2, 3))
+        assert report.title == "configuration (2, 3)"
+        assert tuple(ch.name for ch in report.checks) == (
+            "line_in_two_triangles",
+            "vertex_link_single_cycle",
+            "face_adjacency_connected",
+            "euler_characteristic",
+            "degree3_vertices_are_corners",
+            "triangle_degree_census",
+            "line_degrees_match_triangle_degrees",
+            "disjoint_pairs_brute_vs_formula",
+            "disjoint_pairs_brute_vs_degree_method",
+            "quadric_face_count",
+            "quadric_line_count",
+            "quadric_lines_shared_by_two_faces",
+            "two_surface_spans",
+            "two_surface_point_inclusion_exclusion",
+            "branch_point_total",
+            "node_total",
+            "cusp_total",
+            "lines_row_contributes_nothing",
+            "doubled_lines_give_branch_degree",
+            "transpose_isomorphism",
+        )
+        assert report.all_passed, str(report)
+
+    def test_failed_check_reported_not_raised(self, monkeypatch):
+        failing = Report("forced failure")
+        failing.add("forced", 0, 1)
+        monkeypatch.setattr("pillowdeg.degeneration.verify_conservation",
+                            lambda c, table=None: failing)
+        report = verify_configuration(build_pillow(2, 2))
+        assert [ch.name for ch in report.failures] == ["forced"]
 
 
 class TestSerialization:

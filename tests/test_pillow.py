@@ -4,8 +4,10 @@ import pytest
 
 from pillowdeg import (
     InvalidParameter,
+    Line,
     MalformedComplex,
     PillowConfig,
+    Triangle,
     build_pillow,
     config_to_dict,
     count_disjoint_line_pairs,
@@ -15,6 +17,7 @@ from pillowdeg import (
     formula_disjoint_pairs,
     is_complex_isomorphism,
     transpose_map,
+    verify_pillow,
     verify_sphere_triangulation,
 )
 
@@ -131,7 +134,7 @@ class TestLabeling:
 
 
 class TestSphereTriangulation:
-    @pytest.mark.parametrize("a,b", [(2, 2), (3, 3), (5, 4)])
+    @pytest.mark.parametrize("a,b", [(2, 2), (3, 3), (5, 4), (16, 16), (32, 32)])
     def test_all_checks_pass(self, a, b):
         report = verify_sphere_triangulation(build_pillow(a, b))
         assert report.all_passed, str(report)
@@ -152,6 +155,35 @@ class TestSphereTriangulation:
         assert not report["euler_characteristic"].passed
         # the remaining faces still hang together
         assert report["face_adjacency_connected"].passed
+
+    def test_pinched_vertex_link_is_two_cycles(self):
+        # two label-disjoint copies of (2, 2) sharing only vertex 1: its
+        # link is two separate cycles, and no line joins the two copies
+        c = build_pillow(2, 2)
+
+        def relabel(v):
+            return v if v == 1 else v + len(c.vertices)
+
+        lines = c.lines + tuple(
+            Line(relabel(ln.u), relabel(ln.v), ln.kind, ln.side) for ln in c.lines
+        )
+        triangles = c.triangles + tuple(
+            Triangle(tuple(sorted(map(relabel, t.vertices))), t.side, t.row, t.col, t.half)
+            for t in c.triangles
+        )
+        vertices = tuple(sorted({v for ln in lines for v in ln.pair}))
+        pinched = PillowConfig(c.a, c.b, vertices, lines, triangles, {})
+        report = verify_sphere_triangulation(pinched)
+        assert report["line_in_two_triangles"].lhs == 0
+        assert report["vertex_link_single_cycle"].lhs == 1
+        assert report["face_adjacency_connected"].lhs == 2
+
+    def test_isolated_vertex_has_no_link(self):
+        c = build_pillow(2, 2)
+        extra = PillowConfig(c.a, c.b, c.vertices + (11,), c.lines, c.triangles, c.grid_map)
+        report = verify_sphere_triangulation(extra)
+        assert report["vertex_link_single_cycle"].lhs == 1
+        assert report["line_in_two_triangles"].passed
 
     def test_no_two_triangles_share_two_lines(self):
         c = build_pillow(3, 3)
@@ -204,6 +236,17 @@ class TestDisjointPairs:
         with pytest.raises(MalformedComplex):
             disjoint_pairs_via_degrees(doubled)
 
+    def test_verify_pillow_adds_pair_checks_to_sphere_checks(self):
+        c = build_pillow(2, 3)
+        report = verify_pillow(c)
+        sphere = [ch.name for ch in verify_sphere_triangulation(c).checks]
+        assert [ch.name for ch in report.checks] == sphere + [
+            "disjoint_pairs_brute_vs_formula",
+            "disjoint_pairs_brute_vs_degree_method",
+        ]
+        assert report["disjoint_pairs_brute_vs_formula"].lhs == 468
+        assert report.all_passed, str(report)
+
     def test_formula_rejects_bad_g(self):
         with pytest.raises(InvalidParameter):
             formula_disjoint_pairs(8)
@@ -236,6 +279,15 @@ class TestTransposeIsomorphism:
         # swap two images; lines no longer map to lines
         mapping[1], mapping[2] = mapping[2], mapping[1]
         assert not is_complex_isomorphism(c, ct, mapping)
+
+    def test_proper_subcomplex_rejected(self):
+        # lines and triangles still map into (2, 3), but not onto it
+        c = build_pillow(3, 2)
+        ct = build_pillow(2, 3)
+        mapping = transpose_map(c, ct)
+        sub = PillowConfig(c.a, c.b, c.vertices, c.lines[:-1], c.triangles[:-1], c.grid_map)
+        assert is_complex_isomorphism(c, ct, mapping)
+        assert not is_complex_isomorphism(sub, ct, mapping)
 
 
 class TestExports:

@@ -19,6 +19,7 @@ from pillowdeg import (
     veronese,
     veronese_characters,
     verify_character_identities,
+    verify_families,
 )
 from pillowdeg.surfaces import BranchCharacters
 
@@ -132,6 +133,27 @@ class TestClosedForms:
         assert del_pezzo_characters(6) == BranchCharacters(12, 24, 24, 12)
         assert k3_characters(9) == BranchCharacters(48, 840, 168, 72)
         assert k3_characters(13) == BranchCharacters(72, 2112, 264, 96)
+
+
+class TestVerifyFamilies:
+    def test_every_family_passes(self):
+        report = verify_families()
+        assert report.title == "families"
+        assert [ch.name for ch in report.checks] == [
+            f"{family}_{kind}"
+            for family in ("veronese", "scroll", "delpezzo", "k3")
+            for kind in ("closed_forms", "identities")
+        ] + ["veronese3_equals_delpezzo9"]
+        assert report.all_passed, str(report)
+
+    def test_wrong_closed_form_counted(self, monkeypatch):
+        def wrong_at_7(g):
+            return BranchCharacters(0, 0, 0, 0) if g == 7 else k3_characters(g)
+
+        monkeypatch.setattr("pillowdeg.surfaces.k3_characters", wrong_at_7)
+        report = verify_families()
+        assert report["k3_closed_forms"].lhs == 1
+        assert report.failures == [report["k3_closed_forms"]]
 
 
 class TestIdentities:
