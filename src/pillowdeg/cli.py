@@ -15,6 +15,13 @@ parameters or usage, 3 file I/O failure.  Every package error ends with
 ``error: ...`` on stderr: MalformedComplex (a structural invariant of a
 built complex failed, which is a failed check) exits 1, every other
 PillowDegError exits 2.
+
+Size limits (exit 2 with ``error: ...``): ``pillow`` and ``table`` accept
+a*b up to ``pillow.MAX_PILLOW_CELLS`` = 16384 cells, where the build and
+one linear-time export take 1-2 s; ``pillow --verify`` and every
+configuration of ``verify`` accept a*b up to ``pillow.MAX_VERIFY_CELLS`` =
+1024, since the brute-force pair oracle they run is O(E^2).  ``verify``
+checks its largest corner before it starts.
 """
 from __future__ import annotations
 
@@ -152,7 +159,7 @@ def cmd_pillow(args) -> int:
 
     exported = None
     if args.export == "json":
-        exported = json.dumps(pillow.config_to_dict(c), indent=2) + "\n"
+        exported = pillow.config_to_json(c)
     elif args.export == "dot":
         if args.dot_graph == "lines":
             exported = pillow.dot_line_intersection(c)
@@ -233,6 +240,11 @@ def cmd_verify(args) -> int:
             raise InvalidParameter(
                 f"{flag} range {lo}..{hi} outside [2, {limit}] (raise --limit to widen)"
             )
+    if a_hi * b_hi > pillow.MAX_VERIFY_CELLS:
+        raise InvalidParameter(
+            f"--a {args.a} --b {args.b} reaches a*b = {a_hi * b_hi}, "
+            f"above the verify limit {pillow.MAX_VERIFY_CELLS}"
+        )
 
     sections = [surfaces.verify_families()] + [
         degeneration.verify_configuration(pillow.build_pillow(a, b))

@@ -26,6 +26,7 @@ of coordinate points intersect precisely when the pairs overlap.
 """
 from __future__ import annotations
 
+import json
 from collections import Counter
 from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, field
@@ -36,12 +37,18 @@ from .checks import Report
 from .errors import InvalidParameter, MalformedComplex, NonIntegral
 
 SIDES = ("top", "bottom")
-HALVES = ("lower", "upper")
 
 BOUNDARY = "boundary"
 HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 DIAGONAL = "diagonal"
+
+# Size guards on the cell count a*b.  The build and each export are linear:
+# at the build limit one export takes 1-2 s and about 120 MB (2-core host,
+# Python 3.11).  verify_pillow runs the O(E^2) brute-force pair oracle,
+# which did not finish in 5 minutes at (128, 128).
+MAX_PILLOW_CELLS = 16384
+MAX_VERIFY_CELLS = 1024
 
 
 @dataclass(frozen=True, order=True)
@@ -83,9 +90,6 @@ class Triangle:
     @property
     def name(self) -> str:
         return f"{self.side}_r{self.row}_c{self.col}_{self.half}"
-
-    def sort_key(self) -> tuple[int, int, int, int]:
-        return (SIDES.index(self.side), self.row, self.col, HALVES.index(self.half))
 
 
 @dataclass(frozen=True)
@@ -151,9 +155,14 @@ def _sorted_pair(u: int, v: int) -> tuple[int, int]:
 
 
 def build_pillow(a: int, b: int) -> PillowConfig:
-    """Construct the pillow configuration of bidegree (a, b)."""
+    """Construct the pillow configuration of bidegree (a, b), for
+    2 <= a, b and a*b <= MAX_PILLOW_CELLS."""
     if a < 2 or b < 2:
         raise InvalidParameter(f"bidegree parameters must both be >= 2, got ({a}, {b})")
+    if a * b > MAX_PILLOW_CELLS:
+        raise InvalidParameter(
+            f"bidegree ({a}, {b}) has a*b = {a * b} cells, above the limit {MAX_PILLOW_CELLS}"
+        )
 
     grid = _make_grid_map(a, b)
     n_vertices = 2 * a * b + 2
@@ -192,6 +201,7 @@ def build_pillow(a: int, b: int) -> PillowConfig:
                 else:
                     add_line(at(i - 1, j - 1), at(i, j), DIAGONAL, side)
 
+    # appended by (side, row, col, half), the export order, so no sort is needed
     triangles: list[Triangle] = []
     for side in SIDES:
         for i in range(1, b + 1):
@@ -209,15 +219,16 @@ def build_pillow(a: int, b: int) -> PillowConfig:
                 triangles.append(Triangle(tuple(sorted(lower)), side, i, j, "lower"))
                 triangles.append(Triangle(tuple(sorted(upper)), side, i, j, "upper"))
 
-    lines = tuple(sorted(line_map.values()))
-    triangles_sorted = tuple(sorted(triangles, key=Triangle.sort_key))
+    # endpoint pairs are unique, so sorting the tuple keys orders the lines
+    # exactly as Line's (u, v) ordering would
+    lines = tuple(line_map[pair] for pair in sorted(line_map))
 
-    if len(lines) != 6 * a * b or len(triangles_sorted) != 4 * a * b:
+    if len(lines) != 6 * a * b or len(triangles) != 4 * a * b:
         raise MalformedComplex(
-            f"construction produced {len(lines)} lines / {len(triangles_sorted)} triangles, "
+            f"construction produced {len(lines)} lines / {len(triangles)} triangles, "
             f"expected {6 * a * b} / {4 * a * b}"
         )
-    return PillowConfig(a, b, vertices, lines, triangles_sorted, grid)
+    return PillowConfig(a, b, vertices, lines, tuple(triangles), grid)
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +363,13 @@ def formula_disjoint_pairs(g: int) -> int:
 
 def verify_pillow(c: PillowConfig) -> Report:
     """The sphere checks, then the brute-force disjoint-pair count against
-    the closed form and against the degree route."""
+    the closed form and against the degree route.  The brute force is
+    O(E^2), so a*b above MAX_VERIFY_CELLS raises InvalidParameter."""
+    if c.a * c.b > MAX_VERIFY_CELLS:
+        raise InvalidParameter(
+            f"verifying bidegree ({c.a}, {c.b}) runs the O(E^2) pair oracle; "
+            f"a*b = {c.a * c.b} is above the limit {MAX_VERIFY_CELLS}"
+        )
     report = Report(f"pillow ({c.a}, {c.b})")
     report.extend(verify_sphere_triangulation(c))
     brute = count_disjoint_line_pairs(c)
@@ -440,6 +457,12 @@ def quadric_stage(c: PillowConfig) -> StageConfig:
     by_pair = {ln.pair: ln for ln in c.lines}
     lines = tuple(ln for ln in c.lines if ln.kind != DIAGONAL)
 
+    def line(u: int, v: int) -> Line:
+        pair = _sorted_pair(u, v)
+        if pair not in by_pair:
+            raise MalformedComplex(f"rectangle ({side}, {i}, {j}) lacks the line {pair}")
+        return by_pair[pair]
+
     cells = []
     for side in SIDES:
         for i in range(1, b + 1):
@@ -448,10 +471,10 @@ def quadric_stage(c: PillowConfig) -> StageConfig:
                 ne = c.grid_map[(side, i - 1, j)]
                 se = c.grid_map[(side, i, j)]
                 sw = c.grid_map[(side, i, j - 1)]
-                north = by_pair[_sorted_pair(nw, ne)]
-                east = by_pair[_sorted_pair(ne, se)]
-                south = by_pair[_sorted_pair(sw, se)]
-                west = by_pair[_sorted_pair(nw, sw)]
+                north = line(nw, ne)
+                east = line(ne, se)
+                south = line(sw, se)
+                west = line(nw, sw)
                 corners = (nw, ne, se, sw)
                 sides4 = (north, east, south, west)
                 if len(set(corners)) != 4 or len(set(sides4)) != 4:
@@ -587,36 +610,74 @@ def config_to_dict(c: PillowConfig) -> dict:
     }
 
 
+class _JSONStrings(dict):
+    """The JSON literal of each string, encoded once per distinct value."""
+
+    def __missing__(self, text: str) -> str:
+        self[text] = literal = json.dumps(text)
+        return literal
+
+
+def _json_array(items: list[str]) -> str:
+    """An indent=2 JSON array one level deep, from its rendered items."""
+    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+
+
+def config_to_json(c: PillowConfig) -> str:
+    """``json.dumps(config_to_dict(c), indent=2) + "\\n"`` byte for byte, in
+    linear time: one f-string template per record, joined with str.join,
+    so the indenting pure-Python JSON encoder never runs."""
+    q = _JSONStrings()
+    vertices = [f"    {v}" for v in c.vertices]
+    lines = [
+        f'    {{\n      "u": {ln.u},\n      "v": {ln.v},\n'
+        f'      "kind": {q[ln.kind]},\n      "side": {q[ln.side]}\n    }}'
+        for ln in c.lines
+    ]
+    triangles = [
+        f'    {{\n      "v1": {tri.vertices[0]},\n      "v2": {tri.vertices[1]},\n'
+        f'      "v3": {tri.vertices[2]},\n      "side": {q[tri.side]},\n'
+        f'      "row": {tri.row},\n      "col": {tri.col},\n      "half": {q[tri.half]}\n    }}'
+        for tri in c.triangles
+    ]
+    return (
+        f'{{\n  "a": {c.a},\n  "b": {c.b},\n  "g": {c.g},\n'
+        f'  "vertices": {_json_array(vertices)},\n'
+        f'  "lines": {_json_array(lines)},\n'
+        f'  "triangles": {_json_array(triangles)}\n}}\n'
+    )
+
+
 def dot_face_adjacency(c: PillowConfig) -> str:
     """DOT graph: one node per triangle, one edge per line shared by two."""
+    names = [f'"{tri.name}"' for tri in c.triangles]
     incidence = _line_incidence(c)
     out = ["graph face_adjacency {"]
-    for tri in c.triangles:
-        out.append(f'  "{tri.name}";')
+    out.extend(f"  {name};" for name in names)
     for pair in sorted(incidence):
         tris = incidence[pair]
         if len(tris) == 2:
-            n1 = c.triangles[tris[0]].name
-            n2 = c.triangles[tris[1]].name
-            out.append(f'  "{n1}" -- "{n2}";')
-    out.append("}")
-    return "\n".join(out) + "\n"
+            out.append(f"  {names[tris[0]]} -- {names[tris[1]]};")
+    out.append("}\n")
+    return "\n".join(out)
 
 
 def dot_line_intersection(c: PillowConfig) -> str:
     """DOT graph: one node per line, one edge per pair of lines meeting
-    in a vertex."""
+    in a vertex.  Each vertex lists its lines by endpoint pair."""
+    named = [((ln.u, ln.v), f'"L{ln.u}_{ln.v}"') for ln in c.lines]
     out = ["graph line_intersection {"]
-    for ln in c.lines:
-        out.append(f'  "L{ln.u}_{ln.v}";')
-    incident: dict[int, list[Line]] = {v: [] for v in c.vertices}
-    for ln in c.lines:
-        incident[ln.u].append(ln)
-        incident[ln.v].append(ln)
+    out.extend(f"  {name};" for _, name in named)
+    incident: dict[int, list[str]] = {v: [] for v in c.vertices}
+    # a line's name is a function of its pair, so ties sort harmlessly
+    for (u, v), name in sorted(named):
+        incident[u].append(name)
+        incident[v].append(name)
     for v in c.vertices:
-        at_v = sorted(incident[v])
-        for idx, first in enumerate(at_v):
-            for second in at_v[idx + 1:]:
-                out.append(f'  "L{first.u}_{first.v}" -- "L{second.u}_{second.v}";')
-    out.append("}")
-    return "\n".join(out) + "\n"
+        at_v = incident[v]
+        edges = [f"  {first} -- {second};"
+                 for idx, first in enumerate(at_v) for second in at_v[idx + 1:]]
+        if edges:
+            out.append("\n".join(edges))
+    out.append("}\n")
+    return "\n".join(out)

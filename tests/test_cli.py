@@ -1,8 +1,10 @@
 """Command-line interface: outputs, exports, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -256,7 +258,57 @@ class TestExitCodeContract:
         assert err == f"error: {error}\n"
 
 
+class TestSizeLimits:
+    @pytest.mark.parametrize("argv", [
+        ("pillow", "--a", "100000", "--b", "100000"),
+        ("pillow", "--a", "128", "--b", "129", "--export", "json"),
+        ("table", "--a", "3", "--b", str(10**20)),
+        ("pillow", "--a", "33", "--b", "32", "--verify"),
+        ("verify", "--a", "33", "--b", "32", "--limit", "40"),
+        ("verify", "--a", "2..40", "--b", "2..40", "--limit", "40"),
+    ], ids=["pillow", "pillow-export", "table", "pillow-verify", "verify", "verify-range"])
+    def test_oversized_input_exits_2_fast(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: ") and "limit" in err
+
+
+# SHA-256 of each export as written before the exports were rebuilt from
+# templates: the bytes must not change.
+EXPORT_DIGESTS = {
+    ((4, 3), "json"): "c91af9c6aa27a1ce1b8cde207d4982210cf8973ca559bb13acc61fd33aca5d4d",
+    ((4, 3), "faces"): "0d7e3f4ae0cbae5848495f694339dfc3acbe281e94a85f02852a6f5046d222d0",
+    ((4, 3), "lines"): "a236dea310a9d53838610463bb832d8d19c45b0a3bff2693d7448e6639ce1468",
+    ((16, 16), "json"): "4a11921803f4bca69287b80be018cf358188825404eda8721d8775ad29de41c3",
+    ((16, 16), "faces"): "068c99362674e60a29c6e79db98bbea40335184c3b68a9ea4a320e523910867e",
+    ((16, 16), "lines"): "ef965106aa36c01e1138c3f163421ef41ee520f7fc3292c40b43e79e4171c72b",
+    ((2, 64), "json"): "247b03a0ffc815fcc5654369abfe60cfa132eae4c797db560de1ff69a77bd547",
+    ((2, 64), "faces"): "e3e052ab6b3378e7d5e118a57b2b591d024c66f3c70fdea78c7b159a7b356ebe",
+    ((2, 64), "lines"): "53d5441eab4e8da4ed745e13add28438b92f21c12537d9b8eddfeff42bfd601f",
+}
+EXPORT_ARGS = {
+    "json": ("--export", "json"),
+    "faces": ("--export", "dot"),
+    "lines": ("--export", "dot", "--dot-graph", "lines"),
+}
+
+
 class TestDeterminism:
+    @pytest.mark.parametrize("a,b,mode", [(a, b, mode) for (a, b), mode in EXPORT_DIGESTS])
+    def test_export_bytes_pinned(self, capsys, tmp_path, a, b, mode):
+        argv = ("pillow", "--a", str(a), "--b", str(b), *EXPORT_ARGS[mode])
+        digest = EXPORT_DIGESTS[(a, b), mode]
+        out_file = tmp_path / "export"
+        code, _, _ = run_cli(capsys, *argv, "--out", str(out_file))
+        assert code == 0
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == digest
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert hashlib.sha256(out.encode()).hexdigest() == digest
+
     def test_table_json_byte_identical(self):
         cmd = [sys.executable, "-m", "pillowdeg", "table", "--a", "2", "--b", "2",
                "--format", "json"]

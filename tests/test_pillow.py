@@ -1,5 +1,8 @@
 """Pillow complex construction, labeling, verification, and exports."""
 
+import json
+from dataclasses import replace
+
 import pytest
 
 from pillowdeg import (
@@ -10,6 +13,7 @@ from pillowdeg import (
     Triangle,
     build_pillow,
     config_to_dict,
+    config_to_json,
     count_disjoint_line_pairs,
     disjoint_pairs_via_degrees,
     dot_face_adjacency,
@@ -20,6 +24,7 @@ from pillowdeg import (
     verify_pillow,
     verify_sphere_triangulation,
 )
+from pillowdeg.pillow import MAX_PILLOW_CELLS, MAX_VERIFY_CELLS
 
 
 class TestCounts:
@@ -62,6 +67,23 @@ class TestCounts:
     def test_rejects_small_parameters(self, a, b):
         with pytest.raises(InvalidParameter):
             build_pillow(a, b)
+
+
+class TestSizeLimits:
+    def test_build_accepts_the_limit(self):
+        assert MAX_PILLOW_CELLS == 16384
+        c = build_pillow(2, MAX_PILLOW_CELLS // 2)
+        assert len(c.lines) == 6 * MAX_PILLOW_CELLS
+
+    @pytest.mark.parametrize("a,b", [(5, 3277), (100000, 100000), (3, 10**20)])
+    def test_build_rejects_above_the_limit(self, a, b):
+        with pytest.raises(InvalidParameter, match="above the limit"):
+            build_pillow(a, b)
+
+    def test_verify_rejects_above_its_limit(self):
+        assert MAX_VERIFY_CELLS == 1024
+        with pytest.raises(InvalidParameter, match="above the limit 1024"):
+            verify_pillow(build_pillow(25, 41))
 
 
 class TestLabeling:
@@ -336,3 +358,30 @@ class TestExports:
         j1 = config_to_dict(build_pillow(2, 3))
         j2 = config_to_dict(build_pillow(2, 3))
         assert j1 == j2
+
+    @pytest.mark.parametrize(
+        "a,b", [(a, b) for a in range(2, 9) for b in range(2, 9)] + [(2, 64), (64, 2)]
+    )
+    def test_config_to_json_is_json_dumps(self, a, b):
+        c = build_pillow(a, b)
+        assert config_to_json(c) == json.dumps(config_to_dict(c), indent=2) + "\n"
+
+    def test_config_to_json_on_hand_built_configs(self):
+        c = build_pillow(2, 2)
+        odd = Line(c.lines[0].u, c.lines[0].v, 'bo"und\\ary\n', "g\u00e9n\u00e9ral")
+        escaped = replace(c, lines=(odd,) + c.lines[1:])
+        empty = replace(c, vertices=(), lines=(), triangles=())
+        for config in (escaped, empty):
+            assert config_to_json(config) == json.dumps(config_to_dict(config), indent=2) + "\n"
+
+    def test_no_path_orders_lines(self, monkeypatch):
+        def forbidden(self, other):
+            raise AssertionError("a Line comparison ran")
+
+        monkeypatch.setattr(Line, "__lt__", forbidden)
+        monkeypatch.setattr(Line, "__gt__", forbidden)
+        c = build_pillow(8, 8)
+        assert config_to_json(c).count('"kind"') == 6 * 64
+        assert dot_face_adjacency(c).count(" -- ") == 6 * 64
+        assert dot_line_intersection(c).count(" -- ") == 4 * 3 + (2 * 64 - 2) * 15
+        assert verify_pillow(c).all_passed

@@ -1,9 +1,12 @@
 """Intermediate degeneration stages and the gcd bookkeeping."""
 
+from dataclasses import replace
+
 import pytest
 
 from pillowdeg import (
     InvalidParameter,
+    MalformedComplex,
     build_pillow,
     cuple_reduction,
     plane_stage,
@@ -126,6 +129,12 @@ class TestVerifyStages:
         assert set(quadric_stage(c).lines) <= set(c.lines)
         assert set(two_surface_stage(c).lines) <= set(c.lines)
         assert plane_stage(c).cells is c.triangles
+
+    def test_missing_grid_line_is_malformed(self):
+        c = build_pillow(3, 2)
+        c = replace(c, lines=tuple(ln for ln in c.lines if ln.kind != "horizontal"))
+        with pytest.raises(MalformedComplex, match=r"lacks the line \(10, 11\)"):
+            verify_stages(c)
 
 
 class TestCupleReduction:
