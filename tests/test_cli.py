@@ -1,12 +1,15 @@
 """Command-line interface: outputs, exports, exit codes, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import subprocess
 import sys
 import time
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from pillowdeg import pillow
 from pillowdeg.checks import Report
@@ -274,6 +277,76 @@ class TestSizeLimits:
         assert code == 2
         assert out == ""
         assert err.startswith("error: ") and "limit" in err
+
+
+def mostly(common, rare):
+    """Draw from ``common`` three times in four, so that most generated
+    argv get past argparse and the limits and actually run."""
+    return st.sampled_from([common, common, common, rare]).flatmap(lambda strategy: strategy)
+
+
+# Integers a user might pass: valid parameters, edge values, and values so
+# large that any product with a parameter >= 2 is above both size limits,
+# so a generated input is either cheap to run or rejected at once.
+INTEGERS = mostly(
+    st.integers(2, 6),
+    st.one_of(st.integers(-1, 1), st.sampled_from([20000, 10**6, 2**63, 10**20])),
+).map(str)
+INT_ARGS = mostly(INTEGERS, st.sampled_from(["", "x", "1.5", "0x10", "--"]))
+RANGES = mostly(
+    st.tuples(INTEGERS, INTEGERS).map("..".join),
+    st.one_of(INT_ARGS, st.sampled_from(["3..", "..4", "..", "a..b", "2...3", "2..3..4"])),
+)
+# placeholders for --out, replaced by paths under a temporary directory
+OUT_OK, OUT_MISSING = "<out-ok>", "<out-missing>"
+OPTIONS = {
+    "characters": [
+        ("--family", st.sampled_from(["veronese", "scroll", "delpezzo", "k3", "custom", "cubic"])),
+        ("--r", INT_ARGS), ("--deg", INT_ARGS), ("--g", INT_ARGS), ("--d", INT_ARGS),
+        ("--kh", INT_ARGS), ("--k2", INT_ARGS), ("--euler", INT_ARGS),
+    ],
+    "pillow": [
+        ("--a", INT_ARGS), ("--b", INT_ARGS), ("--verify", None),
+        ("--export", st.sampled_from(["json", "dot", "png"])),
+        ("--dot-graph", st.sampled_from(["faces", "lines", "planes"])),
+        ("--out", st.sampled_from([OUT_OK, OUT_MISSING])),
+    ],
+    "table": [("--a", INT_ARGS), ("--b", INT_ARGS)],
+    "verify": [("--a", RANGES), ("--b", RANGES), ("--limit", INT_ARGS)],
+}
+FORMATS = mostly(st.sampled_from(["text", "json"]), st.just("xml"))
+
+
+@st.composite
+def cli_argv(draw):
+    """argv for one subcommand; every flag, required or not, may be absent."""
+    command = draw(st.sampled_from(sorted(OPTIONS)))
+    argv = [command]
+    for flag, values in OPTIONS[command] + [("--format", FORMATS)]:
+        if draw(mostly(st.just(True), st.just(False))):
+            argv.append(flag)
+            if values is not None:
+                argv.append(draw(values))
+    return argv
+
+
+class TestArgvProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(argv=cli_argv())
+    @example(argv=["pillow", "--a", "3", "--b", "2", "--export", "json", "--out", OUT_MISSING])
+    @example(argv=["verify", "--a", "2..6", "--b", "2..6", "--format", "json"])
+    @example(argv=["table", "--a", "2"])
+    def test_every_argv_ends_with_a_documented_exit_code(self, tmp_path_factory, argv):
+        out_dir = tmp_path_factory.getbasetemp()
+        paths = {OUT_OK: str(out_dir / "export.out"),
+                 OUT_MISSING: str(out_dir / "missing" / "export.out")}
+        argv = [paths.get(arg, arg) for arg in argv]
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        if code == 3:
+            assert err.getvalue().startswith("i/o error: ")
 
 
 # SHA-256 of each export as written before the exports were rebuilt from

@@ -2,13 +2,16 @@
 arbitrary input, and the table's degree route agrees with it on the
 pillow."""
 
+import random
 from itertools import combinations
+from math import comb
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from pillowdeg import build_pillow, build_table, count_disjoint_line_pairs
+from pillowdeg import build_pillow, build_table, count_disjoint_line_pairs, verify_pillow
 from pillowdeg import pairs
+from pillowdeg.pillow import MAX_VERIFY_CELLS
 
 
 def reference_count(edges):
@@ -28,6 +31,65 @@ edge_lists = st.lists(
 @given(edge_lists)
 def test_kernel_matches_reference(edges):
     assert pairs.count_disjoint_pairs(edges) == reference_count(edges)
+
+
+# labels far outside one machine word, on either side of zero
+wide_labels = st.one_of(
+    st.integers(-12, 12),
+    st.integers(2**63 - 4, 2**63 + 4),
+    st.integers(-2**64 - 4, -2**64 + 4),
+)
+
+
+@st.composite
+def long_edge_lists(draw):
+    """Up to 300 edges over a small pool of wide labels, so that edges still
+    meet often; the kernel's masks then span up to ten 30-bit digits."""
+    pool = draw(st.lists(wide_labels, min_size=1, max_size=30, unique=True))
+    n = draw(st.integers(0, 300))
+    ends = draw(st.lists(st.integers(0, len(pool) - 1), min_size=2 * n, max_size=2 * n))
+    return [(pool[ends[2 * i]], pool[ends[2 * i + 1]]) for i in range(n)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(long_edge_lists())
+def test_kernel_matches_reference_on_long_lists(edges):
+    assert pairs.count_disjoint_pairs(edges) == reference_count(edges)
+
+
+@pytest.mark.parametrize("e", [29, 30, 31, 60, 61, 64, 65])
+class TestDigitBoundaries:
+    """Edge counts on either side of the 30-bit digit and 64-bit word
+    boundaries of the masks."""
+
+    def test_matching(self, e):
+        assert pairs.count_disjoint_pairs([(2 * i, 2 * i + 1) for i in range(e)]) == comb(e, 2)
+
+    def test_path(self, e):
+        # consecutive edges of a path meet, every other pair is disjoint
+        edges = [(i, i + 1) for i in range(e)]
+        assert pairs.count_disjoint_pairs(edges) == comb(e, 2) - (e - 1)
+
+    def test_star_and_repeats(self, e):
+        assert pairs.count_disjoint_pairs([(0, i) for i in range(1, e + 1)]) == 0
+        assert pairs.count_disjoint_pairs([(1, 2)] * e) == 0
+        assert pairs.count_disjoint_pairs([(7, 7)] * e) == 0
+
+    def test_random_with_loops_and_repeats(self, e):
+        rng = random.Random(e)
+        edges = [(rng.randint(-8, 8), rng.randint(-8, 8)) for _ in range(e)]
+        edges[e // 2] = edges[0]
+        edges[-1] = (edges[1][0], edges[1][0])
+        assert pairs.count_disjoint_pairs(edges) == reference_count(edges)
+
+
+@pytest.mark.parametrize("a,b", [(32, 32), (2, 512), (512, 2)])
+def test_verify_pillow_passes_at_the_verify_limit(a, b):
+    assert a * b == MAX_VERIFY_CELLS
+    report = verify_pillow(build_pillow(a, b))
+    # brute force agrees with the closed form and with the degree route
+    assert report["disjoint_pairs_brute_vs_formula"].passed
+    assert report.all_passed, str(report)
 
 
 def test_empty_and_singleton():

@@ -6,6 +6,7 @@ import pytest
 
 from pillowdeg import (
     InvalidParameter,
+    Line,
     MalformedComplex,
     build_pillow,
     cuple_reduction,
@@ -135,6 +136,14 @@ class TestVerifyStages:
         c = replace(c, lines=tuple(ln for ln in c.lines if ln.kind != "horizontal"))
         with pytest.raises(MalformedComplex, match=r"lacks the line \(10, 11\)"):
             verify_stages(c)
+
+    def test_wrong_line_count_reported_not_raised(self):
+        c = build_pillow(3, 2)
+        c = replace(c, lines=c.lines + (Line(1, 999, "horizontal", "top"),))
+        report = verify_stages(c)
+        assert [ch.name for ch in report.failures] == ["quadric_line_count"]
+        assert (report["quadric_line_count"].lhs, report["quadric_line_count"].rhs) == (25, 24)
+        assert report["quadric_face_count"].passed
 
 
 class TestCupleReduction:
