@@ -3,11 +3,15 @@
 Every verification operation in this package reports its findings instead
 of raising: a report is a list of checks, each recording both sides of the
 comparison so a failure is diagnosable from the report alone.
+
+The package's records (``Check`` here, the lines, triangles and tables
+elsewhere) are immutable named tuples: read their fields by name, and use
+``record._replace(field=value)`` for a changed copy.  ``Report`` is the one
+mutable record, a title and the list of checks it collects.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Any
+from typing import Any, NamedTuple
 
 
 def _jsonable(value: Any) -> Any:
@@ -15,15 +19,16 @@ def _jsonable(value: Any) -> Any:
         return value
     if isinstance(value, (int, str)):
         return value
-    if isinstance(value, (tuple, list)):
+    # records are tuple subclasses; like every other object they render as
+    # their str, so only plain tuples and lists become arrays
+    if type(value) in (tuple, list):
         return [_jsonable(v) for v in value]
     if isinstance(value, dict):
         return {str(k): _jsonable(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     return str(value)
 
 
-@dataclass(frozen=True)
-class Check:
+class Check(NamedTuple):
     """One named comparison: passes iff ``lhs == rhs``."""
 
     name: str
@@ -47,19 +52,19 @@ class Check:
         return f"{status}  {self.name}: {self.lhs} == {self.rhs}"
 
 
-@dataclass
 class Report:
-    """An ordered collection of checks produced by one verifier."""
+    """An ordered list of checks produced by one verifier."""
 
-    title: str
-    checks: list[Check] = field(default_factory=list)
+    def __init__(self, title: str, checks: list[Check] | None = None) -> None:
+        self.title = title
+        self.checks = [] if checks is None else checks
 
     def add(self, name: str, lhs: Any, rhs: Any) -> Check:
         check = Check(name, lhs, rhs)
         self.checks.append(check)
         return check
 
-    def extend(self, other: "Report") -> None:
+    def extend(self, other: Report) -> None:
         self.checks.extend(other.checks)
 
     @property
@@ -75,13 +80,6 @@ class Report:
             if c.name == name:
                 return c
         raise KeyError(name)
-
-    def as_dict(self) -> dict:
-        return {
-            "title": self.title,
-            "all_passed": self.all_passed,
-            "checks": [c.as_dict() for c in self.checks],
-        }
 
     def __str__(self) -> str:
         lines = [self.title] + ["  " + str(c) for c in self.checks]

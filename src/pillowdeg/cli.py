@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
 from pathlib import Path
 
 from . import degeneration, pillow, surfaces
@@ -43,36 +42,20 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-@dataclass
-class RunReport:
-    """Everything one invocation produced, for rendering and exit-code logic."""
-
-    command: str
-    parameters: dict
-    payload: dict = field(default_factory=dict)
-    checks: list[Check] = field(default_factory=list)
-    artifacts: list[str] = field(default_factory=list)
-
-    @property
-    def all_passed(self) -> bool:
-        return all(c.passed for c in self.checks)
-
-    @property
-    def exit_code(self) -> int:
-        return EXIT_OK if self.all_passed else EXIT_CHECK_FAILED
-
-    def as_dict(self) -> dict:
-        doc = {"command": self.command, "parameters": self.parameters}
-        doc.update(self.payload)
-        doc["checks"] = [c.as_dict() for c in self.checks]
-        doc["all_passed"] = self.all_passed
-        doc["artifacts"] = self.artifacts
-        doc["exit_code"] = self.exit_code
-        return doc
-
-
-def _print_json(doc: dict) -> None:
-    sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+def _finish(args, parameters: dict, payload: dict, checks: list[Check],
+            artifacts: tuple[str, ...] = ()) -> int:
+    """The exit code of one invocation: 0 when every check passed, else 1.
+    Under ``--format json`` it also writes the invocation's one JSON
+    document: command, parameters, the payload's keys, checks, all_passed,
+    artifacts and exit_code, in that order."""
+    passed = all(c.passed for c in checks)
+    code = EXIT_OK if passed else EXIT_CHECK_FAILED
+    if args.format == "json":
+        doc = {"command": args.command, "parameters": parameters, **payload,
+               "checks": [c.as_dict() for c in checks], "all_passed": passed,
+               "artifacts": list(artifacts), "exit_code": code}
+        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+    return code
 
 
 def _print_checks(checks: list[Check]) -> None:
@@ -114,26 +97,24 @@ def _surface_for(args) -> surfaces.SurfaceClasses:
 def cmd_characters(args) -> int:
     s = _surface_for(args)
     chars = surfaces.branch_characters(s)
-    identity_report = surfaces.verify_character_identities(s, chars)
-    report = RunReport(
-        command="characters",
-        parameters=_parameters(args, ("family", "r", "deg", "g", "d", "kh", "k2", "euler")),
-        payload={
+    checks = surfaces.verify_character_identities(s, chars).checks
+    code = _finish(
+        args,
+        _parameters(args, ("family", "r", "deg", "g", "d", "kh", "k2", "euler")),
+        {
             "surface": {
                 "d": s.d, "kh": s.kh, "k2": s.k2, "euler": s.euler, "label": s.label,
             },
             "characters": chars.as_dict(),
         },
-        checks=identity_report.checks,
+        checks,
     )
-    if args.format == "json":
-        _print_json(report.as_dict())
-    else:
+    if args.format == "text":
         print(f"surface: {s.label} (d={s.d}, kh={s.kh}, k2={s.k2}, euler={s.euler})")
         print(f"characters: {chars}")
         print("identity checks:")
-        _print_checks(report.checks)
-    return report.exit_code
+        _print_checks(checks)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -142,22 +123,16 @@ def cmd_characters(args) -> int:
 
 def cmd_pillow(args) -> int:
     c = pillow.build_pillow(args.a, args.b)
-    checks: list[Check] = []
-    if args.verify:
-        checks = pillow.verify_pillow(c).checks
-    report = RunReport(
-        command="pillow",
-        parameters=_parameters(args, ("a", "b", "verify", "export", "dot_graph", "out")),
-        payload={
-            "summary": {
-                "a": c.a, "b": c.b, "g": c.g,
-                "vertices": len(c.vertices),
-                "lines": len(c.lines),
-                "triangles": len(c.triangles),
-            }
-        },
-        checks=checks,
-    )
+    checks = pillow.verify_pillow(c).checks if args.verify else []
+    payload = {
+        "summary": {
+            "a": c.a, "b": c.b, "g": c.g,
+            "vertices": len(c.vertices),
+            "lines": len(c.lines),
+            "triangles": len(c.triangles),
+        }
+    }
+    artifacts = ()
 
     exported = None
     if args.export == "json":
@@ -170,26 +145,31 @@ def cmd_pillow(args) -> int:
     if exported is not None:
         if args.out:
             Path(args.out).write_text(exported)
-            report.artifacts.append(args.out)
+            artifacts = (args.out,)
         elif args.format == "json":
             # keep stdout a single JSON document
-            report.payload["export"] = exported
+            payload["export"] = exported
         else:
             sys.stdout.write(exported)
 
-    if args.format == "json":
-        _print_json(report.as_dict())
-    elif args.export is None or args.out:
+    code = _finish(
+        args,
+        _parameters(args, ("a", "b", "verify", "export", "dot_graph", "out")),
+        payload,
+        checks,
+        artifacts,
+    )
+    if args.format == "text" and (args.export is None or args.out):
         print(
             f"pillow ({c.a}, {c.b}): V={len(c.vertices)} E={len(c.lines)} "
             f"F={len(c.triangles)} g={c.g}"
         )
         if args.verify:
-            _print_checks(report.checks)
-            print("all checks passed" if report.all_passed else "CHECKS FAILED")
-        for path in report.artifacts:
+            _print_checks(checks)
+            print("all checks passed" if code == EXIT_OK else "CHECKS FAILED")
+        for path in artifacts:
             print(f"wrote {path}")
-    return report.exit_code
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -199,20 +179,14 @@ def cmd_pillow(args) -> int:
 def cmd_table(args) -> int:
     c = pillow.build_pillow(args.a, args.b)
     table = degeneration.build_table(c)
-    conservation = degeneration.verify_conservation(c, table)
-    report = RunReport(
-        command="table",
-        parameters=_parameters(args, ("a", "b")),
-        payload={"table": degeneration.table_to_dict(table)},
-        checks=conservation.checks,
-    )
-    if args.format == "json":
-        _print_json(report.as_dict())
-    else:
+    checks = degeneration.verify_conservation(c, table).checks
+    code = _finish(args, _parameters(args, ("a", "b")),
+                   {"table": degeneration.table_to_dict(table)}, checks)
+    if args.format == "text":
         sys.stdout.write(degeneration.render_table(table))
         print("conservation checks:")
-        _print_checks(report.checks)
-    return report.exit_code
+        _print_checks(checks)
+    return code
 
 
 # ---------------------------------------------------------------------------
@@ -259,25 +233,20 @@ def cmd_verify(args) -> int:
         for section in sections
         for c in section.checks
     ]
-    report = RunReport(
-        command="verify",
-        parameters={"a": args.a, "b": args.b, "limit": limit},
-        payload={
-            "configurations": (a_hi - a_lo + 1) * (b_hi - b_lo + 1),
-        },
-        checks=checks,
+    code = _finish(
+        args,
+        {"a": args.a, "b": args.b, "limit": limit},
+        {"configurations": (a_hi - a_lo + 1) * (b_hi - b_lo + 1)},
+        checks,
     )
-    if args.format == "json":
-        _print_json(report.as_dict())
-    else:
+    if args.format == "text":
         for section in sections:
             status = "PASS" if section.all_passed else "FAIL"
             print(f"{status}  {section.title} ({len(section.checks)} checks)")
             for c in section.failures:
                 print(f"      FAIL {c.name}: {c.lhs} != {c.rhs}")
-        total = len(checks)
-        print(f"overall: {'PASS' if report.all_passed else 'FAIL'} ({total} checks)")
-    return report.exit_code
+        print(f"overall: {'PASS' if code == EXIT_OK else 'FAIL'} ({len(checks)} checks)")
+    return code
 
 
 # ---------------------------------------------------------------------------

@@ -17,12 +17,12 @@ the closed forms serve only as cross-checks.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from . import pillow
 from .checks import Report
 from .errors import InvalidParameter, MalformedComplex
-from .surfaces import BranchCharacters, branch_characters, del_pezzo_characters, k3
+from .surfaces import branch_characters, del_pezzo_characters, k3
 
 ROW_ORDER = ("lines", "three_points", "six_points", "two_points")
 
@@ -34,8 +34,7 @@ _ROW_LABELS = {
 }
 
 
-@dataclass(frozen=True)
-class NPointBudget:
+class NPointBudget(NamedTuple):
     """How many branch points, nodes, and cusps collapse to one point
     where n of the doubled lines meet."""
 
@@ -56,16 +55,7 @@ def npoint_budget(n: int) -> NPointBudget:
     return NPointBudget(n, local.turning_points - n, local.nodes, local.cusps)
 
 
-def local_del_pezzo_characters(n: int) -> BranchCharacters:
-    """Branch-curve characters of the degree-n Del Pezzo surface that
-    smooths n concurrent planes (3 <= n <= 6)."""
-    if not 3 <= n <= 6:
-        raise InvalidParameter(f"local model needs 3 <= n <= 6, got {n}")
-    return del_pezzo_characters(n)
-
-
-@dataclass(frozen=True)
-class TableRow:
+class TableRow(NamedTuple):
     """One row: how many objects of this type exist and what each absorbs."""
 
     object_type: str
@@ -82,15 +72,13 @@ class TableRow:
         )
 
 
-@dataclass(frozen=True)
-class TableTotals:
+class TableTotals(NamedTuple):
     branch_points: int
     nodes: int
     cusps: int
 
 
-@dataclass(frozen=True)
-class DegenerationTable:
+class DegenerationTable(NamedTuple):
     g: int
     rows: tuple[TableRow, ...]
     totals: TableTotals

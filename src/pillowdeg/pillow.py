@@ -27,10 +27,10 @@ of coordinate points intersect precisely when the pairs overlap.
 from __future__ import annotations
 
 import json
-from collections import Counter
+from collections import Counter, namedtuple
 from collections.abc import Iterable, Sequence
-from dataclasses import dataclass, field
 from math import comb, gcd
+from typing import NamedTuple
 
 from . import pairs
 from .checks import Report
@@ -53,30 +53,35 @@ MAX_PILLOW_CELLS = 16384
 MAX_VERIFY_CELLS = 1024
 
 
-@dataclass(frozen=True, order=True)
-class Line:
-    """A double line of the configuration, identified by its endpoint pair.
+class Line(namedtuple("Line", "u v kind side")):
+    """A double line of the configuration: endpoints u < v, its kind and
+    its side.  Boundary lines are shared by both grids (side == "shared");
+    all other lines belong to one grid.
 
-    Boundary lines are shared by both grids (side == "shared"); all other
-    lines belong to one grid.
+    Within a complex a line's identity is its endpoint ``pair``: the
+    verifiers, the stages and the exports key lines by it, never by the
+    whole record.  A Line is an immutable tuple, so it compares and hashes
+    by all four fields.  Construction and ``_replace`` both reject u >= v.
     """
 
-    u: int
-    v: int
-    kind: str = field(compare=False)
-    side: str = field(compare=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.u < self.v:
-            raise InvalidParameter(f"line endpoints must satisfy u < v, got ({self.u}, {self.v})")
+    def __new__(cls, u: int, v: int, kind: str, side: str) -> Line:
+        if not u < v:
+            raise InvalidParameter(f"line endpoints must satisfy u < v, got ({u}, {v})")
+        return tuple.__new__(cls, (u, v, kind, side))
+
+    @classmethod
+    def _make(cls, fields) -> Line:
+        # _replace builds its copy through _make; validate it the same way
+        return cls(*fields)
 
     @property
     def pair(self) -> tuple[int, int]:
         return (self.u, self.v)
 
 
-@dataclass(frozen=True)
-class Triangle:
+class Triangle(NamedTuple):
     """One plane of the configuration: half of a grid cell."""
 
     vertices: tuple[int, int, int]
@@ -94,9 +99,15 @@ class Triangle:
         return f"{self.side}_r{self.row}_c{self.col}_{self.half}"
 
 
-@dataclass(frozen=True)
-class PillowConfig:
-    """The full plane configuration as a labeled simplicial complex."""
+class PillowConfig(NamedTuple):
+    """The full plane configuration as a labeled simplicial complex.
+
+    An immutable tuple like every record of the package: a changed copy is
+    ``c._replace(lines=...)``.  Nothing checks the fields against each
+    other on construction; the verifiers report a complex that does not
+    triangulate the sphere, and an operation whose assumptions it breaks
+    raises MalformedComplex.
+    """
 
     a: int
     b: int
@@ -119,10 +130,17 @@ class PillowConfig:
         return range(1, 2 * self.a + 2 * self.b + 1)
 
     def line_degrees(self) -> dict[int, int]:
+        """Number of lines through each vertex; a line with an endpoint
+        outside ``vertices`` raises MalformedComplex."""
         deg = {v: 0 for v in self.vertices}
-        for line in self.lines:
-            deg[line.u] += 1
-            deg[line.v] += 1
+        try:
+            for line in self.lines:
+                deg[line.u] += 1
+                deg[line.v] += 1
+        except KeyError:
+            raise MalformedComplex(
+                f"line {line.pair} has an endpoint outside the vertex list"
+            ) from None
         return deg
 
 
@@ -386,8 +404,7 @@ def verify_pillow(c: PillowConfig) -> Report:
 # Intermediate degeneration stages.
 
 
-@dataclass(frozen=True)
-class GridFace:
+class GridFace(NamedTuple):
     """One whole a x b grid, viewed as a single face (two-surfaces stage)."""
 
     side: str
@@ -395,8 +412,7 @@ class GridFace:
     span_dim: int
 
 
-@dataclass(frozen=True)
-class QuadricFace:
+class QuadricFace(NamedTuple):
     """One rectangle of the quadrics stage, with its 4-line boundary cycle."""
 
     side: str
@@ -406,8 +422,7 @@ class QuadricFace:
     boundary: tuple[Line, Line, Line, Line]  # north, east, south, west
 
 
-@dataclass(frozen=True)
-class SpanDims:
+class SpanDims(NamedTuple):
     """Span dimensions, computed as coordinate-point counts minus one."""
 
     top: int
@@ -416,11 +431,11 @@ class SpanDims:
     ambient: int
 
 
-@dataclass(frozen=True)
-class StageConfig:
-    """A stage of the degeneration: two surfaces, 2ab quadrics, or 4ab planes."""
+class StageConfig(NamedTuple):
+    """A stage of the degeneration: two surfaces or 2ab quadrics.  The
+    last stage, 4ab planes, is the PillowConfig itself."""
 
-    stage: str  # "two_surfaces" | "quadrics" | "planes"
+    stage: str  # "two_surfaces" | "quadrics"
     a: int
     b: int
     cells: tuple
@@ -485,7 +500,7 @@ def quadric_stage(c: PillowConfig) -> StageConfig:
                 west = line(nw, sw)
                 corners = (nw, ne, se, sw)
                 sides4 = (north, east, south, west)
-                if len(set(corners)) != 4 or len(set(sides4)) != 4:
+                if len(set(corners)) != 4 or len({ln.pair for ln in sides4}) != 4:
                     raise MalformedComplex(
                         f"rectangle ({side}, {i}, {j}) does not close into a 4-cycle"
                     )
@@ -495,11 +510,6 @@ def quadric_stage(c: PillowConfig) -> StageConfig:
                     )
                 cells.append(QuadricFace(side, i, j, corners, sides4))
     return StageConfig("quadrics", a, b, tuple(cells), lines)
-
-
-def plane_stage(c: PillowConfig) -> StageConfig:
-    """Final stage: the full pillow ``c`` of 4ab planes."""
-    return StageConfig("planes", c.a, c.b, c.triangles, c.lines)
 
 
 def verify_stages(c: PillowConfig) -> Report:
@@ -526,8 +536,7 @@ def verify_stages(c: PillowConfig) -> Report:
     return report
 
 
-@dataclass(frozen=True)
-class CupleReduction:
+class CupleReduction(NamedTuple):
     """gcd bookkeeping for the re-embedding multiple: a bidegree (a, b)
     with c = gcd(a, b) > 1 is the c-fold re-embedding of (a/c, b/c)."""
 

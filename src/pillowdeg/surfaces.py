@@ -12,14 +12,14 @@ Everything here is exact integer arithmetic; no floats anywhere.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
+from typing import NamedTuple
 
 from .checks import Report
 from .errors import InvalidParameter, NegativeCharacter, NonIntegralNodeCount
 
 
-@dataclass(frozen=True)
-class SurfaceClasses:
+class SurfaceClasses(namedtuple("SurfaceClasses", "d kh k2 euler label")):
     """Intersection numbers of a smooth projective surface.
 
     d:     degree of the surface, H^2 (at least 1)
@@ -27,22 +27,27 @@ class SurfaceClasses:
     k2:    K^2
     euler: topological Euler number e(S)
     label: free-text tag, e.g. a family name plus its parameter
+
+    An immutable tuple; construction and ``_replace`` both reject d < 1
+    and d + kh < -2.
     """
 
-    d: int
-    kh: int
-    k2: int
-    euler: int
-    label: str = ""
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.d < 1:
-            raise InvalidParameter(f"surface degree must be >= 1, got {self.d}")
+    def __new__(cls, d: int, kh: int, k2: int, euler: int, label: str = "") -> SurfaceClasses:
+        if d < 1:
+            raise InvalidParameter(f"surface degree must be >= 1, got {d}")
         # 2 g(H) - 2 = H^2 + K.H; a negative sectional genus is nonsense
-        if self.d + self.kh < -2:
+        if d + kh < -2:
             raise InvalidParameter(
-                f"sectional genus would be negative (d + kh = {self.d + self.kh} < -2)"
+                f"sectional genus would be negative (d + kh = {d + kh} < -2)"
             )
+        return tuple.__new__(cls, (d, kh, k2, euler, label))
+
+    @classmethod
+    def _make(cls, fields) -> SurfaceClasses:
+        # _replace builds its copy through _make; validate it the same way
+        return cls(*fields)
 
     @property
     def sectional_genus_doubled_minus_two(self) -> int:
@@ -50,8 +55,7 @@ class SurfaceClasses:
         return self.d + self.kh
 
 
-@dataclass(frozen=True)
-class BranchCharacters:
+class BranchCharacters(NamedTuple):
     """Degree and singularity counts of a general branch curve."""
 
     degree: int
@@ -60,12 +64,7 @@ class BranchCharacters:
     turning_points: int
 
     def as_dict(self) -> dict:
-        return {
-            "degree": self.degree,
-            "nodes": self.nodes,
-            "cusps": self.cusps,
-            "turning_points": self.turning_points,
-        }
+        return self._asdict()
 
     def __str__(self) -> str:
         return (
@@ -73,8 +72,7 @@ class BranchCharacters:
         )
 
 
-@dataclass(frozen=True)
-class RamificationClasses:
+class RamificationClasses(NamedTuple):
     """The ramification curve R = K + 3H and the residual curve
     R0 = bH - 2R = -2K + (b-6)H, as coefficient pairs in the (K, H) basis,
     together with their intersection product on the surface."""

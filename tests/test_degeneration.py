@@ -14,9 +14,9 @@ from pillowdeg import (
     build_pillow,
     build_table,
     del_pezzo,
+    del_pezzo_characters,
     formula_disjoint_pairs,
     k3,
-    local_del_pezzo_characters,
     npoint_budget,
     render_table,
     table_to_dict,
@@ -49,6 +49,8 @@ class TestNPointBudget:
 
 
 class TestLocalDelPezzo:
+    """The local model at an n-point is the degree-n Del Pezzo surface."""
+
     @pytest.mark.parametrize("n,expected", [
         (3, (6, 0, 6, 12)),
         (4, (8, 4, 12, 12)),
@@ -56,25 +58,20 @@ class TestLocalDelPezzo:
         (6, (12, 24, 24, 12)),
     ])
     def test_characters(self, n, expected):
-        c = local_del_pezzo_characters(n)
+        c = del_pezzo_characters(n)
         assert (c.degree, c.nodes, c.cusps, c.turning_points) == expected
 
     def test_matches_global_del_pezzo(self):
         for n in range(3, 7):
-            assert local_del_pezzo_characters(n) == branch_characters(del_pezzo(n))
+            assert del_pezzo_characters(n) == branch_characters(del_pezzo(n))
 
     def test_budget_matches_local_characters(self):
         # all nodes and cusps of the local model collapse to the n-point
         for n in range(3, 7):
             budget = npoint_budget(n)
-            local = local_del_pezzo_characters(n)
+            local = del_pezzo_characters(n)
             assert budget.nodes == local.nodes
             assert budget.cusps == local.cusps
-
-    @pytest.mark.parametrize("n", [2, 7])
-    def test_out_of_domain(self, n):
-        with pytest.raises(InvalidParameter):
-            local_del_pezzo_characters(n)
 
 
 class TestBuildTable:

@@ -1,7 +1,6 @@
 """Pillow complex construction, labeling, verification, and exports."""
 
 import json
-from dataclasses import replace
 
 import pytest
 
@@ -12,6 +11,7 @@ from pillowdeg import (
     PillowConfig,
     Triangle,
     build_pillow,
+    build_table,
     config_to_dict,
     config_to_json,
     count_disjoint_line_pairs,
@@ -21,6 +21,7 @@ from pillowdeg import (
     formula_disjoint_pairs,
     is_complex_isomorphism,
     transpose_map,
+    verify_configuration,
     verify_pillow,
     verify_sphere_triangulation,
 )
@@ -67,6 +68,21 @@ class TestCounts:
     def test_rejects_small_parameters(self, a, b):
         with pytest.raises(InvalidParameter):
             build_pillow(a, b)
+
+
+class TestLineRecord:
+    @pytest.mark.parametrize("u,v", [(2, 1), (3, 3)])
+    def test_endpoints_must_increase(self, u, v):
+        message = rf"line endpoints must satisfy u < v, got \({u}, {v}\)"
+        with pytest.raises(InvalidParameter, match=message):
+            Line(u, v, "horizontal", "top")
+        with pytest.raises(InvalidParameter, match=message):
+            Line(1, 4, "horizontal", "top")._replace(u=u, v=v)
+
+    def test_replace_keeps_the_record_type(self):
+        line = Line(1, 4, "horizontal", "top")._replace(kind="vertical")
+        assert type(line) is Line
+        assert (line.pair, line.kind, line.side) == ((1, 4), "vertical", "top")
 
 
 class TestSizeLimits:
@@ -258,6 +274,15 @@ class TestDisjointPairs:
         with pytest.raises(MalformedComplex):
             disjoint_pairs_via_degrees(doubled)
 
+    @pytest.mark.parametrize("operation", [
+        verify_pillow, verify_configuration, disjoint_pairs_via_degrees, build_table,
+    ])
+    def test_foreign_endpoint_is_malformed(self, operation):
+        c = build_pillow(3, 2)
+        c = c._replace(lines=c.lines + (Line(1, 999, "horizontal", "top"),))
+        with pytest.raises(MalformedComplex, match=r"line \(1, 999\) has an endpoint outside"):
+            operation(c)
+
     def test_verify_pillow_adds_pair_checks_to_sphere_checks(self):
         c = build_pillow(2, 3)
         report = verify_pillow(c)
@@ -369,8 +394,8 @@ class TestExports:
     def test_config_to_json_on_hand_built_configs(self):
         c = build_pillow(2, 2)
         odd = Line(c.lines[0].u, c.lines[0].v, 'bo"und\\ary\n', "g\u00e9n\u00e9ral")
-        escaped = replace(c, lines=(odd,) + c.lines[1:])
-        empty = replace(c, vertices=(), lines=(), triangles=())
+        escaped = c._replace(lines=(odd,) + c.lines[1:])
+        empty = c._replace(vertices=(), lines=(), triangles=())
         for config in (escaped, empty):
             assert config_to_json(config) == json.dumps(config_to_dict(config), indent=2) + "\n"
 

@@ -1,7 +1,5 @@
 """Intermediate degeneration stages and the gcd bookkeeping."""
 
-from dataclasses import replace
-
 import pytest
 
 from pillowdeg import (
@@ -10,7 +8,6 @@ from pillowdeg import (
     MalformedComplex,
     build_pillow,
     cuple_reduction,
-    plane_stage,
     quadric_stage,
     two_surface_stage,
     verify_stages,
@@ -103,14 +100,6 @@ class TestTwoSurfaceStage:
                 assert spans.intersection == 2 * a + 2 * b - 1
 
 
-class TestPlaneStage:
-    def test_full_configuration(self):
-        stage = plane_stage(build_pillow(2, 3))
-        assert stage.stage == "planes"
-        assert len(stage.cells) == 4 * 2 * 3
-        assert len(stage.lines) == 6 * 2 * 3
-
-
 class TestVerifyStages:
     @pytest.mark.parametrize("a,b", [(2, 2), (3, 2), (4, 5)])
     def test_all_contracts_hold(self, a, b):
@@ -129,17 +118,16 @@ class TestVerifyStages:
         c = build_pillow(3, 2)
         assert set(quadric_stage(c).lines) <= set(c.lines)
         assert set(two_surface_stage(c).lines) <= set(c.lines)
-        assert plane_stage(c).cells is c.triangles
 
     def test_missing_grid_line_is_malformed(self):
         c = build_pillow(3, 2)
-        c = replace(c, lines=tuple(ln for ln in c.lines if ln.kind != "horizontal"))
+        c = c._replace(lines=tuple(ln for ln in c.lines if ln.kind != "horizontal"))
         with pytest.raises(MalformedComplex, match=r"lacks the line \(10, 11\)"):
             verify_stages(c)
 
     def test_wrong_line_count_reported_not_raised(self):
         c = build_pillow(3, 2)
-        c = replace(c, lines=c.lines + (Line(1, 999, "horizontal", "top"),))
+        c = c._replace(lines=c.lines + (Line(1, 999, "horizontal", "top"),))
         report = verify_stages(c)
         assert [ch.name for ch in report.failures] == ["quadric_line_count"]
         assert (report["quadric_line_count"].lhs, report["quadric_line_count"].rhs) == (25, 24)

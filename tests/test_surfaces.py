@@ -64,6 +64,14 @@ class TestConstructors:
         with pytest.raises(InvalidParameter):
             SurfaceClasses(1, -5, 0, 0)
 
+    def test_replace_validates(self):
+        s = k3(9)
+        assert s._replace(label="") == SurfaceClasses(16, 0, 0, 24)
+        with pytest.raises(InvalidParameter, match="surface degree must be >= 1, got 0"):
+            s._replace(d=0)
+        with pytest.raises(InvalidParameter, match=r"d \+ kh = -4 < -2"):
+            s._replace(kh=-20)
+
 
 class TestBranchCharacters:
     # expected tuples are (degree, nodes, cusps, turning_points)
@@ -145,6 +153,10 @@ class TestVerifyFamilies:
             for kind in ("closed_forms", "identities")
         ] + ["veronese3_equals_delpezzo9"]
         assert report.all_passed, str(report)
+
+    def test_records_render_as_their_str_in_json(self):
+        check = verify_families()["veronese3_equals_delpezzo9"]
+        assert check.as_dict()["lhs"] == check.as_dict()["rhs"] == "b=18 n=84 k=42 t=12"
 
     def test_wrong_closed_form_counted(self, monkeypatch):
         def wrong_at_7(g):
