@@ -55,9 +55,9 @@ class Check(NamedTuple):
 class Report:
     """An ordered list of checks produced by one verifier."""
 
-    def __init__(self, title: str, checks: list[Check] | None = None) -> None:
+    def __init__(self, title: str) -> None:
         self.title = title
-        self.checks = [] if checks is None else checks
+        self.checks: list[Check] = []
 
     def add(self, name: str, lhs: Any, rhs: Any) -> Check:
         check = Check(name, lhs, rhs)
