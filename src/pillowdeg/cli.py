@@ -105,7 +105,7 @@ def cmd_characters(args) -> int:
             "surface": {
                 "d": s.d, "kh": s.kh, "k2": s.k2, "euler": s.euler, "label": s.label,
             },
-            "characters": chars.as_dict(),
+            "characters": chars._asdict(),
         },
         checks,
     )

@@ -24,8 +24,6 @@ from .checks import Report
 from .errors import InvalidParameter, MalformedComplex
 from .surfaces import branch_characters, del_pezzo_characters, k3
 
-ROW_ORDER = ("lines", "three_points", "six_points", "two_points")
-
 _ROW_LABELS = {
     "lines": "Lines",
     "three_points": "3-points",

@@ -144,29 +144,24 @@ class PillowConfig(NamedTuple):
         return deg
 
 
-def _boundary_label(a: int, b: int, i: int, j: int) -> int:
-    """Clockwise boundary label of grid position (row i, column j)."""
-    if i == 0:
-        return 1 + j
-    if j == a:
-        return a + 1 + i
-    if i == b:
-        return 2 * a + b + 1 - j
-    if j == 0:
-        return 2 * a + 2 * b + 1 - i
-    raise InvalidParameter(f"({i}, {j}) is not a boundary position")
-
-
 def _make_grid_map(a: int, b: int) -> dict[tuple[str, int, int], int]:
+    """Label of each grid position (side, row i, column j), boundary first."""
     grid: dict[tuple[str, int, int], int] = {}
-    for side_idx, side in enumerate(SIDES):
+    for side in SIDES:
         interior_base = 2 * a + 2 * b if side == "top" else a * b + a + b + 1
         for i in range(b + 1):
             for j in range(a + 1):
-                if i in (0, b) or j in (0, a):
-                    grid[(side, i, j)] = _boundary_label(a, b, i, j)
+                if i == 0:
+                    label = 1 + j
+                elif j == a:
+                    label = a + 1 + i
+                elif i == b:
+                    label = 2 * a + b + 1 - j
+                elif j == 0:
+                    label = 2 * a + 2 * b + 1 - i
                 else:
-                    grid[(side, i, j)] = interior_base + (i - 1) * (a - 1) + j
+                    label = interior_base + (i - 1) * (a - 1) + j
+                grid[(side, i, j)] = label
     return grid
 
 
@@ -201,27 +196,10 @@ def build_pillow(a: int, b: int) -> PillowConfig:
     for u, v in zip(cycle, cycle[1:] + cycle[:1]):
         add_line(u, v, BOUNDARY, "shared")
 
-    for side in SIDES:
-        def at(i: int, j: int) -> int:
-            return grid[(side, i, j)]
-
-        # interior horizontal lines (grid rows strictly between the boundary rows)
-        for i in range(1, b):
-            for j in range(a):
-                add_line(at(i, j), at(i, j + 1), HORIZONTAL, side)
-        # interior vertical lines
-        for j in range(1, a):
-            for i in range(b):
-                add_line(at(i, j), at(i + 1, j), VERTICAL, side)
-        # one diagonal per cell: rising on top, falling on bottom
-        for i in range(1, b + 1):
-            for j in range(1, a + 1):
-                if side == "top":
-                    add_line(at(i, j - 1), at(i - 1, j), DIAGONAL, side)
-                else:
-                    add_line(at(i - 1, j - 1), at(i, j), DIAGONAL, side)
-
-    # appended by (side, row, col, half), the export order, so no sort is needed
+    # one pass over the cells in (side, row, col) order, the export order of
+    # the triangles; every line off the boundary cycle is the north line (off
+    # the top row), the west line (off the left column) or the diagonal of
+    # exactly one cell
     triangles: list[Triangle] = []
     for side in SIDES:
         for i in range(1, b + 1):
@@ -230,11 +208,17 @@ def build_pillow(a: int, b: int) -> PillowConfig:
                 ne = grid[(side, i - 1, j)]
                 sw = grid[(side, i, j - 1)]
                 se = grid[(side, i, j)]
+                if i > 1:
+                    add_line(nw, ne, HORIZONTAL, side)
+                if j > 1:
+                    add_line(nw, sw, VERTICAL, side)
                 if side == "top":
                     # rising diagonal sw-ne
+                    add_line(sw, ne, DIAGONAL, side)
                     lower, upper = (sw, se, ne), (sw, nw, ne)
                 else:
                     # falling diagonal nw-se
+                    add_line(nw, se, DIAGONAL, side)
                     lower, upper = (nw, sw, se), (nw, ne, se)
                 triangles.append(Triangle(tuple(sorted(lower)), side, i, j, "lower"))
                 triangles.append(Triangle(tuple(sorted(upper)), side, i, j, "upper"))
@@ -473,9 +457,10 @@ def quadric_stage(c: PillowConfig) -> StageConfig:
     """Second stage: remove the diagonals of ``c``; 2ab rectangles remain,
     each bounded by a cycle of four lines (two horizontal, two vertical).
 
-    A rectangle that lacks a line, does not close into a 4-cycle or has a
-    diagonal side raises MalformedComplex; the rectangle and line counts
-    are left to ``verify_stages``, which reports them as checks."""
+    A rectangle that lacks a grid position or a line, does not close into
+    a 4-cycle or has a diagonal side raises MalformedComplex; the rectangle
+    and line counts are left to ``verify_stages``, which reports them as
+    checks."""
     a, b = c.a, c.b
     by_pair = {ln.pair: ln for ln in c.lines}
     lines = tuple(ln for ln in c.lines if ln.kind != DIAGONAL)
@@ -490,10 +475,15 @@ def quadric_stage(c: PillowConfig) -> StageConfig:
     for side in SIDES:
         for i in range(1, b + 1):
             for j in range(1, a + 1):
-                nw = c.grid_map[(side, i - 1, j - 1)]
-                ne = c.grid_map[(side, i - 1, j)]
-                se = c.grid_map[(side, i, j)]
-                sw = c.grid_map[(side, i, j - 1)]
+                try:
+                    nw = c.grid_map[(side, i - 1, j - 1)]
+                    ne = c.grid_map[(side, i - 1, j)]
+                    se = c.grid_map[(side, i, j)]
+                    sw = c.grid_map[(side, i, j - 1)]
+                except KeyError as missing:
+                    raise MalformedComplex(
+                        f"rectangle ({side}, {i}, {j}) lacks the grid position {missing}"
+                    ) from None
                 north = line(nw, ne)
                 east = line(ne, se)
                 south = line(sw, se)
@@ -558,14 +548,17 @@ def cuple_reduction(a: int, b: int) -> CupleReduction:
 
 def transpose_map(c: PillowConfig, ct: PillowConfig) -> dict[int, int]:
     """Vertex bijection sending grid position (side, i, j) of ``c`` to
-    (side, j, i) of ``ct``; requires ct to have the transposed bidegree."""
+    (side, j, i) of ``ct``; requires ct to have the transposed bidegree,
+    and a position with no transpose in ``ct`` raises MalformedComplex."""
     if (ct.a, ct.b) != (c.b, c.a):
         raise InvalidParameter(
             f"expected bidegree ({c.b}, {c.a}) for the transpose, got ({ct.a}, {ct.b})"
         )
     mapping: dict[int, int] = {}
     for (side, i, j), vid in c.grid_map.items():
-        image = ct.grid_map[(side, j, i)]
+        image = ct.grid_map.get((side, j, i))
+        if image is None:
+            raise MalformedComplex(f"grid position ({side}, {i}, {j}) has no transpose")
         if mapping.setdefault(vid, image) != image:
             raise MalformedComplex(f"transpose map is not well defined at vertex {vid}")
     return mapping
@@ -574,20 +567,24 @@ def transpose_map(c: PillowConfig, ct: PillowConfig) -> dict[int, int]:
 def is_complex_isomorphism(c: PillowConfig, other: PillowConfig,
                            vertex_map: dict[int, int]) -> bool:
     """True when the bijection carries lines onto lines and triangles onto
-    triangles (equal counts, so a proper subcomplex of ``other`` fails)."""
+    triangles (equal counts, so a proper subcomplex of ``other`` fails).
+    A line or triangle of ``c`` on a label outside ``vertex_map`` fails."""
     if sorted(vertex_map) != list(c.vertices) or sorted(vertex_map.values()) != list(other.vertices):
         return False
     if len(c.lines) != len(other.lines) or len(c.triangles) != len(other.triangles):
         return False
     other_lines = {ln.pair for ln in other.lines}
-    for ln in c.lines:
-        if _sorted_pair(vertex_map[ln.u], vertex_map[ln.v]) not in other_lines:
-            return False
     other_tris = {tri.vertices for tri in other.triangles}
-    for tri in c.triangles:
-        image = tuple(sorted(vertex_map[v] for v in tri.vertices))
-        if image not in other_tris:
-            return False
+    try:
+        for ln in c.lines:
+            if _sorted_pair(vertex_map[ln.u], vertex_map[ln.v]) not in other_lines:
+                return False
+        for tri in c.triangles:
+            image = tuple(sorted(vertex_map[v] for v in tri.vertices))
+            if image not in other_tris:
+                return False
+    except KeyError:
+        return False
     return True
 
 
@@ -675,15 +672,21 @@ def dot_face_adjacency(c: PillowConfig) -> str:
 
 def dot_line_intersection(c: PillowConfig) -> str:
     """DOT graph: one node per line, one edge per pair of lines meeting
-    in a vertex.  Each vertex lists its lines by endpoint pair."""
+    in a vertex.  Each vertex lists its lines by endpoint pair; a line with
+    an endpoint outside ``vertices`` raises MalformedComplex."""
     named = [((ln.u, ln.v), f'"L{ln.u}_{ln.v}"') for ln in c.lines]
     out = ["graph line_intersection {"]
     out.extend(f"  {name};" for _, name in named)
     incident: dict[int, list[str]] = {v: [] for v in c.vertices}
     # a line's name is a function of its pair, so ties sort harmlessly
-    for (u, v), name in sorted(named):
-        incident[u].append(name)
-        incident[v].append(name)
+    try:
+        for (u, v), name in sorted(named):
+            incident[u].append(name)
+            incident[v].append(name)
+    except KeyError:
+        raise MalformedComplex(
+            f"line {(u, v)} has an endpoint outside the vertex list"
+        ) from None
     for v in c.vertices:
         at_v = incident[v]
         edges = [f"  {first} -- {second};"

@@ -63,9 +63,6 @@ class BranchCharacters(NamedTuple):
     cusps: int
     turning_points: int
 
-    def as_dict(self) -> dict:
-        return self._asdict()
-
     def __str__(self) -> str:
         return (
             f"b={self.degree} n={self.nodes} k={self.cusps} t={self.turning_points}"

@@ -276,6 +276,7 @@ class TestDisjointPairs:
 
     @pytest.mark.parametrize("operation", [
         verify_pillow, verify_configuration, disjoint_pairs_via_degrees, build_table,
+        dot_line_intersection,
     ])
     def test_foreign_endpoint_is_malformed(self, operation):
         c = build_pillow(3, 2)
@@ -335,6 +336,31 @@ class TestTransposeIsomorphism:
         sub = PillowConfig(c.a, c.b, c.vertices, c.lines[:-1], c.triangles[:-1], c.grid_map)
         assert is_complex_isomorphism(c, ct, mapping)
         assert not is_complex_isomorphism(sub, ct, mapping)
+
+    def test_position_without_transpose_is_malformed(self):
+        c = build_pillow(3, 2)
+        c = c._replace(grid_map={**c.grid_map, ("top", 9, 9): 1})
+        with pytest.raises(MalformedComplex, match=r"grid position \(top, 9, 9\) has no transpose"):
+            transpose_map(c, build_pillow(2, 3))
+        with pytest.raises(MalformedComplex, match="has no transpose"):
+            verify_configuration(c)
+
+    def test_label_outside_the_map_rejected(self):
+        # vertex 1 renamed 0 in the lines and triangles only: the map,
+        # keyed by the vertex list, has no image for 0
+        c = build_pillow(3, 2)
+        ct = build_pillow(2, 3)
+        mapping = transpose_map(c, ct)
+
+        def rename(v):
+            return 0 if v == 1 else v
+
+        renamed = c._replace(
+            lines=tuple(ln._replace(u=rename(ln.u)) for ln in c.lines),
+            triangles=tuple(t._replace(vertices=tuple(sorted(map(rename, t.vertices))))
+                            for t in c.triangles),
+        )
+        assert not is_complex_isomorphism(renamed, ct, mapping)
 
 
 class TestExports:
