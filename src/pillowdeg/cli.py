@@ -30,7 +30,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from pathlib import Path
 
 from . import degeneration, pillow, surfaces
 from .checks import Check
@@ -144,7 +143,8 @@ def cmd_pillow(args) -> int:
             exported = pillow.dot_face_adjacency(c)
     if exported is not None:
         if args.out:
-            Path(args.out).write_text(exported)
+            with open(args.out, "w") as f:
+                f.write(exported)
             artifacts = (args.out,)
         elif args.format == "json":
             # keep stdout a single JSON document

@@ -25,10 +25,6 @@ class NegativeCharacter(PillowDegError):
         super().__init__(f"{which} = {value} < 0")
 
 
-class NonIntegral(PillowDegError):
-    """A closed-form count that must be an integer failed to divide evenly."""
-
-
 class MalformedComplex(PillowDegError):
     """A configuration violates the structural assumptions of the operation
     (for the pillow: every vertex lies on exactly 3 or 6 lines)."""

@@ -28,13 +28,13 @@ from __future__ import annotations
 
 import json
 from collections import Counter, namedtuple
-from collections.abc import Iterable, Sequence
+from collections.abc import Callable, Iterable
 from math import comb, gcd
 from typing import NamedTuple
 
 from . import pairs
 from .checks import Report
-from .errors import InvalidParameter, MalformedComplex, NonIntegral
+from .errors import InvalidParameter, MalformedComplex
 
 SIDES = ("top", "bottom")
 
@@ -249,35 +249,30 @@ def _line_incidence(c: PillowConfig) -> dict[tuple[int, int], list[int]]:
     return incidence
 
 
-def _components(nodes: Iterable[int], edges: Iterable[Sequence[int]]) -> int:
-    """Number of connected components of a graph, by union-find."""
-    root = {n: n for n in nodes}
-
-    def find(x: int) -> int:
-        while root[x] != x:
-            root[x] = root[root[x]]
-            x = root[x]
-        return x
-
-    for u, v in edges:
-        root[find(u)] = find(v)
-    return sum(1 for n, r in root.items() if n == r)
+def _reach(start: int, neighbours: Callable[[int], Iterable[int]]) -> set[int]:
+    """The nodes reachable from ``start``, by a depth-first flood."""
+    seen = {start}
+    stack = [start]
+    while stack:
+        for n in neighbours(stack.pop()):
+            if n not in seen:
+                seen.add(n)
+                stack.append(n)
+    return seen
 
 
 def _vertex_link_is_single_cycle(c: PillowConfig, vertex: int, star: list[int],
                                  incidence: dict[tuple[int, int], list[int]]) -> bool:
     """The triangles of a vertex's star, glued along shared lines through
     it, must form exactly one closed cycle (the closed-surface condition)."""
-    adjacency: dict[int, set[int]] = {i: set() for i in star}
-    for i in adjacency:
-        for other in c.triangles[i].vertices:
-            if other != vertex:
-                adjacency[i].update(incidence.get(_sorted_pair(vertex, other), ()))
-        adjacency[i].discard(i)
-    if any(len(neigh) != 2 for neigh in adjacency.values()):
-        return False
-    # connected + 2-regular => a single cycle (an empty star has no component)
-    return _components(adjacency, ((i, j) for i in adjacency for j in adjacency[i])) == 1
+    near = {
+        i: {j for other in c.triangles[i].vertices if other != vertex
+            for j in incidence.get(_sorted_pair(vertex, other), ()) if j != i}
+        for i in star
+    }
+    # 2-regular and one flood covers it => a single cycle; an empty star fails
+    return (bool(near) and all(len(js) == 2 for js in near.values())
+            and len(_reach(star[0], near.__getitem__)) == len(near))
 
 
 def verify_sphere_triangulation(c: PillowConfig) -> Report:
@@ -308,9 +303,16 @@ def verify_sphere_triangulation(c: PillowConfig) -> Report:
     )
     report.add("vertex_link_single_cycle", bad_links, 0)
 
-    face_components = _components(
-        range(len(c.triangles)), (tris for tris in incidence.values() if len(tris) == 2)
-    )
+    def across(i: int) -> list[int]:
+        # triangles meet across a line that lies on exactly two of them
+        sides = (incidence.get(pair, ()) for pair in c.triangles[i].edge_pairs())
+        return [j for tris in sides if len(tris) == 2 for j in tris]
+
+    unseen = set(range(len(c.triangles)))
+    face_components = 0
+    while unseen:
+        unseen -= _reach(unseen.pop(), across)
+        face_components += 1
     report.add("face_adjacency_connected", face_components, 1)
 
     euler = len(c.vertices) - len(c.lines) + len(c.triangles)
@@ -319,8 +321,7 @@ def verify_sphere_triangulation(c: PillowConfig) -> Report:
     tri_deg = {v: len(tris) for v, tris in star.items()}
     degree_three = tuple(sorted(v for v, d in tri_deg.items() if d == 3))
     report.add("degree3_vertices_are_corners", degree_three, tuple(sorted(c.corner_ids)))
-    census = tuple(sorted((d, sum(1 for x in tri_deg.values() if x == d))
-                          for d in set(tri_deg.values())))
+    census = tuple(sorted(Counter(tri_deg.values()).items()))
     report.add("triangle_degree_census", census,
                ((3, 4), (6, 2 * c.a * c.b - 2)))
     report.add("line_degrees_match_triangle_degrees",
@@ -359,10 +360,9 @@ def formula_disjoint_pairs(g: int) -> int:
     pairs in the pillow with g = 2ab + 1."""
     if g % 2 == 0 or g < 9:
         raise InvalidParameter(f"g must be odd and >= 9, got {g}")
-    numerator = 9 * g * g - 51 * g + 78
-    if numerator % 2 != 0:
-        raise NonIntegral(f"9g^2 - 51g + 78 = {numerator} is odd at g = {g}")
-    return numerator // 2
+    # 9g^2 - 51g = 3g(3g - 17) multiplies factors of opposite parity, so
+    # the numerator is even for every integer g
+    return (9 * g * g - 51 * g + 78) // 2
 
 
 def verify_pillow(c: PillowConfig) -> Report:
@@ -569,7 +569,8 @@ def is_complex_isomorphism(c: PillowConfig, other: PillowConfig,
     """True when the bijection carries lines onto lines and triangles onto
     triangles (equal counts, so a proper subcomplex of ``other`` fails).
     A line or triangle of ``c`` on a label outside ``vertex_map`` fails."""
-    if sorted(vertex_map) != list(c.vertices) or sorted(vertex_map.values()) != list(other.vertices):
+    if (sorted(vertex_map) != sorted(c.vertices)
+            or sorted(vertex_map.values()) != sorted(other.vertices)):
         return False
     if len(c.lines) != len(other.lines) or len(c.triangles) != len(other.triangles):
         return False

@@ -143,6 +143,13 @@ class TestPillow:
         assert code == 3
         assert "i/o error" in err
 
+    def test_unwritable_out_names_the_path_as_typed(self, capsys, monkeypatch, tmp_path):
+        monkeypatch.chdir(tmp_path)
+        code, _, err = run_cli(capsys, "pillow", "--a", "2", "--b", "2",
+                               "--export", "json", "--out", "./missing/x.json")
+        assert code == 3
+        assert err.startswith("i/o error: ") and "./missing/x.json" in err
+
 
 class TestTable:
     def test_text_output(self, capsys):
@@ -347,6 +354,38 @@ class TestArgvProperties:
         assert code in (0, 1, 2, 3), (argv, err.getvalue())
         if code == 3:
             assert err.getvalue().startswith("i/o error: ")
+
+
+# Intersection numbers far outside every family, so most runs end in a
+# negative character or an odd branch degree: d + K.H decides the parity.
+WIDE = st.integers(-10**40, 10**40)
+
+
+@st.composite
+def custom_argv(draw):
+    d, kh, k2, euler = (draw(WIDE) for _ in range(4))
+    kh += (d + kh + draw(st.integers(0, 1))) % 2
+    argv = ["characters", "--family", "custom",
+            "--d", str(d), "--kh", str(kh), "--k2", str(k2), "--euler", str(euler)]
+    return argv + draw(st.sampled_from([[], ["--format", "json"]]))
+
+
+class TestCustomCharacterProperties:
+    @settings(max_examples=300, deadline=None)
+    @given(argv=custom_argv())
+    @example(argv=["characters", "--family", "custom", "--d", "4", "--kh", "-6",
+                   "--k2", "9", "--euler", "3"])
+    @example(argv=["characters", "--family", "custom", "--d", str(10**40), "--kh", "1",
+                   "--k2", str(-10**40), "--euler", "0", "--format", "json"])
+    def test_every_custom_surface_exits_0_or_2(self, argv):
+        with contextlib.redirect_stdout(io.StringIO()) as out, \
+                contextlib.redirect_stderr(io.StringIO()) as err:
+            code = main(argv)
+        assert code in (0, 2), (argv, err.getvalue())
+        if code == 2:
+            assert err.getvalue().startswith("error: "), (argv, err.getvalue())
+        elif "json" in argv:
+            json.loads(out.getvalue())
 
 
 # SHA-256 of each export as written before the exports were rebuilt from

@@ -150,8 +150,9 @@ SPHERE_CHECKS = (
 )
 
 
-# The link check as it was written before any rewrite of it, copied
-# verbatim with the union-find it calls: the oracle for its replacement.
+# The link check and the union-find as they were written before the
+# reachability rewrite, copied verbatim: the oracle for the link count and,
+# through face_components, for the face count.
 def _components(nodes: Iterable[int], edges: Iterable[Sequence[int]]) -> int:
     """Number of connected components of a graph, by union-find."""
     root = {n: n for n in nodes}
@@ -183,8 +184,7 @@ def _vertex_link_is_single_cycle(c, vertex: int, star: list[int],
     return _components(adjacency, ((i, j) for i in adjacency for j in adjacency[i])) == 1
 
 
-def bad_links(c):
-    """Vertices whose link is not a single cycle, by the copied check."""
+def _incidence_and_stars(c):
     incidence = {ln.pair: [] for ln in c.lines}
     star = {v: [] for v in c.vertices}
     for idx, tri in enumerate(c.triangles):
@@ -194,8 +194,21 @@ def bad_links(c):
         for v in tri.vertices:
             if v in star:
                 star[v].append(idx)
+    return incidence, star
+
+
+def bad_links(c):
+    """Vertices whose link is not a single cycle, by the copied check."""
+    incidence, star = _incidence_and_stars(c)
     return sum(1 for v, tris in star.items()
                if not _vertex_link_is_single_cycle(c, v, tris, incidence))
+
+
+def face_components(c):
+    """Components of the face-adjacency graph, by the copied union-find."""
+    incidence, _ = _incidence_and_stars(c)
+    return _components(range(len(c.triangles)),
+                       (tris for tris in incidence.values() if len(tris) == 2))
 
 
 class TestMutatedPillows:
@@ -219,6 +232,7 @@ class TestMutatedPillows:
             assert name != "flip_edge"
             return
         assert report["vertex_link_single_cycle"].lhs == bad_links(c)
+        assert report["face_adjacency_connected"].lhs == face_components(c)
         sphere_ok = all(report[check].passed for check in SPHERE_CHECKS)
         assert sphere_ok == (name == "flip_edge"), str(report)
         if name == "flip_edge":

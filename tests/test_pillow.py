@@ -337,6 +337,13 @@ class TestTransposeIsomorphism:
         assert is_complex_isomorphism(c, ct, mapping)
         assert not is_complex_isomorphism(sub, ct, mapping)
 
+    def test_vertex_order_does_not_matter(self):
+        c = build_pillow(3, 2)
+        reversed_c = c._replace(vertices=c.vertices[::-1])
+        identity = {v: v for v in c.vertices}
+        assert is_complex_isomorphism(reversed_c, c, identity)
+        assert is_complex_isomorphism(c, reversed_c, identity)
+
     def test_position_without_transpose_is_malformed(self):
         c = build_pillow(3, 2)
         c = c._replace(grid_map={**c.grid_map, ("top", 9, 9): 1})
