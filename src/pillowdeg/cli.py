@@ -66,24 +66,21 @@ def _print_checks(checks: list[Check]) -> None:
 # characters
 
 
+# each family: the argument that picks its member, and its constructor
+FAMILIES = {
+    "veronese": ("r", surfaces.veronese),
+    "scroll": ("r", surfaces.scroll_p1p1),
+    "delpezzo": ("deg", surfaces.del_pezzo),
+    "k3": ("g", surfaces.k3),
+}
+
+
 def _surface_for(args) -> surfaces.SurfaceClasses:
-    family = args.family
-    if family == "veronese":
-        if args.r is None:
-            raise InvalidParameter("--family veronese requires --r")
-        return surfaces.veronese(args.r)
-    if family == "scroll":
-        if args.r is None:
-            raise InvalidParameter("--family scroll requires --r")
-        return surfaces.scroll_p1p1(args.r)
-    if family == "delpezzo":
-        if args.deg is None:
-            raise InvalidParameter("--family delpezzo requires --deg")
-        return surfaces.del_pezzo(args.deg)
-    if family == "k3":
-        if args.g is None:
-            raise InvalidParameter("--family k3 requires --g")
-        return surfaces.k3(args.g)
+    if args.family in FAMILIES:
+        name, member = FAMILIES[args.family]
+        if getattr(args, name) is None:
+            raise InvalidParameter(f"--family {args.family} requires --{name}")
+        return member(getattr(args, name))
     # custom
     missing = [flag for flag, val in (("--d", args.d), ("--kh", args.kh),
                                       ("--k2", args.k2), ("--euler", args.euler))
@@ -121,6 +118,8 @@ def cmd_characters(args) -> int:
 
 
 def cmd_pillow(args) -> int:
+    if args.out is not None and args.export is None:
+        raise InvalidParameter("--out requires --export")
     c = pillow.build_pillow(args.a, args.b)
     checks = pillow.verify_pillow(c).checks if args.verify else []
     payload = {
@@ -266,7 +265,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chars = sub.add_parser("characters", help="branch-curve characters of a surface")
     p_chars.add_argument("--family", required=True,
-                         choices=["veronese", "scroll", "delpezzo", "k3", "custom"])
+                         choices=[*FAMILIES, "custom"])
     p_chars.add_argument("--r", type=int, help="parameter for veronese/scroll")
     p_chars.add_argument("--deg", type=int, help="degree for delpezzo (3..9)")
     p_chars.add_argument("--g", type=int, help="genus for k3 (>= 3)")

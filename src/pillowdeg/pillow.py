@@ -28,7 +28,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, namedtuple
-from collections.abc import Callable, Iterable
+from collections.abc import Callable, Iterable, Iterator
 from math import comb, gcd
 from typing import NamedTuple
 
@@ -103,10 +103,11 @@ class PillowConfig(NamedTuple):
     """The full plane configuration as a labeled simplicial complex.
 
     An immutable tuple like every record of the package: a changed copy is
-    ``c._replace(lines=...)``.  Nothing checks the fields against each
-    other on construction; the verifiers report a complex that does not
-    triangulate the sphere, and an operation whose assumptions it breaks
-    raises MalformedComplex.
+    ``c._replace(lines=...)``.  The label of each grid position is not
+    stored: ``grid_rows(a, b, side)`` derives it from the bidegree.
+    Nothing checks the fields against each other on construction; the
+    verifiers report a complex that does not triangulate the sphere, and
+    an operation whose assumptions it breaks raises MalformedComplex.
     """
 
     a: int
@@ -114,7 +115,6 @@ class PillowConfig(NamedTuple):
     vertices: tuple[int, ...]
     lines: tuple[Line, ...]
     triangles: tuple[Triangle, ...]
-    grid_map: dict[tuple[str, int, int], int]
 
     @property
     def g(self) -> int:
@@ -144,25 +144,33 @@ class PillowConfig(NamedTuple):
         return deg
 
 
-def _make_grid_map(a: int, b: int) -> dict[tuple[str, int, int], int]:
-    """Label of each grid position (side, row i, column j), boundary first."""
-    grid: dict[tuple[str, int, int], int] = {}
+def grid_rows(a: int, b: int, side: str) -> list[list[int]]:
+    """The labels of one side's grid positions, row by row: ``rows[i][j]``
+    is the label at row i = 0..b (top to bottom), column j = 0..a (left to
+    right).  The one code for the labeling conventions above: the
+    boundary rows and columns are the same on both sides, and the interior
+    is numbered row-major from 2a+2b+1 (top) or ab+a+b+2 (bottom)."""
+    if side not in SIDES:
+        raise InvalidParameter(f"side must be one of {SIDES}, got {side!r}")
+    interior = 2 * a + 2 * b if side == "top" else a * b + a + b + 1
+    rows = [list(range(1, a + 2))]
+    for i in range(1, b):
+        start = interior + (i - 1) * (a - 1)
+        rows.append([2 * a + 2 * b + 1 - i, *range(start + 1, start + a), a + 1 + i])
+    rows.append(list(range(2 * a + b + 1, a + b, -1)))
+    return rows
+
+
+def _cells(a: int, b: int) -> Iterator[tuple[str, int, int, int, int, int, int]]:
+    """(side, i, j, nw, ne, se, sw) for every cell, in (side, row, col)
+    order, the export order of the triangles: cell (i, j) spans rows i-1..i
+    and columns j-1..j, and its corners are named by compass point."""
     for side in SIDES:
-        interior_base = 2 * a + 2 * b if side == "top" else a * b + a + b + 1
-        for i in range(b + 1):
-            for j in range(a + 1):
-                if i == 0:
-                    label = 1 + j
-                elif j == a:
-                    label = a + 1 + i
-                elif i == b:
-                    label = 2 * a + b + 1 - j
-                elif j == 0:
-                    label = 2 * a + 2 * b + 1 - i
-                else:
-                    label = interior_base + (i - 1) * (a - 1) + j
-                grid[(side, i, j)] = label
-    return grid
+        rows = grid_rows(a, b, side)
+        for i in range(1, b + 1):
+            north, south = rows[i - 1], rows[i]
+            for j in range(1, a + 1):
+                yield side, i, j, north[j - 1], north[j], south[j], south[j - 1]
 
 
 def _sorted_pair(u: int, v: int) -> tuple[int, int]:
@@ -179,7 +187,6 @@ def build_pillow(a: int, b: int) -> PillowConfig:
             f"bidegree ({a}, {b}) has a*b = {a * b} cells, above the limit {MAX_PILLOW_CELLS}"
         )
 
-    grid = _make_grid_map(a, b)
     n_vertices = 2 * a * b + 2
     vertices = tuple(range(1, n_vertices + 1))
 
@@ -201,27 +208,21 @@ def build_pillow(a: int, b: int) -> PillowConfig:
     # the top row), the west line (off the left column) or the diagonal of
     # exactly one cell
     triangles: list[Triangle] = []
-    for side in SIDES:
-        for i in range(1, b + 1):
-            for j in range(1, a + 1):
-                nw = grid[(side, i - 1, j - 1)]
-                ne = grid[(side, i - 1, j)]
-                sw = grid[(side, i, j - 1)]
-                se = grid[(side, i, j)]
-                if i > 1:
-                    add_line(nw, ne, HORIZONTAL, side)
-                if j > 1:
-                    add_line(nw, sw, VERTICAL, side)
-                if side == "top":
-                    # rising diagonal sw-ne
-                    add_line(sw, ne, DIAGONAL, side)
-                    lower, upper = (sw, se, ne), (sw, nw, ne)
-                else:
-                    # falling diagonal nw-se
-                    add_line(nw, se, DIAGONAL, side)
-                    lower, upper = (nw, sw, se), (nw, ne, se)
-                triangles.append(Triangle(tuple(sorted(lower)), side, i, j, "lower"))
-                triangles.append(Triangle(tuple(sorted(upper)), side, i, j, "upper"))
+    for side, i, j, nw, ne, se, sw in _cells(a, b):
+        if i > 1:
+            add_line(nw, ne, HORIZONTAL, side)
+        if j > 1:
+            add_line(nw, sw, VERTICAL, side)
+        if side == "top":
+            # rising diagonal sw-ne
+            add_line(sw, ne, DIAGONAL, side)
+            lower, upper = (sw, se, ne), (sw, nw, ne)
+        else:
+            # falling diagonal nw-se
+            add_line(nw, se, DIAGONAL, side)
+            lower, upper = (nw, sw, se), (nw, ne, se)
+        triangles.append(Triangle(tuple(sorted(lower)), side, i, j, "lower"))
+        triangles.append(Triangle(tuple(sorted(upper)), side, i, j, "upper"))
 
     # endpoint pairs are unique, so sorting the tuple keys orders the lines
     # exactly as Line's (u, v) ordering would
@@ -232,7 +233,7 @@ def build_pillow(a: int, b: int) -> PillowConfig:
             f"construction produced {len(lines)} lines / {len(triangles)} triangles, "
             f"expected {6 * a * b} / {4 * a * b}"
         )
-    return PillowConfig(a, b, vertices, lines, tuple(triangles), grid)
+    return PillowConfig(a, b, vertices, lines, tuple(triangles))
 
 
 # ---------------------------------------------------------------------------
@@ -433,7 +434,7 @@ def two_surface_stage(c: PillowConfig) -> StageConfig:
     a, b = c.a, c.b
     boundary_lines = tuple(ln for ln in c.lines if ln.kind == BOUNDARY)
     side_vertices = {
-        side: tuple(sorted({vid for (s, _, _), vid in c.grid_map.items() if s == side}))
+        side: tuple(sorted({vid for row in grid_rows(a, b, side) for vid in row}))
         for side in SIDES
     }
     faces = tuple(
@@ -457,10 +458,9 @@ def quadric_stage(c: PillowConfig) -> StageConfig:
     """Second stage: remove the diagonals of ``c``; 2ab rectangles remain,
     each bounded by a cycle of four lines (two horizontal, two vertical).
 
-    A rectangle that lacks a grid position or a line, does not close into
-    a 4-cycle or has a diagonal side raises MalformedComplex; the rectangle
-    and line counts are left to ``verify_stages``, which reports them as
-    checks."""
+    A rectangle that lacks a line or has a diagonal side raises
+    MalformedComplex; the rectangle and line counts are left to
+    ``verify_stages``, which reports them as checks."""
     a, b = c.a, c.b
     by_pair = {ln.pair: ln for ln in c.lines}
     lines = tuple(ln for ln in c.lines if ln.kind != DIAGONAL)
@@ -472,33 +472,13 @@ def quadric_stage(c: PillowConfig) -> StageConfig:
         return by_pair[pair]
 
     cells = []
-    for side in SIDES:
-        for i in range(1, b + 1):
-            for j in range(1, a + 1):
-                try:
-                    nw = c.grid_map[(side, i - 1, j - 1)]
-                    ne = c.grid_map[(side, i - 1, j)]
-                    se = c.grid_map[(side, i, j)]
-                    sw = c.grid_map[(side, i, j - 1)]
-                except KeyError as missing:
-                    raise MalformedComplex(
-                        f"rectangle ({side}, {i}, {j}) lacks the grid position {missing}"
-                    ) from None
-                north = line(nw, ne)
-                east = line(ne, se)
-                south = line(sw, se)
-                west = line(nw, sw)
-                corners = (nw, ne, se, sw)
-                sides4 = (north, east, south, west)
-                if len(set(corners)) != 4 or len({ln.pair for ln in sides4}) != 4:
-                    raise MalformedComplex(
-                        f"rectangle ({side}, {i}, {j}) does not close into a 4-cycle"
-                    )
-                if any(ln.kind == DIAGONAL for ln in sides4):
-                    raise MalformedComplex(
-                        f"rectangle ({side}, {i}, {j}) is bounded by a diagonal"
-                    )
-                cells.append(QuadricFace(side, i, j, corners, sides4))
+    for side, i, j, nw, ne, se, sw in _cells(a, b):
+        # grid_rows gives a cell four distinct corners, so its four
+        # sides are four distinct lines
+        sides4 = (line(nw, ne), line(ne, se), line(sw, se), line(nw, sw))
+        if any(ln.kind == DIAGONAL for ln in sides4):
+            raise MalformedComplex(f"rectangle ({side}, {i}, {j}) is bounded by a diagonal")
+        cells.append(QuadricFace(side, i, j, (nw, ne, se, sw), sides4))
     return StageConfig("quadrics", a, b, tuple(cells), lines)
 
 
@@ -548,19 +528,21 @@ def cuple_reduction(a: int, b: int) -> CupleReduction:
 
 def transpose_map(c: PillowConfig, ct: PillowConfig) -> dict[int, int]:
     """Vertex bijection sending grid position (side, i, j) of ``c`` to
-    (side, j, i) of ``ct``; requires ct to have the transposed bidegree,
-    and a position with no transpose in ``ct`` raises MalformedComplex."""
+    (side, j, i) of ``ct``; requires ct to have the transposed bidegree.
+    A label that two positions of ``c`` share (the boundary) must have
+    one image, or MalformedComplex is raised."""
     if (ct.a, ct.b) != (c.b, c.a):
         raise InvalidParameter(
             f"expected bidegree ({c.b}, {c.a}) for the transpose, got ({ct.a}, {ct.b})"
         )
     mapping: dict[int, int] = {}
-    for (side, i, j), vid in c.grid_map.items():
-        image = ct.grid_map.get((side, j, i))
-        if image is None:
-            raise MalformedComplex(f"grid position ({side}, {i}, {j}) has no transpose")
-        if mapping.setdefault(vid, image) != image:
-            raise MalformedComplex(f"transpose map is not well defined at vertex {vid}")
+    for side in SIDES:
+        rows_t = grid_rows(ct.a, ct.b, side)
+        for i, row in enumerate(grid_rows(c.a, c.b, side)):
+            for j, vid in enumerate(row):
+                image = rows_t[j][i]
+                if mapping.setdefault(vid, image) != image:
+                    raise MalformedComplex(f"transpose map is not well defined at vertex {vid}")
     return mapping
 
 

@@ -150,6 +150,18 @@ class TestPillow:
         assert code == 3
         assert err.startswith("i/o error: ") and "./missing/x.json" in err
 
+    def test_out_without_export_exit_2_before_building(self, capsys, monkeypatch, tmp_path):
+        def unreachable(a, b):
+            raise AssertionError("built a pillow for an invalid invocation")
+
+        monkeypatch.setattr("pillowdeg.pillow.build_pillow", unreachable)
+        target = tmp_path / "x.json"
+        for path, fmt in ((str(target), "text"), (str(target), "json"), ("", "text")):
+            code, out, err = run_cli(capsys, "pillow", "--a", "2", "--b", "2",
+                                     "--out", path, "--format", fmt)
+            assert (code, out, err) == (2, "", "error: --out requires --export\n")
+        assert not target.exists()
+
 
 class TestTable:
     def test_text_output(self, capsys):

@@ -119,7 +119,7 @@ class TestBuildTable:
     def test_malformed_complex_rejected(self):
         c = build_pillow(2, 2)
         # dropping a line leaves its endpoints on 2 or 5 lines
-        broken = PillowConfig(c.a, c.b, c.vertices, c.lines[:-1], c.triangles, c.grid_map)
+        broken = PillowConfig(c.a, c.b, c.vertices, c.lines[:-1], c.triangles)
         with pytest.raises(MalformedComplex):
             build_table(broken)
 

@@ -1,6 +1,7 @@
 """Mutated pillows: every operation on a complex that is no longer the
-pillow either returns or raises MalformedComplex, and every mutation but an
-edge flip breaks one of the sphere checks."""
+pillow either returns or raises MalformedComplex, every mutation but an
+edge flip or a changed bidegree breaks one of the sphere checks, and those
+two fail the census or the corner check of the sphere report."""
 
 from collections.abc import Iterable, Sequence
 
@@ -103,7 +104,7 @@ def flip_edge(draw, c):
 
 
 def glue_two_copies(draw, c):
-    """Two label-disjoint copies sharing one vertex, with no grid map."""
+    """Two label-disjoint copies sharing one vertex."""
     shared = draw(st.sampled_from(c.vertices))
     shift = len(c.vertices)
 
@@ -115,13 +116,28 @@ def glue_two_copies(draw, c):
     )
     triangles = c.triangles + tuple(_triangle(t, map(relabel, t.vertices)) for t in c.triangles)
     vertices = tuple(sorted({w for ln in lines for w in ln.pair}))
-    return c._replace(vertices=vertices, lines=lines, triangles=triangles, grid_map={})
+    return c._replace(vertices=vertices, lines=lines, triangles=triangles)
+
+
+def change_bidegree(draw, c):
+    """Another (a, b) in 2..6 over the same vertices, lines and triangles:
+    the grid positions, which grid_rows derives from (a, b), no longer
+    match the lines."""
+    other = st.tuples(st.integers(2, 6), st.integers(2, 6)).filter(lambda ab: ab != (c.a, c.b))
+    a, b = draw(other)
+    return c._replace(a=a, b=b)
 
 
 MUTATIONS = {
     f.__name__: f
     for f in (drop_line, add_foreign_line, duplicate_triangle, drop_triangle,
-              relabel_vertex, flip_edge, glue_two_copies)
+              relabel_vertex, flip_edge, glue_two_copies, change_bidegree)
+}
+# the mutations that leave a triangulated sphere, each with the check of
+# the sphere report that still sees it
+KEEP_THE_SPHERE = {
+    "flip_edge": "triangle_degree_census",
+    "change_bidegree": "degree3_vertices_are_corners",
 }
 
 
@@ -229,11 +245,11 @@ class TestMutatedPillows:
         try:
             report = verify_sphere_triangulation(c)
         except MalformedComplex:
-            assert name != "flip_edge"
+            assert name not in KEEP_THE_SPHERE
             return
         assert report["vertex_link_single_cycle"].lhs == bad_links(c)
         assert report["face_adjacency_connected"].lhs == face_components(c)
         sphere_ok = all(report[check].passed for check in SPHERE_CHECKS)
-        assert sphere_ok == (name == "flip_edge"), str(report)
-        if name == "flip_edge":
-            assert not report["triangle_degree_census"].passed
+        assert sphere_ok == (name in KEEP_THE_SPHERE), str(report)
+        if name in KEEP_THE_SPHERE:
+            assert not report[KEEP_THE_SPHERE[name]].passed

@@ -19,6 +19,7 @@ from pillowdeg import (
     dot_face_adjacency,
     dot_line_intersection,
     formula_disjoint_pairs,
+    grid_rows,
     is_complex_isomorphism,
     transpose_map,
     verify_configuration,
@@ -102,73 +103,71 @@ class TestSizeLimits:
             verify_pillow(build_pillow(25, 41))
 
 
+# a = 2 leaves one interior column and b = 2 one middle row
+LABELING_BIDEGREES = [(a, b) for a in (2, 3, 5) for b in (2, 3, 5)]
+
+
 class TestLabeling:
-    """The fixed conventions: clockwise boundary from the top-left corner,
+    """The fixed conventions, read from grid_rows at each of
+    LABELING_BIDEGREES: clockwise boundary from the top-left corner,
     row-major interiors, rising diagonals on top and falling on bottom."""
 
     def test_boundary_corners(self):
-        a, b = 3, 5
-        c = build_pillow(a, b)
-        grid = c.grid_map
-        assert grid[("top", 0, 0)] == 1
-        assert grid[("top", 0, a)] == a + 1
-        assert grid[("top", b, a)] == a + b + 1
-        assert grid[("top", b, 0)] == 2 * a + b + 1
-        assert c.corner_ids == (1, a + 1, a + b + 1, 2 * a + b + 1)
+        for a, b in LABELING_BIDEGREES:
+            corners = (1, a + 1, a + b + 1, 2 * a + b + 1)
+            for side in ("top", "bottom"):
+                rows = grid_rows(a, b, side)
+                assert (rows[0][0], rows[0][a], rows[b][a], rows[b][0]) == corners
+            assert build_pillow(a, b).corner_ids == corners
 
     def test_boundary_is_clockwise_consecutive(self):
-        a, b = 4, 3
-        c = build_pillow(a, b)
-        grid = c.grid_map
-        # top edge left to right, then right edge downward
-        assert [grid[("top", 0, j)] for j in range(a + 1)] == list(range(1, a + 2))
-        assert [grid[("top", i, a)] for i in range(b + 1)] == list(range(a + 1, a + b + 2))
-        # bottom edge right to left, then left edge upward ending just below 1
-        assert [grid[("top", b, j)] for j in range(a, -1, -1)] == list(
-            range(a + b + 1, 2 * a + b + 2)
-        )
-        assert grid[("top", 1, 0)] == 2 * a + 2 * b
+        for a, b in LABELING_BIDEGREES:
+            rows = grid_rows(a, b, "top")
+            # top edge left to right, then right edge downward
+            assert rows[0] == list(range(1, a + 2))
+            assert [row[a] for row in rows] == list(range(a + 1, a + b + 2))
+            # bottom edge right to left, then left edge upward ending just below 1
+            assert rows[b][::-1] == list(range(a + b + 1, 2 * a + b + 2))
+            assert [row[0] for row in rows[:0:-1]] == list(range(2 * a + b + 1, 2 * a + 2 * b + 1))
 
     def test_interior_label_ranges(self):
-        a, b = 3, 4
-        c = build_pillow(a, b)
-        top_interior = {
-            vid for (side, i, j), vid in c.grid_map.items()
-            if side == "top" and 0 < i < b and 0 < j < a
-        }
-        bottom_interior = {
-            vid for (side, i, j), vid in c.grid_map.items()
-            if side == "bottom" and 0 < i < b and 0 < j < a
-        }
-        assert len(top_interior) == (a - 1) * (b - 1)
-        assert len(bottom_interior) == (a - 1) * (b - 1)
-        assert top_interior == set(range(2 * a + 2 * b + 1, a * b + a + b + 2))
-        assert bottom_interior == set(range(a * b + a + b + 2, 2 * a * b + 3))
+        for a, b in LABELING_BIDEGREES:
+            top, bottom = (
+                {vid for row in grid_rows(a, b, side)[1:b] for vid in row[1:a]}
+                for side in ("top", "bottom")
+            )
+            assert top == set(range(2 * a + 2 * b + 1, a * b + a + b + 2))
+            assert bottom == set(range(a * b + a + b + 2, 2 * a * b + 3))
 
     def test_interior_labels_row_major(self):
-        a, b = 4, 3
-        c = build_pillow(a, b)
-        base = 2 * a + 2 * b
-        assert c.grid_map[("top", 1, 1)] == base + 1
-        assert c.grid_map[("top", 1, 2)] == base + 2
-        assert c.grid_map[("top", 2, 1)] == base + (a - 1) + 1
+        for a, b in LABELING_BIDEGREES:
+            for side in ("top", "bottom"):
+                rows = grid_rows(a, b, side)
+                interior = [vid for row in rows[1:b] for vid in row[1:a]]
+                assert interior == list(range(rows[1][1], rows[1][1] + (a - 1) * (b - 1)))
 
     def test_boundary_shared_between_sides(self):
-        c = build_pillow(3, 2)
-        for (side, i, j), vid in c.grid_map.items():
-            if i in (0, c.b) or j in (0, c.a):
-                assert c.grid_map[("bottom" if side == "top" else "top", i, j)] == vid
+        for a, b in LABELING_BIDEGREES:
+            top, bottom = grid_rows(a, b, "top"), grid_rows(a, b, "bottom")
+            for i in range(b + 1):
+                for j in range(a + 1):
+                    assert (top[i][j] == bottom[i][j]) == (i in (0, b) or j in (0, a))
 
     def test_diagonal_orientations(self):
-        a, b = 3, 2
-        c = build_pillow(a, b)
-        pairs = {ln.pair for ln in c.lines if ln.kind == "diagonal" and ln.side == "top"}
-        grid = c.grid_map
-        rising = tuple(sorted((grid[("top", 1, 0)], grid[("top", 0, 1)])))
-        assert rising in pairs
-        pairs_bottom = {ln.pair for ln in c.lines if ln.kind == "diagonal" and ln.side == "bottom"}
-        falling = tuple(sorted((grid[("bottom", 0, 0)], grid[("bottom", 1, 1)])))
-        assert falling in pairs_bottom
+        for a, b in LABELING_BIDEGREES:
+            c = build_pillow(a, b)
+            top, bottom = grid_rows(a, b, "top"), grid_rows(a, b, "bottom")
+            cells = [(i, j) for i in range(1, b + 1) for j in range(1, a + 1)]
+            rising = {tuple(sorted((top[i][j - 1], top[i - 1][j]))) for i, j in cells}
+            falling = {tuple(sorted((bottom[i - 1][j - 1], bottom[i][j]))) for i, j in cells}
+            diagonals = {side: {ln.pair for ln in c.lines
+                                if ln.kind == "diagonal" and ln.side == side}
+                         for side in ("top", "bottom")}
+            assert diagonals == {"top": rising, "bottom": falling}
+
+    def test_unknown_side_rejected(self):
+        with pytest.raises(InvalidParameter, match="side must be one of"):
+            grid_rows(3, 2, "left")
 
 
 class TestSphereTriangulation:
@@ -186,7 +185,7 @@ class TestSphereTriangulation:
 
     def test_deleted_triangle_breaks_closure(self):
         c = build_pillow(2, 2)
-        broken = PillowConfig(c.a, c.b, c.vertices, c.lines, c.triangles[:-1], c.grid_map)
+        broken = PillowConfig(c.a, c.b, c.vertices, c.lines, c.triangles[:-1])
         report = verify_sphere_triangulation(broken)
         assert not report["line_in_two_triangles"].passed
         assert not report["vertex_link_single_cycle"].passed
@@ -210,7 +209,7 @@ class TestSphereTriangulation:
             for t in c.triangles
         )
         vertices = tuple(sorted({v for ln in lines for v in ln.pair}))
-        pinched = PillowConfig(c.a, c.b, vertices, lines, triangles, {})
+        pinched = PillowConfig(c.a, c.b, vertices, lines, triangles)
         report = verify_sphere_triangulation(pinched)
         assert report["line_in_two_triangles"].lhs == 0
         assert report["vertex_link_single_cycle"].lhs == 1
@@ -218,7 +217,7 @@ class TestSphereTriangulation:
 
     def test_isolated_vertex_has_no_link(self):
         c = build_pillow(2, 2)
-        extra = PillowConfig(c.a, c.b, c.vertices + (11,), c.lines, c.triangles, c.grid_map)
+        extra = PillowConfig(c.a, c.b, c.vertices + (11,), c.lines, c.triangles)
         report = verify_sphere_triangulation(extra)
         assert report["vertex_link_single_cycle"].lhs == 1
         assert report["line_in_two_triangles"].passed
@@ -269,7 +268,7 @@ class TestDisjointPairs:
         c = build_pillow(2, 2)
         line = c.lines[0]
         # the same line twice: C(2, 2) - 2 C(2, 2) would give -1
-        doubled = PillowConfig(c.a, c.b, c.vertices, (line, line), c.triangles, c.grid_map)
+        doubled = PillowConfig(c.a, c.b, c.vertices, (line, line), c.triangles)
         assert count_disjoint_line_pairs(doubled) == 0
         with pytest.raises(MalformedComplex):
             disjoint_pairs_via_degrees(doubled)
@@ -333,7 +332,7 @@ class TestTransposeIsomorphism:
         c = build_pillow(3, 2)
         ct = build_pillow(2, 3)
         mapping = transpose_map(c, ct)
-        sub = PillowConfig(c.a, c.b, c.vertices, c.lines[:-1], c.triangles[:-1], c.grid_map)
+        sub = PillowConfig(c.a, c.b, c.vertices, c.lines[:-1], c.triangles[:-1])
         assert is_complex_isomorphism(c, ct, mapping)
         assert not is_complex_isomorphism(sub, ct, mapping)
 
@@ -343,14 +342,6 @@ class TestTransposeIsomorphism:
         identity = {v: v for v in c.vertices}
         assert is_complex_isomorphism(reversed_c, c, identity)
         assert is_complex_isomorphism(c, reversed_c, identity)
-
-    def test_position_without_transpose_is_malformed(self):
-        c = build_pillow(3, 2)
-        c = c._replace(grid_map={**c.grid_map, ("top", 9, 9): 1})
-        with pytest.raises(MalformedComplex, match=r"grid position \(top, 9, 9\) has no transpose"):
-            transpose_map(c, build_pillow(2, 3))
-        with pytest.raises(MalformedComplex, match="has no transpose"):
-            verify_configuration(c)
 
     def test_label_outside_the_map_rejected(self):
         # vertex 1 renamed 0 in the lines and triangles only: the map,

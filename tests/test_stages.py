@@ -10,7 +10,6 @@ from pillowdeg import (
     cuple_reduction,
     quadric_stage,
     two_surface_stage,
-    verify_configuration,
     verify_stages,
 )
 
@@ -125,14 +124,6 @@ class TestVerifyStages:
         c = c._replace(lines=tuple(ln for ln in c.lines if ln.kind != "horizontal"))
         with pytest.raises(MalformedComplex, match=r"lacks the line \(10, 11\)"):
             verify_stages(c)
-
-    @pytest.mark.parametrize("operation", [quadric_stage, verify_stages, verify_configuration])
-    def test_missing_grid_position_is_malformed(self, operation):
-        c = build_pillow(3, 2)
-        grid_map = {key: v for key, v in c.grid_map.items() if key != ("top", 1, 1)}
-        with pytest.raises(MalformedComplex,
-                           match=r"rectangle \(top, 1, 1\) lacks the grid position"):
-            operation(c._replace(grid_map=grid_map))
 
     def test_wrong_line_count_reported_not_raised(self):
         c = build_pillow(3, 2)
