@@ -141,7 +141,7 @@ def cmd_pillow(args) -> int:
         else:
             exported = pillow.dot_face_adjacency(c)
     if exported is not None:
-        if args.out:
+        if args.out is not None:
             with open(args.out, "w") as f:
                 f.write(exported)
             artifacts = (args.out,)
@@ -158,7 +158,7 @@ def cmd_pillow(args) -> int:
         checks,
         artifacts,
     )
-    if args.format == "text" and (args.export is None or args.out):
+    if args.format == "text" and (args.export is None or args.out is not None):
         print(
             f"pillow ({c.a}, {c.b}): V={len(c.vertices)} E={len(c.lines)} "
             f"F={len(c.triangles)} g={c.g}"

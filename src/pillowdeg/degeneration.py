@@ -79,23 +79,18 @@ class TableTotals(NamedTuple):
 class DegenerationTable(NamedTuple):
     g: int
     rows: tuple[TableRow, ...]
-    totals: TableTotals
+
+    @property
+    def totals(self) -> TableTotals:
+        """The column sums of the weighted rows, computed on each read."""
+        weighted = [r.weighted() for r in self.rows]
+        return TableTotals(*(sum(w[k] for w in weighted) for k in range(3)))
 
     def row(self, object_type: str) -> TableRow:
         for r in self.rows:
             if r.object_type == object_type:
                 return r
         raise KeyError(object_type)
-
-
-def _totals(rows: tuple[TableRow, ...]) -> TableTotals:
-    branch = nodes = cusps = 0
-    for r in rows:
-        wb, wn, wk = r.weighted()
-        branch += wb
-        nodes += wn
-        cusps += wk
-    return TableTotals(branch, nodes, cusps)
 
 
 def build_table(c: pillow.PillowConfig) -> DegenerationTable:
@@ -125,7 +120,7 @@ def build_table(c: pillow.PillowConfig) -> DegenerationTable:
         TableRow("six_points", six_points, b6.branch_points, b6.nodes, b6.cusps),
         TableRow("two_points", two_points, b2.branch_points, b2.nodes, b2.cusps),
     )
-    return DegenerationTable(c.g, rows, _totals(rows))
+    return DegenerationTable(c.g, rows)
 
 
 def verify_conservation(c: pillow.PillowConfig, table: DegenerationTable | None = None) -> Report:
@@ -136,9 +131,10 @@ def verify_conservation(c: pillow.PillowConfig, table: DegenerationTable | None 
         table = build_table(c)
     smooth = branch_characters(k3(c.g))
     report = Report(f"singularity conservation, g = {c.g}")
-    report.add("branch_point_total", table.totals.branch_points, smooth.turning_points)
-    report.add("node_total", table.totals.nodes, smooth.nodes)
-    report.add("cusp_total", table.totals.cusps, smooth.cusps)
+    totals = table.totals
+    report.add("branch_point_total", totals.branch_points, smooth.turning_points)
+    report.add("node_total", totals.nodes, smooth.nodes)
+    report.add("cusp_total", totals.cusps, smooth.cusps)
     lines_row = table.row("lines")
     report.add(
         "lines_row_contributes_nothing",
@@ -168,6 +164,7 @@ def verify_configuration(c: pillow.PillowConfig) -> Report:
 
 
 def table_to_dict(table: DegenerationTable) -> dict:
+    totals = table.totals
     return {
         "g": table.g,
         "rows": [
@@ -181,9 +178,9 @@ def table_to_dict(table: DegenerationTable) -> dict:
             for r in table.rows
         ],
         "totals": {
-            "branch": table.totals.branch_points,
-            "nodes": table.totals.nodes,
-            "cusps": table.totals.cusps,
+            "branch": totals.branch_points,
+            "nodes": totals.nodes,
+            "cusps": totals.cusps,
         },
     }
 
@@ -202,13 +199,8 @@ def render_table(table: DegenerationTable) -> str:
         )
         for r in table.rows
     ]
-    totals_row = (
-        "Totals:",
-        "",
-        str(table.totals.branch_points),
-        str(table.totals.nodes),
-        str(table.totals.cusps),
-    )
+    totals = table.totals
+    totals_row = ("Totals:", "", str(totals.branch_points), str(totals.nodes), str(totals.cusps))
     all_rows = [header] + body + [totals_row]
     widths = [max(len(row[i]) for row in all_rows) for i in range(len(header))]
     out = []

@@ -390,11 +390,11 @@ def verify_pillow(c: PillowConfig) -> Report:
 
 
 class GridFace(NamedTuple):
-    """One whole a x b grid, viewed as a single face (two-surfaces stage)."""
+    """One whole a x b grid, viewed as a single face (two-surfaces stage):
+    the vertices of the triangles of the complex on that side."""
 
     side: str
     vertices: tuple[int, ...]
-    span_dim: int
 
 
 class QuadricFace(NamedTuple):
@@ -407,15 +407,6 @@ class QuadricFace(NamedTuple):
     boundary: tuple[Line, Line, Line, Line]  # north, east, south, west
 
 
-class SpanDims(NamedTuple):
-    """Span dimensions, computed as coordinate-point counts minus one."""
-
-    top: int
-    bottom: int
-    intersection: int
-    ambient: int
-
-
 class StageConfig(NamedTuple):
     """A stage of the degeneration: two surfaces or 2ab quadrics.  The
     last stage, 4ab planes, is the PillowConfig itself."""
@@ -425,33 +416,25 @@ class StageConfig(NamedTuple):
     b: int
     cells: tuple
     lines: tuple[Line, ...]
-    spans: SpanDims | None = None
 
 
 def two_surface_stage(c: PillowConfig) -> StageConfig:
     """First stage: the two grids of ``c`` as whole surfaces meeting along
-    the boundary cycle of 2a + 2b lines."""
+    the boundary cycle of 2a + 2b lines.  Each face is read off the
+    triangles of ``c`` on its side; a boundary cycle of another length
+    raises MalformedComplex."""
     a, b = c.a, c.b
     boundary_lines = tuple(ln for ln in c.lines if ln.kind == BOUNDARY)
-    side_vertices = {
-        side: tuple(sorted({vid for row in grid_rows(a, b, side) for vid in row}))
-        for side in SIDES
-    }
-    faces = tuple(
-        GridFace(side, verts, len(verts) - 1) for side, verts in side_vertices.items()
-    )
-    shared = set(side_vertices["top"]) & set(side_vertices["bottom"])
-    spans = SpanDims(
-        top=faces[0].span_dim,
-        bottom=faces[1].span_dim,
-        intersection=len(shared) - 1,
-        ambient=c.g,
-    )
-    if len(boundary_lines) != 2 * a + 2 * b or len(shared) != 2 * a + 2 * b:
+    if len(boundary_lines) != 2 * a + 2 * b:
         raise MalformedComplex(
-            f"boundary cycle has {len(boundary_lines)} lines and {len(shared)} shared points"
+            f"boundary cycle has {len(boundary_lines)} lines, expected {2 * a + 2 * b}"
         )
-    return StageConfig("two_surfaces", a, b, faces, boundary_lines, spans)
+    faces = tuple(
+        GridFace(side, tuple(sorted({v for tri in c.triangles if tri.side == side
+                                     for v in tri.vertices})))
+        for side in SIDES
+    )
+    return StageConfig("two_surfaces", a, b, faces, boundary_lines)
 
 
 def quadric_stage(c: PillowConfig) -> StageConfig:
@@ -495,11 +478,12 @@ def verify_stages(c: PillowConfig) -> Report:
     report.add("quadric_lines_shared_by_two_faces",
                sum(1 for n in shared.values() if n != 2), 0)
 
-    two = two_surface_stage(c)
+    # a face spans the coordinate points of its vertices: their count less one
+    top, bottom = two_surface_stage(c).cells
     report.add("two_surface_spans",
-               (two.spans.top, two.spans.bottom, two.spans.intersection),
+               (len(top.vertices) - 1, len(bottom.vertices) - 1,
+                len(set(top.vertices) & set(bottom.vertices)) - 1),
                (a * b + a + b, a * b + a + b, 2 * a + 2 * b - 1))
-    top, bottom = two.cells
     report.add("two_surface_point_inclusion_exclusion",
                len(top.vertices) + len(bottom.vertices) - (2 * a + 2 * b),
                2 * a * b + 2)
@@ -512,14 +496,13 @@ class CupleReduction(NamedTuple):
 
     c: int
     reduced: tuple[int, int]
-    primitive_multiple: int
 
 
 def cuple_reduction(a: int, b: int) -> CupleReduction:
     if a < 2 or b < 2:
         raise InvalidParameter(f"bidegree parameters must both be >= 2, got ({a}, {b})")
     c = gcd(a, b)
-    return CupleReduction(c, (a // c, b // c), c)
+    return CupleReduction(c, (a // c, b // c))
 
 
 # ---------------------------------------------------------------------------

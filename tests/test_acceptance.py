@@ -141,7 +141,8 @@ def test_criterion_7_stage_contracts():
                 cycle = {tuple(sorted(p)) for p in ((nw, ne), (ne, se), (se, sw), (sw, nw))}
                 assert {ln.pair for ln in face.boundary} == cycle
             two = two_surface_stage(build_pillow(a, b))
-            assert (two.spans.top, two.spans.bottom, two.spans.intersection) == (
+            top, bottom = (set(face.vertices) for face in two.cells)
+            assert (len(top) - 1, len(bottom) - 1, len(top & bottom) - 1) == (
                 a * b + a + b, a * b + a + b, 2 * a + 2 * b - 1,
             ), (a, b)
     elapsed = time.perf_counter() - start

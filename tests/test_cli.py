@@ -150,6 +150,16 @@ class TestPillow:
         assert code == 3
         assert err.startswith("i/o error: ") and "./missing/x.json" in err
 
+    @pytest.mark.parametrize("fmt", ["text", "json"])
+    def test_empty_out_is_an_io_error(self, capsys, monkeypatch, tmp_path, fmt):
+        # an empty path is a path that cannot be opened, not "no --out"
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "pillow", "--a", "2", "--b", "2", "--export",
+                                 "json", "--out", "", "--format", fmt)
+        assert (code, out) == (3, "")
+        assert err.startswith("i/o error: ")
+        assert list(tmp_path.iterdir()) == []
+
     def test_out_without_export_exit_2_before_building(self, capsys, monkeypatch, tmp_path):
         def unreachable(a, b):
             raise AssertionError("built a pillow for an invalid invocation")

@@ -106,6 +106,14 @@ class TestBuildTable:
         assert table.totals.nodes == 18 * g * g - 78 * g + 84
         assert table.totals.cusps == 24 * (g - 2)
 
+    def test_totals_are_computed_from_the_rows(self):
+        table = build_table(build_pillow(3, 2))
+        assert table._fields == ("g", "rows")
+        for rows in (table.rows, table.rows[:2]):
+            summed = TableTotals(*map(sum, zip(*(r.weighted() for r in rows))))
+            assert table._replace(rows=rows).totals == summed
+        assert table._replace(rows=()).totals == TableTotals(0, 0, 0)
+
     def test_counts_read_from_complex_match_closed_forms(self):
         c = build_pillow(3, 4)
         table = build_table(c)
@@ -145,11 +153,7 @@ class TestConservation:
                 r = TableRow(r.object_type, r.count, r.branch_points + 1,
                              r.nodes + 1, r.cusps + 1)
             rows.append(r)
-        rows = tuple(rows)
-        branch = sum(r.count * r.branch_points for r in rows)
-        nodes = sum(r.count * r.nodes for r in rows)
-        cusps = sum(r.count * r.cusps for r in rows)
-        corrupted = DegenerationTable(table.g, rows, TableTotals(branch, nodes, cusps))
+        corrupted = DegenerationTable(table.g, tuple(rows))
         report = verify_conservation(c, corrupted)
         assert not report["branch_point_total"].passed
         assert not report["node_total"].passed

@@ -63,19 +63,22 @@ class TestQuadricStage:
         assert len(counts) == len(stage.lines)
 
 
+def spans(stage):
+    """(top, bottom, intersection) span dimensions of the two-surfaces
+    stage: each is a count of coordinate points less one."""
+    top, bottom = (set(face.vertices) for face in stage.cells)
+    return (len(top) - 1, len(bottom) - 1, len(top & bottom) - 1)
+
+
 class TestTwoSurfaceStage:
     def test_2x2_spans(self):
         stage = two_surface_stage(build_pillow(2, 2))
         assert stage.stage == "two_surfaces"
         assert len(stage.cells) == 2
-        assert (stage.spans.top, stage.spans.bottom) == (8, 8)
-        assert stage.spans.intersection == 7
-        assert stage.spans.ambient == 9
+        assert spans(stage) == (8, 8, 7)
 
     def test_4x3_spans(self):
-        stage = two_surface_stage(build_pillow(4, 3))
-        assert (stage.spans.top, stage.spans.bottom, stage.spans.intersection) == (19, 19, 13)
-        assert stage.spans.ambient == 25
+        assert spans(two_surface_stage(build_pillow(4, 3))) == (19, 19, 13)
 
     def test_boundary_cycle_length(self):
         stage = two_surface_stage(build_pillow(3, 2))
@@ -94,10 +97,8 @@ class TestTwoSurfaceStage:
     def test_span_formulas(self):
         for a in range(2, 7):
             for b in range(2, 7):
-                spans = two_surface_stage(build_pillow(a, b)).spans
-                assert spans.top == a * b + a + b
-                assert spans.bottom == a * b + a + b
-                assert spans.intersection == 2 * a + 2 * b - 1
+                assert spans(two_surface_stage(build_pillow(a, b))) == (
+                    a * b + a + b, a * b + a + b, 2 * a + 2 * b - 1)
 
 
 class TestVerifyStages:
@@ -118,6 +119,19 @@ class TestVerifyStages:
         c = build_pillow(3, 2)
         assert set(quadric_stage(c).lines) <= set(c.lines)
         assert set(two_surface_stage(c).lines) <= set(c.lines)
+
+    def test_two_surface_checks_read_the_triangles(self):
+        # the spans and the point count come from the triangles on each
+        # side, so a side without triangles or a side relabelled fails both
+        c = build_pillow(3, 2)
+        no_top = c._replace(triangles=tuple(t for t in c.triangles if t.side != "top"))
+        all_bottom = c._replace(triangles=tuple(t._replace(side="bottom") for t in c.triangles))
+        for mutant, lhs, points in ((no_top, (-1, 11, -1), 2), (all_bottom, (-1, 13, -1), 4)):
+            report = verify_stages(mutant)
+            assert report["two_surface_spans"].lhs == lhs
+            assert report["two_surface_point_inclusion_exclusion"].lhs == points
+            assert not report["two_surface_spans"].passed
+            assert not report["two_surface_point_inclusion_exclusion"].passed
 
     def test_missing_grid_line_is_malformed(self):
         c = build_pillow(3, 2)
@@ -146,7 +160,6 @@ class TestCupleReduction:
         rec = cuple_reduction(a, b)
         assert rec.c == c
         assert rec.reduced == reduced
-        assert rec.primitive_multiple == c
 
     def test_coprime_keeps_input(self):
         rec = cuple_reduction(3, 4)
