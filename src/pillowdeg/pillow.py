@@ -26,10 +26,11 @@ of coordinate points intersect precisely when the pairs overlap.
 """
 from __future__ import annotations
 
-import json
 from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator
+from itertools import chain
 from math import comb, gcd
+from operator import itemgetter
 from typing import NamedTuple
 
 from . import pairs
@@ -44,11 +45,13 @@ VERTICAL = "vertical"
 DIAGONAL = "diagonal"
 
 # Size guards on the cell count a*b.  The build and each export are linear:
-# at the build limit one export takes 1-2 s and about 120 MB (2-core host,
-# Python 3.11).  verify_pillow runs the brute-force pair oracle, whose pair
-# tests and per-vertex edge masks both grow as E^2: at the verify limit
-# (E = 6144) it takes 8-12 ms and at most 1.3 MB, and verify_pillow as a
-# whole 0.08-0.12 s, on the same host.
+# at the build limit one `pillow --export` invocation takes 0.5-1.1 s and
+# peaks at 44-69 MB of RSS (2-core host, Python 3.10-3.13).  The exports
+# are written in pieces, so the build's own 48 MB (Python 3.11) and the
+# DOT face graph's line index set that peak.  verify_pillow runs the
+# brute-force pair oracle, whose pair tests and per-vertex edge masks both
+# grow as E^2: at the verify limit (E = 6144) it takes 8-12 ms and at most
+# 1.3 MB, and verify_pillow as a whole 0.08-0.12 s, on the same host.
 MAX_PILLOW_CELLS = 16384
 MAX_VERIFY_CELLS = 1024
 
@@ -468,7 +471,8 @@ def quadric_stage(c: PillowConfig) -> StageConfig:
 def verify_stages(c: PillowConfig) -> Report:
     """Contracts of the intermediate stages built on ``c``: 2ab quadrics
     whose 4ab lines each bound two of them, and two surfaces of the
-    expected spans meeting in the 2a + 2b boundary points."""
+    expected spans meeting in the 2a + 2b boundary points, whose points
+    together are the vertices of ``c``."""
     a, b = c.a, c.b
     report = Report(f"stages, bidegree ({a}, {b})")
     quad = quadric_stage(c)
@@ -485,8 +489,7 @@ def verify_stages(c: PillowConfig) -> Report:
                 len(set(top.vertices) & set(bottom.vertices)) - 1),
                (a * b + a + b, a * b + a + b, 2 * a + 2 * b - 1))
     report.add("two_surface_point_inclusion_exclusion",
-               len(top.vertices) + len(bottom.vertices) - (2 * a + 2 * b),
-               2 * a * b + 2)
+               len(set(top.vertices) | set(bottom.vertices)), len(c.vertices))
     return report
 
 
@@ -555,7 +558,14 @@ def is_complex_isomorphism(c: PillowConfig, other: PillowConfig,
 
 
 # ---------------------------------------------------------------------------
-# Exports.
+# Exports.  Each is rendered as an iterator of pieces, which a writer can
+# pass on one at a time without holding the whole text, and as a str, the
+# same pieces joined.
+
+# A piece is cut once its records reach this many characters.  Cutting by
+# length, not by record count, bounds every piece whatever its records:
+# 64 Ki characters keep a 4 MB export to some 70 writes.
+PIECE_CHARS = 1 << 16
 
 
 def config_to_dict(c: PillowConfig) -> dict:
@@ -588,76 +598,114 @@ class _JSONStrings(dict):
     """The JSON literal of each string, encoded once per distinct value."""
 
     def __missing__(self, text: str) -> str:
+        import json
+
         self[text] = literal = json.dumps(text)
         return literal
 
 
-def _json_array(items: list[str]) -> str:
-    """An indent=2 JSON array one level deep, from its rendered items."""
-    return "[\n" + ",\n".join(items) + "\n  ]" if items else "[]"
+def _pieces(texts: Iterable[str]) -> Iterator[str]:
+    """``texts`` joined into consecutive pieces of PIECE_CHARS characters or
+    more, the last excepted; a piece passes PIECE_CHARS by less than the
+    length of its last text."""
+    block: list[str] = []
+    size = 0
+    for text in texts:
+        block.append(text)
+        size += len(text)
+        if size >= PIECE_CHARS:
+            yield "".join(block)
+            block, size = [], 0
+    if block:
+        yield "".join(block)
+
+
+def _json_array(items: Iterator[str]) -> Iterable[str]:
+    """An indent=2 JSON array one level deep, as texts, from its rendered
+    items, each of which starts with the separator ",\\n"."""
+    first = next(items, None)
+    if first is None:
+        return ("[]",)
+    return chain(("[\n" + first[2:],), items, ("\n  ]",))
+
+
+def config_json_pieces(c: PillowConfig) -> Iterator[str]:
+    """``config_to_json(c)`` in pieces: one f-string template per record,
+    so the indenting pure-Python JSON encoder never runs."""
+    q = _JSONStrings()
+    return _pieces(chain(
+        (f'{{\n  "a": {c.a},\n  "b": {c.b},\n  "g": {c.g},\n  "vertices": ',),
+        _json_array(f",\n    {v}" for v in c.vertices),
+        (',\n  "lines": ',),
+        _json_array(
+            f',\n    {{\n      "u": {ln.u},\n      "v": {ln.v},\n'
+            f'      "kind": {q[ln.kind]},\n      "side": {q[ln.side]}\n    }}'
+            for ln in c.lines
+        ),
+        (',\n  "triangles": ',),
+        _json_array(
+            f',\n    {{\n      "v1": {tri.vertices[0]},\n      "v2": {tri.vertices[1]},\n'
+            f'      "v3": {tri.vertices[2]},\n      "side": {q[tri.side]},\n'
+            f'      "row": {tri.row},\n      "col": {tri.col},\n      "half": {q[tri.half]}\n    }}'
+            for tri in c.triangles
+        ),
+        ("\n}\n",),
+    ))
 
 
 def config_to_json(c: PillowConfig) -> str:
     """``json.dumps(config_to_dict(c), indent=2) + "\\n"`` byte for byte, in
-    linear time: one f-string template per record, joined with str.join,
-    so the indenting pure-Python JSON encoder never runs."""
-    q = _JSONStrings()
-    vertices = [f"    {v}" for v in c.vertices]
-    lines = [
-        f'    {{\n      "u": {ln.u},\n      "v": {ln.v},\n'
-        f'      "kind": {q[ln.kind]},\n      "side": {q[ln.side]}\n    }}'
-        for ln in c.lines
-    ]
-    triangles = [
-        f'    {{\n      "v1": {tri.vertices[0]},\n      "v2": {tri.vertices[1]},\n'
-        f'      "v3": {tri.vertices[2]},\n      "side": {q[tri.side]},\n'
-        f'      "row": {tri.row},\n      "col": {tri.col},\n      "half": {q[tri.half]}\n    }}'
-        for tri in c.triangles
-    ]
-    return (
-        f'{{\n  "a": {c.a},\n  "b": {c.b},\n  "g": {c.g},\n'
-        f'  "vertices": {_json_array(vertices)},\n'
-        f'  "lines": {_json_array(lines)},\n'
-        f'  "triangles": {_json_array(triangles)}\n}}\n'
-    )
+    linear time: the pieces of ``config_json_pieces``, joined."""
+    return "".join(config_json_pieces(c))
+
+
+def dot_face_pieces(c: PillowConfig) -> Iterator[str]:
+    """``dot_face_adjacency(c)`` in pieces."""
+    names = [f'"{tri.name}"' for tri in c.triangles]
+    incidence = _line_incidence(c)
+    # the triangles of each line on exactly two, by endpoint pair
+    shared = [on for on in map(incidence.__getitem__, sorted(incidence)) if len(on) == 2]
+    return _pieces(chain(
+        ("graph face_adjacency {",),
+        (f"\n  {name};" for name in names),
+        (f"\n  {names[i]} -- {names[j]};" for i, j in shared),
+        ("\n}\n",),
+    ))
 
 
 def dot_face_adjacency(c: PillowConfig) -> str:
     """DOT graph: one node per triangle, one edge per line shared by two."""
-    names = [f'"{tri.name}"' for tri in c.triangles]
-    incidence = _line_incidence(c)
-    out = ["graph face_adjacency {"]
-    out.extend(f"  {name};" for name in names)
-    for pair in sorted(incidence):
-        tris = incidence[pair]
-        if len(tris) == 2:
-            out.append(f"  {names[tris[0]]} -- {names[tris[1]]};")
-    out.append("}\n")
-    return "\n".join(out)
+    return "".join(dot_face_pieces(c))
 
 
-def dot_line_intersection(c: PillowConfig) -> str:
-    """DOT graph: one node per line, one edge per pair of lines meeting
-    in a vertex.  Each vertex lists its lines by endpoint pair; a line with
-    an endpoint outside ``vertices`` raises MalformedComplex."""
-    named = [((ln.u, ln.v), f'"L{ln.u}_{ln.v}"') for ln in c.lines]
-    out = ["graph line_intersection {"]
-    out.extend(f"  {name};" for _, name in named)
+def dot_line_pieces(c: PillowConfig) -> Iterator[str]:
+    """``dot_line_intersection(c)`` in pieces.  A line with an endpoint
+    outside ``vertices`` raises MalformedComplex here, before the first
+    piece is rendered."""
     incident: dict[int, list[str]] = {v: [] for v in c.vertices}
-    # a line's name is a function of its pair, so ties sort harmlessly
+    # sorted by endpoint pair, stably: a line's name is a function of its
+    # pair, so the order of lines sharing a pair does not show
     try:
-        for (u, v), name in sorted(named):
+        for u, v, _, _ in sorted(c.lines, key=itemgetter(0, 1)):
+            name = f'"L{u}_{v}"'
             incident[u].append(name)
             incident[v].append(name)
     except KeyError:
         raise MalformedComplex(
             f"line {(u, v)} has an endpoint outside the vertex list"
         ) from None
-    for v in c.vertices:
-        at_v = incident[v]
-        edges = [f"  {first} -- {second};"
-                 for idx, first in enumerate(at_v) for second in at_v[idx + 1:]]
-        if edges:
-            out.append("\n".join(edges))
-    out.append("}\n")
-    return "\n".join(out)
+    return _pieces(chain(
+        ("graph line_intersection {",),
+        (f'\n  "L{ln.u}_{ln.v}";' for ln in c.lines),
+        (f"\n  {first} -- {second};"
+         for at_v in map(incident.__getitem__, c.vertices)
+         for idx, first in enumerate(at_v) for second in at_v[idx + 1:]),
+        ("\n}\n",),
+    ))
+
+
+def dot_line_intersection(c: PillowConfig) -> str:
+    """DOT graph: one node per line, one edge per pair of lines meeting
+    in a vertex.  Each vertex lists its lines by endpoint pair; a line with
+    an endpoint outside ``vertices`` raises MalformedComplex."""
+    return "".join(dot_line_pieces(c))

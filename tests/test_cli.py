@@ -458,3 +458,73 @@ class TestDeterminism:
                                  "--export", "json")
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+EXPORT_TEXT = {
+    "json": pillow.config_to_json,
+    "faces": pillow.dot_face_adjacency,
+    "lines": pillow.dot_line_intersection,
+}
+# the 64 KiB of pillow.PIECE_CHARS, which a piece passes by less than one
+# record, and no record of a built pillow reaches 256 characters
+WRITE_BOUND = 2**16 + 256
+
+
+class WriteRecorder(io.StringIO):
+    """A text stream that records the length of every write and keeps its
+    text when closed."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+        self.text = None
+
+    def write(self, s):
+        self.sizes.append(len(s))
+        return super().write(s)
+
+    def close(self):
+        if not self.closed:
+            self.text = self.getvalue()
+        super().close()
+
+
+class TestStreamedExports:
+    @pytest.mark.parametrize("a,b,mode", [(a, b, mode) for (a, b), mode in EXPORT_DIGESTS])
+    def test_out_file_is_written_in_bounded_pieces(self, capsys, monkeypatch, a, b, mode):
+        opened = []
+
+        def recording_open(path, mode="r"):
+            assert (path, mode) == ("x.export", "w")
+            opened.append(WriteRecorder())
+            return opened[-1]
+
+        monkeypatch.setattr("pillowdeg.cli.open", recording_open, raising=False)
+        code, out, _ = run_cli(capsys, "pillow", "--a", str(a), "--b", str(b),
+                               *EXPORT_ARGS[mode], "--out", "x.export")
+        assert (code, out) == (0, f"pillow ({a}, {b}): V={2 * a * b + 2} E={6 * a * b} "
+                                  f"F={4 * a * b} g={2 * a * b + 1}\nwrote x.export\n")
+        [f] = opened
+        assert f.text == EXPORT_TEXT[mode](pillow.build_pillow(a, b))
+        assert max(f.sizes) <= WRITE_BOUND
+
+    @pytest.mark.parametrize("a,b,mode", [(a, b, mode) for (a, b), mode in EXPORT_DIGESTS])
+    def test_stdout_is_written_in_bounded_pieces(self, monkeypatch, a, b, mode):
+        stdout = WriteRecorder()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(["pillow", "--a", str(a), "--b", str(b), *EXPORT_ARGS[mode]])
+        assert code == 0
+        assert stdout.getvalue() == EXPORT_TEXT[mode](pillow.build_pillow(a, b))
+        assert max(stdout.sizes) <= WRITE_BOUND
+
+    def test_malformed_line_export_writes_nothing(self, capsys, monkeypatch, tmp_path):
+        # the endpoint check runs before --out is opened
+        c = pillow.build_pillow(2, 2)
+        foreign = c._replace(lines=c.lines + (pillow.Line(1, 999, "horizontal", "top"),))
+        monkeypatch.setattr("pillowdeg.pillow.build_pillow", lambda a, b: foreign)
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run_cli(capsys, "pillow", "--a", "2", "--b", "2", "--export", "dot",
+                                 "--dot-graph", "lines", "--out", "x.dot")
+        assert (code, out) == (1, "")
+        assert err == "error: line (1, 999) has an endpoint outside the vertex list\n"
+        assert list(tmp_path.iterdir()) == []

@@ -160,6 +160,25 @@ class TestConservation:
         assert not report["cusp_total"].passed
         assert report["lines_row_contributes_nothing"].passed
 
+    def test_lines_row_with_nodes_detected(self):
+        # 24 lines carrying one node each, offset by six fewer 2-points of
+        # four nodes each: every total still conserves, and only the check
+        # that a line's smooth points carry nothing sees the moved nodes
+        c = build_pillow(2, 2)
+        table = build_table(c)
+        rows = []
+        for r in table.rows:
+            if r.object_type == "lines":
+                r = r._replace(nodes=1)
+            elif r.object_type == "two_points":
+                r = r._replace(count=r.count - 6)
+            rows.append(r)
+        moved = DegenerationTable(table.g, tuple(rows))
+        assert moved.totals == table.totals
+        report = verify_conservation(c, moved)
+        assert [ch.name for ch in report.failures] == ["lines_row_contributes_nothing"]
+        assert report["lines_row_contributes_nothing"].lhs == (0, 1, 0)
+
     def test_doubled_line_degree(self):
         for a, b in [(2, 2), (3, 2)]:
             c = build_pillow(a, b)

@@ -26,7 +26,14 @@ from pillowdeg import (
     verify_pillow,
     verify_sphere_triangulation,
 )
-from pillowdeg.pillow import MAX_PILLOW_CELLS, MAX_VERIFY_CELLS
+from pillowdeg.pillow import (
+    MAX_PILLOW_CELLS,
+    MAX_VERIFY_CELLS,
+    PIECE_CHARS,
+    config_json_pieces,
+    dot_face_pieces,
+    dot_line_pieces,
+)
 
 
 class TestCounts:
@@ -275,9 +282,10 @@ class TestDisjointPairs:
 
     @pytest.mark.parametrize("operation", [
         verify_pillow, verify_configuration, disjoint_pairs_via_degrees, build_table,
-        dot_line_intersection,
+        dot_line_intersection, dot_line_pieces,
     ])
     def test_foreign_endpoint_is_malformed(self, operation):
+        # dot_line_pieces raises on the call, before a piece is asked for
         c = build_pillow(3, 2)
         c = c._replace(lines=c.lines + (Line(1, 999, "horizontal", "top"),))
         with pytest.raises(MalformedComplex, match=r"line \(1, 999\) has an endpoint outside"):
@@ -422,6 +430,19 @@ class TestExports:
         empty = c._replace(vertices=(), lines=(), triangles=())
         for config in (escaped, empty):
             assert config_to_json(config) == json.dumps(config_to_dict(config), indent=2) + "\n"
+
+    @pytest.mark.parametrize("a,b", [(4, 3), (2, 64), (64, 2), (16, 16)])
+    def test_pieces_join_to_the_text_and_are_cut_by_length(self, a, b):
+        c = build_pillow(a, b)
+        for pieces, text in ((config_json_pieces, config_to_json),
+                             (dot_face_pieces, dot_face_adjacency),
+                             (dot_line_pieces, dot_line_intersection)):
+            parts = list(pieces(c))
+            assert "".join(parts) == text(c)
+            # every piece but the last reaches PIECE_CHARS, and each passes
+            # it by less than one record (under 256 characters here)
+            assert all(len(p) >= PIECE_CHARS for p in parts[:-1])
+            assert 0 < len(parts[-1]) and max(map(len, parts)) < PIECE_CHARS + 256
 
     def test_no_path_orders_lines(self, monkeypatch):
         def forbidden(self, other):

@@ -122,16 +122,29 @@ class TestVerifyStages:
 
     def test_two_surface_checks_read_the_triangles(self):
         # the spans and the point count come from the triangles on each
-        # side, so a side without triangles or a side relabelled fails both
+        # side: a side without triangles fails both, while a relabelled
+        # side still covers every vertex and fails the spans alone
         c = build_pillow(3, 2)
         no_top = c._replace(triangles=tuple(t for t in c.triangles if t.side != "top"))
         all_bottom = c._replace(triangles=tuple(t._replace(side="bottom") for t in c.triangles))
-        for mutant, lhs, points in ((no_top, (-1, 11, -1), 2), (all_bottom, (-1, 13, -1), 4)):
+        for mutant, lhs, points, covered in ((no_top, (-1, 11, -1), 12, False),
+                                             (all_bottom, (-1, 13, -1), 14, True)):
             report = verify_stages(mutant)
             assert report["two_surface_spans"].lhs == lhs
-            assert report["two_surface_point_inclusion_exclusion"].lhs == points
+            check = report["two_surface_point_inclusion_exclusion"]
+            assert (check.lhs, check.rhs) == (points, 14)
             assert not report["two_surface_spans"].passed
-            assert not report["two_surface_point_inclusion_exclusion"].passed
+            assert check.passed is covered
+
+    def test_isolated_vertex_fails_the_point_count_alone(self):
+        # a vertex on no triangle lies on neither surface; the spans read
+        # the triangles only, so the point count is the one check to see it
+        c = build_pillow(3, 2)
+        c = c._replace(vertices=c.vertices + (15,))
+        report = verify_stages(c)
+        assert [ch.name for ch in report.failures] == ["two_surface_point_inclusion_exclusion"]
+        check = report["two_surface_point_inclusion_exclusion"]
+        assert (check.lhs, check.rhs) == (14, 15)
 
     def test_missing_grid_line_is_malformed(self):
         c = build_pillow(3, 2)
