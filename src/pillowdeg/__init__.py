@@ -30,19 +30,14 @@ from .errors import (
     PillowDegError,
 )
 from .pillow import (
-    CupleReduction,
-    GridFace,
     Line,
     PillowConfig,
-    QuadricFace,
-    StageConfig,
     Triangle,
     build_pillow,
     config_json_pieces,
     config_to_dict,
     config_to_json,
     count_disjoint_line_pairs,
-    cuple_reduction,
     disjoint_pairs_via_degrees,
     dot_face_adjacency,
     dot_face_pieces,
@@ -51,9 +46,7 @@ from .pillow import (
     formula_disjoint_pairs,
     grid_rows,
     is_complex_isomorphism,
-    quadric_stage,
     transpose_map,
-    two_surface_stage,
     verify_pillow,
     verify_sphere_triangulation,
     verify_stages,
@@ -81,21 +74,17 @@ __version__ = "0.1.0"
 __all__ = [
     "BranchCharacters",
     "Check",
-    "CupleReduction",
     "DegenerationTable",
-    "GridFace",
     "InvalidParameter",
     "Line",
     "MalformedComplex",
+    "NPointBudget",
     "NegativeCharacter",
     "NonIntegralNodeCount",
-    "NPointBudget",
     "PillowConfig",
     "PillowDegError",
-    "QuadricFace",
     "RamificationClasses",
     "Report",
-    "StageConfig",
     "SurfaceClasses",
     "TableRow",
     "TableTotals",
@@ -107,7 +96,6 @@ __all__ = [
     "config_to_dict",
     "config_to_json",
     "count_disjoint_line_pairs",
-    "cuple_reduction",
     "del_pezzo",
     "del_pezzo_characters",
     "disjoint_pairs_via_degrees",
@@ -121,16 +109,12 @@ __all__ = [
     "k3",
     "k3_characters",
     "npoint_budget",
-    "quadric_stage",
     "ramification_classes",
     "render_table",
     "scroll_characters",
     "scroll_p1p1",
     "table_to_dict",
     "transpose_map",
-    "two_surface_stage",
-    "veronese",
-    "veronese_characters",
     "verify_character_identities",
     "verify_configuration",
     "verify_conservation",
@@ -138,4 +122,6 @@ __all__ = [
     "verify_pillow",
     "verify_sphere_triangulation",
     "verify_stages",
+    "veronese",
+    "veronese_characters",
 ]

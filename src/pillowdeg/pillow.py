@@ -29,7 +29,7 @@ from __future__ import annotations
 from collections import Counter, namedtuple
 from collections.abc import Callable, Iterable, Iterator
 from itertools import chain
-from math import comb, gcd
+from math import comb
 from operator import itemgetter
 from typing import NamedTuple
 
@@ -62,9 +62,9 @@ class Line(namedtuple("Line", "u v kind side")):
     all other lines belong to one grid.
 
     Within a complex a line's identity is its endpoint ``pair``: the
-    verifiers, the stages and the exports key lines by it, never by the
-    whole record.  A Line is an immutable tuple, so it compares and hashes
-    by all four fields.  Construction and ``_replace`` both reject u >= v.
+    verifiers and the exports key lines by it, never by the whole record.
+    A Line is an immutable tuple, so it compares and hashes by all four
+    fields.  Construction and ``_replace`` both reject u >= v.
     """
 
     __slots__ = ()
@@ -127,10 +127,6 @@ class PillowConfig(NamedTuple):
     def corner_ids(self) -> tuple[int, int, int, int]:
         a, b = self.a, self.b
         return (1, a + 1, a + b + 1, 2 * a + b + 1)
-
-    @property
-    def boundary_ids(self) -> range:
-        return range(1, 2 * self.a + 2 * self.b + 1)
 
     def line_degrees(self) -> dict[int, int]:
         """Number of lines through each vertex; a line with an endpoint
@@ -392,120 +388,35 @@ def verify_pillow(c: PillowConfig) -> Report:
 # Intermediate degeneration stages.
 
 
-class GridFace(NamedTuple):
-    """One whole a x b grid, viewed as a single face (two-surfaces stage):
-    the vertices of the triangles of the complex on that side."""
-
-    side: str
-    vertices: tuple[int, ...]
-
-
-class QuadricFace(NamedTuple):
-    """One rectangle of the quadrics stage, with its 4-line boundary cycle."""
-
-    side: str
-    row: int
-    col: int
-    corners: tuple[int, int, int, int]  # nw, ne, se, sw
-    boundary: tuple[Line, Line, Line, Line]  # north, east, south, west
-
-
-class StageConfig(NamedTuple):
-    """A stage of the degeneration: two surfaces or 2ab quadrics.  The
-    last stage, 4ab planes, is the PillowConfig itself."""
-
-    stage: str  # "two_surfaces" | "quadrics"
-    a: int
-    b: int
-    cells: tuple
-    lines: tuple[Line, ...]
-
-
-def two_surface_stage(c: PillowConfig) -> StageConfig:
-    """First stage: the two grids of ``c`` as whole surfaces meeting along
-    the boundary cycle of 2a + 2b lines.  Each face is read off the
-    triangles of ``c`` on its side; a boundary cycle of another length
-    raises MalformedComplex."""
-    a, b = c.a, c.b
-    boundary_lines = tuple(ln for ln in c.lines if ln.kind == BOUNDARY)
-    if len(boundary_lines) != 2 * a + 2 * b:
-        raise MalformedComplex(
-            f"boundary cycle has {len(boundary_lines)} lines, expected {2 * a + 2 * b}"
-        )
-    faces = tuple(
-        GridFace(side, tuple(sorted({v for tri in c.triangles if tri.side == side
-                                     for v in tri.vertices})))
-        for side in SIDES
-    )
-    return StageConfig("two_surfaces", a, b, faces, boundary_lines)
-
-
-def quadric_stage(c: PillowConfig) -> StageConfig:
-    """Second stage: remove the diagonals of ``c``; 2ab rectangles remain,
-    each bounded by a cycle of four lines (two horizontal, two vertical).
-
-    A rectangle that lacks a line or has a diagonal side raises
-    MalformedComplex; the rectangle and line counts are left to
-    ``verify_stages``, which reports them as checks."""
-    a, b = c.a, c.b
-    by_pair = {ln.pair: ln for ln in c.lines}
-    lines = tuple(ln for ln in c.lines if ln.kind != DIAGONAL)
-
-    def line(u: int, v: int) -> Line:
-        pair = _sorted_pair(u, v)
-        if pair not in by_pair:
-            raise MalformedComplex(f"rectangle ({side}, {i}, {j}) lacks the line {pair}")
-        return by_pair[pair]
-
-    cells = []
-    for side, i, j, nw, ne, se, sw in _cells(a, b):
-        # grid_rows gives a cell four distinct corners, so its four
-        # sides are four distinct lines
-        sides4 = (line(nw, ne), line(ne, se), line(sw, se), line(nw, sw))
-        if any(ln.kind == DIAGONAL for ln in sides4):
-            raise MalformedComplex(f"rectangle ({side}, {i}, {j}) is bounded by a diagonal")
-        cells.append(QuadricFace(side, i, j, (nw, ne, se, sw), sides4))
-    return StageConfig("quadrics", a, b, tuple(cells), lines)
-
-
 def verify_stages(c: PillowConfig) -> Report:
-    """Contracts of the intermediate stages built on ``c``: 2ab quadrics
-    whose 4ab lines each bound two of them, and two surfaces of the
-    expected spans meeting in the 2a + 2b boundary points, whose points
-    together are the vertices of ``c``."""
+    """Contracts of the intermediate stages, each a grouping of the
+    triangles of ``c``.  The 2ab quadrics group them by (side, row, col):
+    a line on exactly two triangles of one quadric lies inside it (the
+    diagonal), and each of the other lines of ``c``, 4ab of them, must lie
+    on triangles of exactly two quadrics.  The two surfaces are the
+    vertices of the triangles on each side: they must have the expected
+    spans, meet in the 2a + 2b boundary points, and together be the
+    vertices of ``c``.  A malformed complex fails checks; nothing raises."""
     a, b = c.a, c.b
     report = Report(f"stages, bidegree ({a}, {b})")
-    quad = quadric_stage(c)
-    report.add("quadric_face_count", len(quad.cells), 2 * a * b)
-    report.add("quadric_line_count", len(quad.lines), 4 * a * b)
-    shared = Counter(ln.pair for face in quad.cells for ln in face.boundary)
+    quadric = [(tri.side, tri.row, tri.col) for tri in c.triangles]
+    incidence = _line_incidence(c)
+    # the triangles of each quadric line, a line of c not inside one quadric
+    outer = [tris for tris in (incidence[ln.pair] for ln in c.lines)
+             if len(tris) != 2 or quadric[tris[0]] != quadric[tris[1]]]
+    report.add("quadric_face_count", len(set(quadric)), 2 * a * b)
+    report.add("quadric_line_count", len(outer), 4 * a * b)
     report.add("quadric_lines_shared_by_two_faces",
-               sum(1 for n in shared.values() if n != 2), 0)
+               sum(1 for tris in outer if len({quadric[i] for i in tris}) != 2), 0)
 
-    # a face spans the coordinate points of its vertices: their count less one
-    top, bottom = two_surface_stage(c).cells
+    # a surface spans the coordinate points of its vertices: their count less one
+    top, bottom = ({v for tri in c.triangles if tri.side == side for v in tri.vertices}
+                   for side in SIDES)
     report.add("two_surface_spans",
-               (len(top.vertices) - 1, len(bottom.vertices) - 1,
-                len(set(top.vertices) & set(bottom.vertices)) - 1),
+               (len(top) - 1, len(bottom) - 1, len(top & bottom) - 1),
                (a * b + a + b, a * b + a + b, 2 * a + 2 * b - 1))
-    report.add("two_surface_point_inclusion_exclusion",
-               len(set(top.vertices) | set(bottom.vertices)), len(c.vertices))
+    report.add("two_surface_point_inclusion_exclusion", len(top | bottom), len(c.vertices))
     return report
-
-
-class CupleReduction(NamedTuple):
-    """gcd bookkeeping for the re-embedding multiple: a bidegree (a, b)
-    with c = gcd(a, b) > 1 is the c-fold re-embedding of (a/c, b/c)."""
-
-    c: int
-    reduced: tuple[int, int]
-
-
-def cuple_reduction(a: int, b: int) -> CupleReduction:
-    if a < 2 or b < 2:
-        raise InvalidParameter(f"bidegree parameters must both be >= 2, got ({a}, {b})")
-    c = gcd(a, b)
-    return CupleReduction(c, (a // c, b // c))
 
 
 # ---------------------------------------------------------------------------

@@ -19,17 +19,17 @@ from pillowdeg import (
     del_pezzo_characters,
     disjoint_pairs_via_degrees,
     formula_disjoint_pairs,
+    grid_rows,
     k3,
     k3_characters,
     npoint_budget,
-    quadric_stage,
     scroll_characters,
     scroll_p1p1,
-    two_surface_stage,
     veronese,
     veronese_characters,
     verify_character_identities,
     verify_sphere_triangulation,
+    verify_stages,
 )
 from pillowdeg.cli import main as cli_main
 
@@ -133,18 +133,24 @@ def test_criterion_7_stage_contracts():
     start = time.perf_counter()
     for a in range(2, 7):
         for b in range(2, 7):
-            quad = quadric_stage(build_pillow(a, b))
-            assert len(quad.cells) == 2 * a * b, (a, b)
-            for face in quad.cells:
-                assert len(set(face.boundary)) == 4
-                nw, ne, se, sw = face.corners
-                cycle = {tuple(sorted(p)) for p in ((nw, ne), (ne, se), (se, sw), (sw, nw))}
-                assert {ln.pair for ln in face.boundary} == cycle
-            two = two_surface_stage(build_pillow(a, b))
-            top, bottom = (set(face.vertices) for face in two.cells)
-            assert (len(top) - 1, len(bottom) - 1, len(top & bottom) - 1) == (
+            c = build_pillow(a, b)
+            report = verify_stages(c)
+            assert report.all_passed, str(report)
+            assert report["quadric_face_count"].lhs == 2 * a * b, (a, b)
+            assert report["two_surface_spans"].lhs == (
                 a * b + a + b, a * b + a + b, 2 * a + 2 * b - 1,
             ), (a, b)
+            # the two triangles of each cell are bounded by the 4-cycle
+            # through its corners
+            cells = {}
+            for tri in c.triangles:
+                cells.setdefault((tri.side, tri.row, tri.col), []).append(tri)
+            for (side, i, j), tris in cells.items():
+                rows = grid_rows(a, b, side)
+                nw, ne, se, sw = rows[i - 1][j - 1], rows[i - 1][j], rows[i][j], rows[i][j - 1]
+                cycle = {tuple(sorted(p)) for p in ((nw, ne), (ne, se), (se, sw), (sw, nw))}
+                on = [pair for tri in tris for pair in tri.edge_pairs()]
+                assert {pair for pair in on if on.count(pair) == 1} == cycle
     elapsed = time.perf_counter() - start
     _report(7, "stage contracts 2..6 x 2..6", elapsed)
 

@@ -1,7 +1,8 @@
 """Mutated pillows: every operation on a complex that is no longer the
-pillow either returns or raises MalformedComplex, every mutation but an
-edge flip or a changed bidegree breaks one of the sphere checks, and those
-two fail the census or the corner check of the sphere report."""
+pillow either returns or raises MalformedComplex, and verify_stages always
+returns its report; every mutation but an edge flip or a changed bidegree
+breaks one of the sphere checks, and those two fail the census or the
+corner check of the sphere report."""
 
 from collections.abc import Iterable, Sequence
 
@@ -19,9 +20,7 @@ from pillowdeg import (
     dot_face_adjacency,
     dot_line_intersection,
     is_complex_isomorphism,
-    quadric_stage,
     transpose_map,
-    two_surface_stage,
     verify_configuration,
     verify_conservation,
     verify_pillow,
@@ -156,7 +155,7 @@ def _transpose_isomorphism(c):
 
 OPERATIONS = (
     verify_sphere_triangulation, verify_pillow, verify_stages, verify_conservation,
-    verify_configuration, quadric_stage, two_surface_stage, _transpose_isomorphism,
+    verify_configuration, _transpose_isomorphism,
     build_table, disjoint_pairs_via_degrees,
     config_to_dict, config_to_json, dot_face_adjacency, dot_line_intersection,
 )
@@ -237,6 +236,17 @@ class TestMutatedPillows:
                 operation(c)
             except MalformedComplex:
                 pass
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutant=mutants())
+    def test_stages_report_every_mutant(self, mutant):
+        # the stage checks read only the triangles and the lines' pairs, so
+        # a malformed complex fails checks instead of raising
+        report = verify_stages(mutant[1])
+        assert [ch.name for ch in report.checks] == [
+            "quadric_face_count", "quadric_line_count", "quadric_lines_shared_by_two_faces",
+            "two_surface_spans", "two_surface_point_inclusion_exclusion",
+        ]
 
     @settings(max_examples=150, deadline=None)
     @given(mutant=mutants())

@@ -243,7 +243,7 @@ class TestSphereTriangulation:
 
     def test_sides_share_exactly_the_boundary(self):
         c = build_pillow(3, 2)
-        boundary = set(c.boundary_ids)
+        boundary = set(range(1, 2 * c.a + 2 * c.b + 1))
         for ln in c.lines:
             assert (ln.side == "shared") == (ln.kind == "boundary")
             if ln.side == "shared":
