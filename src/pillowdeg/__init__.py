@@ -36,12 +36,9 @@ from .pillow import (
     build_pillow,
     config_json_pieces,
     config_to_dict,
-    config_to_json,
     count_disjoint_line_pairs,
     disjoint_pairs_via_degrees,
-    dot_face_adjacency,
     dot_face_pieces,
-    dot_line_intersection,
     dot_line_pieces,
     formula_disjoint_pairs,
     grid_rows,
@@ -53,14 +50,12 @@ from .pillow import (
 )
 from .surfaces import (
     BranchCharacters,
-    RamificationClasses,
     SurfaceClasses,
     branch_characters,
     del_pezzo,
     del_pezzo_characters,
     k3,
     k3_characters,
-    ramification_classes,
     scroll_characters,
     scroll_p1p1,
     veronese,
@@ -83,7 +78,6 @@ __all__ = [
     "NonIntegralNodeCount",
     "PillowConfig",
     "PillowDegError",
-    "RamificationClasses",
     "Report",
     "SurfaceClasses",
     "TableRow",
@@ -94,14 +88,11 @@ __all__ = [
     "build_table",
     "config_json_pieces",
     "config_to_dict",
-    "config_to_json",
     "count_disjoint_line_pairs",
     "del_pezzo",
     "del_pezzo_characters",
     "disjoint_pairs_via_degrees",
-    "dot_face_adjacency",
     "dot_face_pieces",
-    "dot_line_intersection",
     "dot_line_pieces",
     "formula_disjoint_pairs",
     "grid_rows",
@@ -109,7 +100,6 @@ __all__ = [
     "k3",
     "k3_characters",
     "npoint_budget",
-    "ramification_classes",
     "render_table",
     "scroll_characters",
     "scroll_p1p1",

@@ -1,8 +1,11 @@
 """Named pass/fail checks and the reports the verifiers return.
 
-Every verification operation in this package reports its findings instead
-of raising: a report is a list of checks, each recording both sides of the
-comparison so a failure is diagnosable from the report alone.
+A report is a list of checks, each recording both sides of the
+comparison so a failure is diagnosable from the report alone.  The sphere
+and stage checks report failures on any complex.  A route whose assumption
+a malformed complex breaks raises MalformedComplex instead, and so does a
+verifier that runs it; the CLI then exits 1.  These routes are the degree
+route, the table built on it, the transpose map and the DOT line export.
 
 The package's records (``Check`` here, the lines, triangles and tables
 elsewhere) are immutable named tuples: read their fields by name, and use
@@ -15,16 +18,13 @@ from typing import Any, NamedTuple
 
 
 def _jsonable(value: Any) -> Any:
-    if isinstance(value, bool) or value is None:
-        return value
+    # bool is an int, so it stays a JSON true or false
     if isinstance(value, (int, str)):
         return value
     # records are tuple subclasses; like every other object they render as
     # their str, so only plain tuples and lists become arrays
     if type(value) in (tuple, list):
         return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {str(k): _jsonable(v) for k, v in sorted(value.items(), key=lambda kv: str(kv[0]))}
     return str(value)
 
 

@@ -98,7 +98,7 @@ def cmd_characters(args) -> int:
     checks = surfaces.verify_character_identities(s, chars).checks
     code = _finish(
         args,
-        _parameters(args, ("family", "r", "deg", "g", "d", "kh", "k2", "euler")),
+        _parameters(args),
         {
             "surface": {
                 "d": s.d, "kh": s.kh, "k2": s.k2, "euler": s.euler, "label": s.label,
@@ -157,7 +157,7 @@ def cmd_pillow(args) -> int:
 
     code = _finish(
         args,
-        _parameters(args, ("a", "b", "verify", "export", "dot_graph", "out")),
+        _parameters(args),
         payload,
         checks,
         artifacts,
@@ -183,7 +183,7 @@ def cmd_table(args) -> int:
     c = pillow.build_pillow(args.a, args.b)
     table = degeneration.build_table(c)
     checks = degeneration.verify_conservation(c, table).checks
-    code = _finish(args, _parameters(args, ("a", "b")),
+    code = _finish(args, _parameters(args),
                    {"table": degeneration.table_to_dict(table)}, checks)
     if args.format == "text":
         sys.stdout.write(degeneration.render_table(table))
@@ -238,7 +238,7 @@ def cmd_verify(args) -> int:
     ]
     code = _finish(
         args,
-        {"a": args.a, "b": args.b, "limit": limit},
+        _parameters(args),
         {"configurations": (a_hi - a_lo + 1) * (b_hi - b_lo + 1)},
         checks,
     )
@@ -256,8 +256,11 @@ def cmd_verify(args) -> int:
 # parser
 
 
-def _parameters(args, names) -> dict:
-    return {name: getattr(args, name) for name in names if getattr(args, name) is not None}
+def _parameters(args) -> dict:
+    """Every option that holds a value, given or defaulted, but the
+    format, in the order the parser declares them."""
+    return {name: value for name, value in vars(args).items()
+            if name not in ("command", "format", "func") and value is not None}
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -324,8 +324,11 @@ def verify_sphere_triangulation(c: PillowConfig) -> Report:
     census = tuple(sorted(Counter(tri_deg.values()).items()))
     report.add("triangle_degree_census", census,
                ((3, 4), (6, 2 * c.a * c.b - 2)))
+    # counted here, not by line_degrees, which raises on an endpoint outside
+    # c.vertices: this check reports such a line, like the others
+    line_deg = Counter(w for ln in c.lines for w in ln.pair)
     report.add("line_degrees_match_triangle_degrees",
-               sum(1 for v, d in c.line_degrees().items() if d != tri_deg[v]), 0)
+               sum(1 for v, d in tri_deg.items() if d != line_deg[v]), 0)
     return report
 
 
@@ -470,8 +473,7 @@ def is_complex_isomorphism(c: PillowConfig, other: PillowConfig,
 
 # ---------------------------------------------------------------------------
 # Exports.  Each is rendered as an iterator of pieces, which a writer can
-# pass on one at a time without holding the whole text, and as a str, the
-# same pieces joined.
+# pass on one at a time without holding the whole text.
 
 # A piece is cut once its records reach this many characters.  Cutting by
 # length, not by record count, bounds every piece whatever its records:
@@ -481,7 +483,8 @@ PIECE_CHARS = 1 << 16
 
 def config_to_dict(c: PillowConfig) -> dict:
     """JSON-ready dict with stable ordering: vertices ascending, lines by
-    endpoint pair, triangles by (side, row, col, half)."""
+    endpoint pair, triangles by (side, row, col, half).  The reference for
+    the JSON export: ``config_json_pieces`` renders its indent=2 text."""
     return {
         "a": c.a,
         "b": c.b,
@@ -541,8 +544,10 @@ def _json_array(items: Iterator[str]) -> Iterable[str]:
 
 
 def config_json_pieces(c: PillowConfig) -> Iterator[str]:
-    """``config_to_json(c)`` in pieces: one f-string template per record,
-    so the indenting pure-Python JSON encoder never runs."""
+    """The JSON export in pieces, which join to
+    ``json.dumps(config_to_dict(c), indent=2) + "\\n"`` byte for byte, in
+    linear time: one f-string template per record, so the indenting
+    pure-Python JSON encoder never runs."""
     q = _JSONStrings()
     return _pieces(chain(
         (f'{{\n  "a": {c.a},\n  "b": {c.b},\n  "g": {c.g},\n  "vertices": ',),
@@ -564,14 +569,9 @@ def config_json_pieces(c: PillowConfig) -> Iterator[str]:
     ))
 
 
-def config_to_json(c: PillowConfig) -> str:
-    """``json.dumps(config_to_dict(c), indent=2) + "\\n"`` byte for byte, in
-    linear time: the pieces of ``config_json_pieces``, joined."""
-    return "".join(config_json_pieces(c))
-
-
 def dot_face_pieces(c: PillowConfig) -> Iterator[str]:
-    """``dot_face_adjacency(c)`` in pieces."""
+    """The DOT face-adjacency graph in pieces: one node per triangle, one
+    edge per line shared by two."""
     names = [f'"{tri.name}"' for tri in c.triangles]
     incidence = _line_incidence(c)
     # the triangles of each line on exactly two, by endpoint pair
@@ -584,15 +584,11 @@ def dot_face_pieces(c: PillowConfig) -> Iterator[str]:
     ))
 
 
-def dot_face_adjacency(c: PillowConfig) -> str:
-    """DOT graph: one node per triangle, one edge per line shared by two."""
-    return "".join(dot_face_pieces(c))
-
-
 def dot_line_pieces(c: PillowConfig) -> Iterator[str]:
-    """``dot_line_intersection(c)`` in pieces.  A line with an endpoint
-    outside ``vertices`` raises MalformedComplex here, before the first
-    piece is rendered."""
+    """The DOT line-intersection graph in pieces: one node per line, one
+    edge per pair of lines meeting in a vertex, each vertex listing its
+    lines by endpoint pair.  A line with an endpoint outside ``vertices``
+    raises MalformedComplex on the call, before the first piece."""
     incident: dict[int, list[str]] = {v: [] for v in c.vertices}
     # sorted by endpoint pair, stably: a line's name is a function of its
     # pair, so the order of lines sharing a pair does not show
@@ -614,9 +610,3 @@ def dot_line_pieces(c: PillowConfig) -> Iterator[str]:
         ("\n}\n",),
     ))
 
-
-def dot_line_intersection(c: PillowConfig) -> str:
-    """DOT graph: one node per line, one edge per pair of lines meeting
-    in a vertex.  Each vertex lists its lines by endpoint pair; a line with
-    an endpoint outside ``vertices`` raises MalformedComplex."""
-    return "".join(dot_line_pieces(c))

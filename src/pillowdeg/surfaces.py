@@ -49,11 +49,6 @@ class SurfaceClasses(namedtuple("SurfaceClasses", "d kh k2 euler label")):
         # _replace builds its copy through _make; validate it the same way
         return cls(*fields)
 
-    @property
-    def sectional_genus_doubled_minus_two(self) -> int:
-        """2 g(H) - 2 = H^2 + K.H, always an integer (g(H) itself need not be)."""
-        return self.d + self.kh
-
 
 class BranchCharacters(NamedTuple):
     """Degree and singularity counts of a general branch curve."""
@@ -69,28 +64,11 @@ class BranchCharacters(NamedTuple):
         )
 
 
-class RamificationClasses(NamedTuple):
-    """The ramification curve R = K + 3H and the residual curve
-    R0 = bH - 2R = -2K + (b-6)H, as coefficient pairs in the (K, H) basis,
-    together with their intersection product on the surface."""
-
-    ramification: tuple[int, int]
-    residual: tuple[int, int]
-    product: int
-
-
 def _class_product(c1: tuple[int, int], c2: tuple[int, int], s: SurfaceClasses) -> int:
     """Intersection product of p*K + q*H classes against the surface's numbers."""
     p1, q1 = c1
     p2, q2 = c2
     return p1 * p2 * s.k2 + (p1 * q2 + q1 * p2) * s.kh + q1 * q2 * s.d
-
-
-def ramification_classes(s: SurfaceClasses, branch_degree: int) -> RamificationClasses:
-    """Build R and R0 for a projection with the given branch-curve degree."""
-    ram = (1, 3)
-    res = (-2, branch_degree - 6)
-    return RamificationClasses(ram, res, _class_product(ram, res, s))
 
 
 def branch_characters(s: SurfaceClasses) -> BranchCharacters:
@@ -134,16 +112,11 @@ def verify_character_identities(s: SurfaceClasses, c: BranchCharacters) -> Repor
         2 * n + 2 * k,
         -2 * s.k2 + (b - 12) * s.kh + (3 * b - 18) * s.d,
     )
-    report.add(
-        "ramification_product",
-        ramification_classes(s, b).product,
-        2 * (n + k),
-    )
-    report.add(
-        "hurwitz",
-        s.sectional_genus_doubled_minus_two,
-        -2 * s.d + b,
-    )
+    # in the (K, H) basis: the ramification curve R = K + 3H meets the
+    # residual curve R0 = bH - 2R = -2K + (b - 6)H in 2(n + k) points, and
+    # Hurwitz reads the sectional genus as 2g(H) - 2 = H^2 + K.H
+    report.add("ramification_product", _class_product((1, 3), (-2, b - 6), s), 2 * (n + k))
+    report.add("hurwitz", s.d + s.kh, -2 * s.d + b)
     return report
 
 

@@ -1,8 +1,8 @@
 """Mutated pillows: every operation on a complex that is no longer the
-pillow either returns or raises MalformedComplex, and verify_stages always
-returns its report; every mutation but an edge flip or a changed bidegree
-breaks one of the sphere checks, and those two fail the census or the
-corner check of the sphere report."""
+pillow either returns or raises MalformedComplex, and the sphere and stage
+checks always return their reports; every mutation but an edge flip or a
+changed bidegree breaks one of the sphere checks, and those two fail the
+census or the corner check of the sphere report."""
 
 from collections.abc import Iterable, Sequence
 
@@ -14,11 +14,11 @@ from pillowdeg import (
     Triangle,
     build_pillow,
     build_table,
+    config_json_pieces,
     config_to_dict,
-    config_to_json,
     disjoint_pairs_via_degrees,
-    dot_face_adjacency,
-    dot_line_intersection,
+    dot_face_pieces,
+    dot_line_pieces,
     is_complex_isomorphism,
     transpose_map,
     verify_configuration,
@@ -153,15 +153,24 @@ def _transpose_isomorphism(c):
     return is_complex_isomorphism(c, ct, transpose_map(c, ct))
 
 
+def _drained(pieces):
+    """An export that consumes every piece, as a writer does."""
+    return lambda c: "".join(pieces(c))
+
+
 OPERATIONS = (
     verify_sphere_triangulation, verify_pillow, verify_stages, verify_conservation,
     verify_configuration, _transpose_isomorphism,
-    build_table, disjoint_pairs_via_degrees,
-    config_to_dict, config_to_json, dot_face_adjacency, dot_line_intersection,
+    build_table, disjoint_pairs_via_degrees, config_to_dict,
+    *map(_drained, (config_json_pieces, dot_face_pieces, dot_line_pieces)),
 )
 SPHERE_CHECKS = (
     "line_in_two_triangles", "vertex_link_single_cycle",
     "face_adjacency_connected", "euler_characteristic",
+)
+CENSUS_CHECKS = (
+    "degree3_vertices_are_corners", "triangle_degree_census",
+    "line_degrees_match_triangle_degrees",
 )
 
 
@@ -250,13 +259,16 @@ class TestMutatedPillows:
 
     @settings(max_examples=150, deadline=None)
     @given(mutant=mutants())
+    def test_sphere_check_reports_every_mutant(self, mutant):
+        # a line with an endpoint outside the vertex list fails checks too
+        report = verify_sphere_triangulation(mutant[1])
+        assert [ch.name for ch in report.checks] == [*SPHERE_CHECKS, *CENSUS_CHECKS]
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutant=mutants())
     def test_only_a_flip_keeps_the_sphere_checks(self, mutant):
         name, c = mutant
-        try:
-            report = verify_sphere_triangulation(c)
-        except MalformedComplex:
-            assert name not in KEEP_THE_SPHERE
-            return
+        report = verify_sphere_triangulation(c)
         assert report["vertex_link_single_cycle"].lhs == bad_links(c)
         assert report["face_adjacency_connected"].lhs == face_components(c)
         sphere_ok = all(report[check].passed for check in SPHERE_CHECKS)

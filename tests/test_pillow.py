@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from test_cli import EXPORT_DIGESTS, sha256
 
 from pillowdeg import (
     InvalidParameter,
@@ -12,12 +13,12 @@ from pillowdeg import (
     Triangle,
     build_pillow,
     build_table,
+    config_json_pieces,
     config_to_dict,
-    config_to_json,
     count_disjoint_line_pairs,
     disjoint_pairs_via_degrees,
-    dot_face_adjacency,
-    dot_line_intersection,
+    dot_face_pieces,
+    dot_line_pieces,
     formula_disjoint_pairs,
     grid_rows,
     is_complex_isomorphism,
@@ -26,14 +27,15 @@ from pillowdeg import (
     verify_pillow,
     verify_sphere_triangulation,
 )
-from pillowdeg.pillow import (
-    MAX_PILLOW_CELLS,
-    MAX_VERIFY_CELLS,
-    PIECE_CHARS,
-    config_json_pieces,
-    dot_face_pieces,
-    dot_line_pieces,
-)
+from pillowdeg.pillow import MAX_PILLOW_CELLS, MAX_VERIFY_CELLS, PIECE_CHARS
+
+
+def reference_json(c):
+    return json.dumps(config_to_dict(c), indent=2) + "\n"
+
+
+def joined(pieces, c):
+    return "".join(pieces(c))
 
 
 class TestCounts:
@@ -229,6 +231,17 @@ class TestSphereTriangulation:
         assert report["vertex_link_single_cycle"].lhs == 1
         assert report["line_in_two_triangles"].passed
 
+    def test_foreign_endpoint_is_reported(self):
+        # the line (1, 999) lies on no triangle and adds a line at vertex 1
+        c = build_pillow(3, 2)
+        c = c._replace(lines=c.lines + (Line(1, 999, "horizontal", "top"),))
+        report = verify_sphere_triangulation(c)
+        assert {ch.name: (ch.lhs, ch.rhs) for ch in report.failures} == {
+            "line_in_two_triangles": (1, 0),
+            "euler_characteristic": (1, 2),
+            "line_degrees_match_triangle_degrees": (1, 0),
+        }
+
     def test_no_two_triangles_share_two_lines(self):
         c = build_pillow(3, 3)
         tris = [set(t.edge_pairs()) for t in c.triangles]
@@ -282,7 +295,7 @@ class TestDisjointPairs:
 
     @pytest.mark.parametrize("operation", [
         verify_pillow, verify_configuration, disjoint_pairs_via_degrees, build_table,
-        dot_line_intersection, dot_line_pieces,
+        dot_line_pieces,
     ])
     def test_foreign_endpoint_is_malformed(self, operation):
         # dot_line_pieces raises on the call, before a piece is asked for
@@ -390,7 +403,7 @@ class TestExports:
 
     def test_dot_face_adjacency_counts(self):
         c = build_pillow(3, 3)
-        dot = dot_face_adjacency(c)
+        dot = joined(dot_face_pieces, c)
         lines = dot.splitlines()
         nodes = [ln for ln in lines if ln.endswith('";') and " -- " not in ln]
         edges = [ln for ln in lines if " -- " in ln]
@@ -400,7 +413,7 @@ class TestExports:
 
     def test_dot_line_intersection_counts(self):
         c = build_pillow(2, 2)
-        dot = dot_line_intersection(c)
+        dot = joined(dot_line_pieces, c)
         lines = dot.splitlines()
         nodes = [ln for ln in lines if ln.endswith('";') and " -- " not in ln]
         edges = [ln for ln in lines if " -- " in ln]
@@ -409,8 +422,8 @@ class TestExports:
         assert len(edges) == 4 * 3 + 6 * 15
 
     def test_exports_deterministic(self):
-        d1 = dot_face_adjacency(build_pillow(2, 3))
-        d2 = dot_face_adjacency(build_pillow(2, 3))
+        d1 = joined(dot_face_pieces, build_pillow(2, 3))
+        d2 = joined(dot_face_pieces, build_pillow(2, 3))
         assert d1 == d2
         j1 = config_to_dict(build_pillow(2, 3))
         j2 = config_to_dict(build_pillow(2, 3))
@@ -421,7 +434,7 @@ class TestExports:
     )
     def test_config_to_json_is_json_dumps(self, a, b):
         c = build_pillow(a, b)
-        assert config_to_json(c) == json.dumps(config_to_dict(c), indent=2) + "\n"
+        assert joined(config_json_pieces, c) == reference_json(c)
 
     def test_config_to_json_on_hand_built_configs(self):
         c = build_pillow(2, 2)
@@ -429,16 +442,18 @@ class TestExports:
         escaped = c._replace(lines=(odd,) + c.lines[1:])
         empty = c._replace(vertices=(), lines=(), triangles=())
         for config in (escaped, empty):
-            assert config_to_json(config) == json.dumps(config_to_dict(config), indent=2) + "\n"
+            assert joined(config_json_pieces, config) == reference_json(config)
 
     @pytest.mark.parametrize("a,b", [(4, 3), (2, 64), (64, 2), (16, 16)])
     def test_pieces_join_to_the_text_and_are_cut_by_length(self, a, b):
         c = build_pillow(a, b)
-        for pieces, text in ((config_json_pieces, config_to_json),
-                             (dot_face_pieces, dot_face_adjacency),
-                             (dot_line_pieces, dot_line_intersection)):
+        for pieces, mode in ((config_json_pieces, "json"), (dot_face_pieces, "faces"),
+                             (dot_line_pieces, "lines")):
             parts = list(pieces(c))
-            assert "".join(parts) == text(c)
+            text = "".join(parts)
+            assert sha256(text) == EXPORT_DIGESTS[(a, b), mode]
+            if mode == "json":
+                assert text == reference_json(c)
             # every piece but the last reaches PIECE_CHARS, and each passes
             # it by less than one record (under 256 characters here)
             assert all(len(p) >= PIECE_CHARS for p in parts[:-1])
@@ -451,7 +466,7 @@ class TestExports:
         monkeypatch.setattr(Line, "__lt__", forbidden)
         monkeypatch.setattr(Line, "__gt__", forbidden)
         c = build_pillow(8, 8)
-        assert config_to_json(c).count('"kind"') == 6 * 64
-        assert dot_face_adjacency(c).count(" -- ") == 6 * 64
-        assert dot_line_intersection(c).count(" -- ") == 4 * 3 + (2 * 64 - 2) * 15
+        assert joined(config_json_pieces, c).count('"kind"') == 6 * 64
+        assert joined(dot_face_pieces, c).count(" -- ") == 6 * 64
+        assert joined(dot_line_pieces, c).count(" -- ") == 4 * 3 + (2 * 64 - 2) * 15
         assert verify_pillow(c).all_passed

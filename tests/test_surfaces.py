@@ -13,7 +13,6 @@ from pillowdeg import (
     del_pezzo_characters,
     k3,
     k3_characters,
-    ramification_classes,
     scroll_characters,
     scroll_p1p1,
     veronese,
@@ -193,14 +192,6 @@ class TestIdentities:
         assert not report["node_cusp_sum_2n2k"].passed
         assert not report["ramification_product"].passed
         assert report["hurwitz"].passed
-
-    def test_ramification_classes_shape(self):
-        s = k3(9)
-        b = branch_characters(s).degree
-        rc = ramification_classes(s, b)
-        assert rc.ramification == (1, 3)
-        assert rc.residual == (-2, b - 6)
-        assert rc.product % 2 == 0
 
     @given(
         d=st.integers(min_value=1, max_value=500),
