@@ -68,18 +68,9 @@ def _print_checks(checks: list[Check]) -> None:
 # characters
 
 
-# each family: the argument that picks its member, and its constructor
-FAMILIES = {
-    "veronese": ("r", surfaces.veronese),
-    "scroll": ("r", surfaces.scroll_p1p1),
-    "delpezzo": ("deg", surfaces.del_pezzo),
-    "k3": ("g", surfaces.k3),
-}
-
-
 def _surface_for(args) -> surfaces.SurfaceClasses:
-    if args.family in FAMILIES:
-        name, member = FAMILIES[args.family]
+    if args.family in surfaces.FAMILIES:
+        name, _, member, _ = surfaces.FAMILIES[args.family]
         if getattr(args, name) is None:
             raise InvalidParameter(f"--family {args.family} requires --{name}")
         return member(getattr(args, name))
@@ -100,9 +91,7 @@ def cmd_characters(args) -> int:
         args,
         _parameters(args),
         {
-            "surface": {
-                "d": s.d, "kh": s.kh, "k2": s.k2, "euler": s.euler, "label": s.label,
-            },
+            "surface": s._asdict(),
             "characters": chars._asdict(),
         },
         checks,
@@ -182,7 +171,7 @@ def cmd_pillow(args) -> int:
 def cmd_table(args) -> int:
     c = pillow.build_pillow(args.a, args.b)
     table = degeneration.build_table(c)
-    checks = degeneration.verify_conservation(c, table).checks
+    checks = degeneration.verify_conservation(table).checks
     code = _finish(args, _parameters(args),
                    {"table": degeneration.table_to_dict(table)}, checks)
     if args.format == "text":
@@ -272,7 +261,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_chars = sub.add_parser("characters", help="branch-curve characters of a surface")
     p_chars.add_argument("--family", required=True,
-                         choices=[*FAMILIES, "custom"])
+                         choices=[*surfaces.FAMILIES, "custom"])
     p_chars.add_argument("--r", type=int, help="parameter for veronese/scroll")
     p_chars.add_argument("--deg", type=int, help="degree for delpezzo (3..9)")
     p_chars.add_argument("--g", type=int, help="genus for k3 (>= 3)")

@@ -123,14 +123,12 @@ def build_table(c: pillow.PillowConfig) -> DegenerationTable:
     return DegenerationTable(c.g, rows)
 
 
-def verify_conservation(c: pillow.PillowConfig, table: DegenerationTable | None = None) -> Report:
+def verify_conservation(table: DegenerationTable) -> Report:
     """Compare the table totals with the branch characters of the smooth
-    K3 surface of the same g: every branch point, node, and cusp must be
+    K3 surface of the table's g: every branch point, node, and cusp must be
     accounted for, and none may land on a smooth point of a line."""
-    if table is None:
-        table = build_table(c)
-    smooth = branch_characters(k3(c.g))
-    report = Report(f"singularity conservation, g = {c.g}")
+    smooth = branch_characters(k3(table.g))
+    report = Report(f"singularity conservation, g = {table.g}")
     totals = table.totals
     report.add("branch_point_total", totals.branch_points, smooth.turning_points)
     report.add("node_total", totals.nodes, smooth.nodes)
@@ -152,10 +150,10 @@ def verify_configuration(c: pillow.PillowConfig) -> Report:
     report = Report(f"configuration ({c.a}, {c.b})")
     report.extend(pillow.verify_pillow(c))
     report.extend(pillow.verify_stages(c))
-    report.extend(verify_conservation(c))
+    report.extend(verify_conservation(build_table(c)))
     ct = pillow.build_pillow(c.b, c.a)
     report.add("transpose_isomorphism",
-               pillow.is_complex_isomorphism(c, ct, pillow.transpose_map(c, ct)), True)
+               pillow.is_complex_isomorphism(c, ct, pillow.transpose_map(c.a, c.b)), True)
     return report
 
 

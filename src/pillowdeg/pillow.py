@@ -121,6 +121,9 @@ class PillowConfig(NamedTuple):
 
     @property
     def g(self) -> int:
+        """2ab + 1; a stored bidegree below (2, 2) raises MalformedComplex."""
+        if self.a < 2 or self.b < 2:
+            raise MalformedComplex(f"bidegree ({self.a}, {self.b}) is below (2, 2)")
         return 2 * self.a * self.b + 1
 
     @property
@@ -128,19 +131,13 @@ class PillowConfig(NamedTuple):
         a, b = self.a, self.b
         return (1, a + 1, a + b + 1, 2 * a + b + 1)
 
-    def line_degrees(self) -> dict[int, int]:
-        """Number of lines through each vertex; a line with an endpoint
-        outside ``vertices`` raises MalformedComplex."""
-        deg = {v: 0 for v in self.vertices}
-        try:
-            for line in self.lines:
-                deg[line.u] += 1
-                deg[line.v] += 1
-        except KeyError:
-            raise MalformedComplex(
-                f"line {line.pair} has an endpoint outside the vertex list"
-            ) from None
-        return deg
+    def line_degrees(self) -> Counter[int]:
+        """Number of lines through each vertex, 0 for a vertex on none; a
+        line endpoint outside ``vertices`` is counted as it stands."""
+        degrees = Counter(dict.fromkeys(self.vertices, 0))
+        degrees.update(map(itemgetter(0), self.lines))
+        degrees.update(map(itemgetter(1), self.lines))
+        return degrees
 
 
 def grid_rows(a: int, b: int, side: str) -> list[list[int]]:
@@ -324,9 +321,7 @@ def verify_sphere_triangulation(c: PillowConfig) -> Report:
     census = tuple(sorted(Counter(tri_deg.values()).items()))
     report.add("triangle_degree_census", census,
                ((3, 4), (6, 2 * c.a * c.b - 2)))
-    # counted here, not by line_degrees, which raises on an endpoint outside
-    # c.vertices: this check reports such a line, like the others
-    line_deg = Counter(w for ln in c.lines for w in ln.pair)
+    line_deg = c.line_degrees()
     report.add("line_degrees_match_triangle_degrees",
                sum(1 for v, d in tri_deg.items() if d != line_deg[v]), 0)
     return report
@@ -346,9 +341,9 @@ def disjoint_pairs_via_degrees(c: PillowConfig) -> int:
     """Same count through the vertex degrees in O(V + E): all pairs minus
     the meeting pairs, which number sum over vertices of C(degree, 2).
 
-    That holds only when two distinct lines share at most one vertex,
-    i.e. no endpoint pair repeats (``Line`` already rules out loops), so a
-    repeated pair raises MalformedComplex instead of a wrong count.
+    That holds, whatever the vertex list, when two distinct lines share at
+    most one vertex, i.e. no endpoint pair repeats (``Line`` rules out
+    loops); a repeated pair raises MalformedComplex, not a wrong count.
     """
     if len({ln.pair for ln in c.lines}) != len(c.lines):
         raise MalformedComplex(
@@ -426,23 +421,18 @@ def verify_stages(c: PillowConfig) -> Report:
 # Isomorphism of (a, b) and (b, a).
 
 
-def transpose_map(c: PillowConfig, ct: PillowConfig) -> dict[int, int]:
-    """Vertex bijection sending grid position (side, i, j) of ``c`` to
-    (side, j, i) of ``ct``; requires ct to have the transposed bidegree.
-    A label that two positions of ``c`` share (the boundary) must have
-    one image, or MalformedComplex is raised."""
-    if (ct.a, ct.b) != (c.b, c.a):
-        raise InvalidParameter(
-            f"expected bidegree ({c.b}, {c.a}) for the transpose, got ({ct.a}, {ct.b})"
-        )
+def transpose_map(a: int, b: int) -> dict[int, int]:
+    """Vertex bijection sending grid position (side, i, j) of the pillow of
+    bidegree (a, b) to (side, j, i) of the pillow of bidegree (b, a), read
+    off ``grid_rows`` alone; a or b below 2 raises InvalidParameter."""
+    if a < 2 or b < 2:
+        raise InvalidParameter(f"bidegree parameters must both be >= 2, got ({a}, {b})")
     mapping: dict[int, int] = {}
     for side in SIDES:
-        rows_t = grid_rows(ct.a, ct.b, side)
-        for i, row in enumerate(grid_rows(c.a, c.b, side)):
+        rows_t = grid_rows(b, a, side)
+        for i, row in enumerate(grid_rows(a, b, side)):
             for j, vid in enumerate(row):
-                image = rows_t[j][i]
-                if mapping.setdefault(vid, image) != image:
-                    raise MalformedComplex(f"transpose map is not well defined at vertex {vid}")
+                mapping[vid] = rows_t[j][i]
     return mapping
 
 

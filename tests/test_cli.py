@@ -199,7 +199,7 @@ class TestTable:
         failing = Report("forced failure")
         failing.add("forced", 0, 1)
         monkeypatch.setattr("pillowdeg.degeneration.verify_conservation",
-                            lambda c, table=None: failing)
+                            lambda table: failing)
         code, _, _ = run_cli(capsys, "table", "--a", "2", "--b", "2")
         assert code == 1
 

@@ -130,16 +130,21 @@ class TestBuildTable:
         broken = PillowConfig(c.a, c.b, c.vertices, c.lines[:-1], c.triangles)
         with pytest.raises(MalformedComplex):
             build_table(broken)
+        # a vertex on no line has line-degree 0
+        isolated = c._replace(vertices=c.vertices + (11,))
+        assert (11, 0) in isolated.line_degrees().items()
+        with pytest.raises(MalformedComplex, match=r"\{3, 6\}: \[\(11, 0\)\]$"):
+            build_table(isolated)
 
 
 class TestConservation:
     @pytest.mark.parametrize("a,b", [(2, 2), (2, 3), (3, 3), (4, 2)])
     def test_totals_equal_smooth_characters(self, a, b):
         c = build_pillow(a, b)
-        report = verify_conservation(c)
+        table = build_table(c)
+        report = verify_conservation(table)
         assert report.all_passed, str(report)
         smooth = branch_characters(k3(c.g))
-        table = build_table(c)
         assert table.totals.branch_points == smooth.turning_points
         assert table.totals.nodes == smooth.nodes
         assert table.totals.cusps == smooth.cusps
@@ -154,7 +159,7 @@ class TestConservation:
                              r.nodes + 1, r.cusps + 1)
             rows.append(r)
         corrupted = DegenerationTable(table.g, tuple(rows))
-        report = verify_conservation(c, corrupted)
+        report = verify_conservation(corrupted)
         assert not report["branch_point_total"].passed
         assert not report["node_total"].passed
         assert not report["cusp_total"].passed
@@ -175,14 +180,14 @@ class TestConservation:
             rows.append(r)
         moved = DegenerationTable(table.g, tuple(rows))
         assert moved.totals == table.totals
-        report = verify_conservation(c, moved)
+        report = verify_conservation(moved)
         assert [ch.name for ch in report.failures] == ["lines_row_contributes_nothing"]
         assert report["lines_row_contributes_nothing"].lhs == (0, 1, 0)
 
     def test_doubled_line_degree(self):
         for a, b in [(2, 2), (3, 2)]:
             c = build_pillow(a, b)
-            report = verify_conservation(c)
+            report = verify_conservation(build_table(c))
             check = report["doubled_lines_give_branch_degree"]
             assert check.passed
             assert check.lhs == 6 * c.g - 6
@@ -220,7 +225,7 @@ class TestVerifyConfiguration:
         failing = Report("forced failure")
         failing.add("forced", 0, 1)
         monkeypatch.setattr("pillowdeg.degeneration.verify_conservation",
-                            lambda c, table=None: failing)
+                            lambda table: failing)
         report = verify_configuration(build_pillow(2, 2))
         assert [ch.name for ch in report.failures] == ["forced"]
 

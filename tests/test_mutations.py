@@ -1,11 +1,13 @@
 """Mutated pillows: every operation on a complex that is no longer the
-pillow either returns or raises MalformedComplex, and the sphere and stage
-checks always return their reports; every mutation but an edge flip or a
+pillow either returns or raises MalformedComplex, the sphere and stage
+checks always return their reports, and verify_pillow does whenever the
+lines' endpoint pairs are distinct; every mutation but an edge flip or a
 changed bidegree breaks one of the sphere checks, and those two fail the
 census or the corner check of the sphere report."""
 
 from collections.abc import Iterable, Sequence
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pillowdeg import (
@@ -149,8 +151,7 @@ def mutants(draw):
 
 
 def _transpose_isomorphism(c):
-    ct = build_pillow(c.b, c.a)
-    return is_complex_isomorphism(c, ct, transpose_map(c, ct))
+    return is_complex_isomorphism(c, build_pillow(c.b, c.a), transpose_map(c.a, c.b))
 
 
 def _drained(pieces):
@@ -159,7 +160,8 @@ def _drained(pieces):
 
 
 OPERATIONS = (
-    verify_sphere_triangulation, verify_pillow, verify_stages, verify_conservation,
+    verify_sphere_triangulation, verify_pillow, verify_stages,
+    lambda c: verify_conservation(build_table(c)),
     verify_configuration, _transpose_isomorphism,
     build_table, disjoint_pairs_via_degrees, config_to_dict,
     *map(_drained, (config_json_pieces, dot_face_pieces, dot_line_pieces)),
@@ -263,6 +265,23 @@ class TestMutatedPillows:
         # a line with an endpoint outside the vertex list fails checks too
         report = verify_sphere_triangulation(mutant[1])
         assert [ch.name for ch in report.checks] == [*SPHERE_CHECKS, *CENSUS_CHECKS]
+
+    @settings(max_examples=150, deadline=None)
+    @given(mutant=mutants())
+    def test_verify_pillow_reports_distinct_pairs(self, mutant):
+        # the degree route needs only distinct endpoint pairs; a relabelled
+        # vertex can repeat one through a neighbour it shares
+        c = mutant[1]
+        if len({ln.pair for ln in c.lines}) < len(c.lines):
+            with pytest.raises(MalformedComplex, match="repeat an endpoint pair"):
+                verify_pillow(c)
+            return
+        report = verify_pillow(c)
+        assert [ch.name for ch in report.checks] == [
+            *SPHERE_CHECKS, *CENSUS_CHECKS,
+            "disjoint_pairs_brute_vs_formula", "disjoint_pairs_brute_vs_degree_method",
+        ]
+        assert report["disjoint_pairs_brute_vs_degree_method"].passed
 
     @settings(max_examples=150, deadline=None)
     @given(mutant=mutants())

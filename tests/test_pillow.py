@@ -5,6 +5,7 @@ import json
 import pytest
 from test_cli import EXPORT_DIGESTS, sha256
 
+from pillowdeg import pillow
 from pillowdeg import (
     InvalidParameter,
     Line,
@@ -24,8 +25,10 @@ from pillowdeg import (
     is_complex_isomorphism,
     transpose_map,
     verify_configuration,
+    verify_conservation,
     verify_pillow,
     verify_sphere_triangulation,
+    verify_stages,
 )
 from pillowdeg.pillow import MAX_PILLOW_CELLS, MAX_VERIFY_CELLS, PIECE_CHARS
 
@@ -293,16 +296,31 @@ class TestDisjointPairs:
         with pytest.raises(MalformedComplex):
             disjoint_pairs_via_degrees(doubled)
 
-    @pytest.mark.parametrize("operation", [
-        verify_pillow, verify_configuration, disjoint_pairs_via_degrees, build_table,
-        dot_line_pieces,
-    ])
+    @pytest.mark.parametrize("operation", [verify_configuration, build_table, dot_line_pieces])
     def test_foreign_endpoint_is_malformed(self, operation):
-        # dot_line_pieces raises on the call, before a piece is asked for
+        # the table sees the line as a degree outside {3, 6}; dot_line_pieces
+        # raises on the call, before a piece is asked for
         c = build_pillow(3, 2)
         c = c._replace(lines=c.lines + (Line(1, 999, "horizontal", "top"),))
-        with pytest.raises(MalformedComplex, match=r"line \(1, 999\) has an endpoint outside"):
+        message = (r"line \(1, 999\) has an endpoint outside" if operation is dot_line_pieces
+                   else r"line-degree outside \{3, 6\}: \[\(1, 4\), \(999, 1\)\]$")
+        with pytest.raises(MalformedComplex, match=message):
             operation(c)
+
+    def test_foreign_endpoint_is_reported_by_verify_pillow(self):
+        # the degree route counts the endpoint 999 as it stands, and agrees
+        # with the brute force on the 37 distinct endpoint pairs
+        c = build_pillow(3, 2)
+        c = c._replace(lines=c.lines + (Line(1, 999, "horizontal", "top"),))
+        assert c.line_degrees()[999] == 1
+        assert disjoint_pairs_via_degrees(c) == count_disjoint_line_pairs(c) == 501
+        report = verify_pillow(c)
+        assert {ch.name: (ch.lhs, ch.rhs) for ch in report.failures} == {
+            "line_in_two_triangles": (1, 0),
+            "euler_characteristic": (1, 2),
+            "line_degrees_match_triangle_degrees": (1, 0),
+            "disjoint_pairs_brute_vs_formula": (501, 468),
+        }
 
     def test_verify_pillow_adds_pair_checks_to_sphere_checks(self):
         c = build_pillow(2, 3)
@@ -328,22 +346,62 @@ class TestDisjointPairs:
             assert formula_disjoint_pairs(g) == (9 * g * g - 51 * g + 78) // 2
 
 
+class TestSmallStoredBidegree:
+    """A built complex whose bidegree was set below (2, 2): g is not
+    defined, so everything that reads it raises MalformedComplex, and the
+    checks and exports that never read it still return."""
+
+    @pytest.mark.parametrize("a,b", [(3, 0), (0, 3), (3, 1), (1, 3), (1, 1), (-1, 3)])
+    def test_readers_of_g_raise_malformed(self, a, b):
+        c = build_pillow(3, 2)._replace(a=a, b=b)
+        for operation in (verify_pillow, verify_configuration, build_table,
+                          lambda c: verify_conservation(build_table(c)),
+                          config_to_dict, config_json_pieces):
+            with pytest.raises(MalformedComplex, match=rf"bidegree \({a}, {b}\) is below"):
+                operation(c)
+        assert len(verify_sphere_triangulation(c).checks) == 7
+        assert len(verify_stages(c).checks) == 5
+        for pieces in (dot_face_pieces, dot_line_pieces):
+            assert joined(pieces, c) == joined(pieces, build_pillow(3, 2))
+
+
 class TestTransposeIsomorphism:
     @pytest.mark.parametrize("a,b", [(2, 3), (3, 2), (2, 2), (4, 2), (5, 3)])
     def test_transpose_is_isomorphism(self, a, b):
         c = build_pillow(a, b)
         ct = build_pillow(b, a)
-        mapping = transpose_map(c, ct)
+        mapping = transpose_map(a, b)
         assert is_complex_isomorphism(c, ct, mapping)
 
-    def test_transpose_requires_matching_bidegree(self):
-        with pytest.raises(InvalidParameter):
-            transpose_map(build_pillow(2, 3), build_pillow(2, 3))
+    @pytest.mark.parametrize("a,b", [(3, 0), (1, 2)])
+    def test_transpose_rejects_a_bidegree_below_two(self, a, b):
+        with pytest.raises(InvalidParameter, match="must both be >= 2"):
+            transpose_map(a, b)
+
+    @pytest.mark.parametrize("a", range(2, 7))
+    @pytest.mark.parametrize("b", range(2, 7))
+    def test_ill_defined_map_is_no_isomorphism(self, monkeypatch, a, b):
+        # grid_rows patched while transpose_map alone runs, so that the
+        # bottom side swaps two boundary labels the top side keeps: the two
+        # sides give those labels different images, which transpose_map
+        # does not check, so is_complex_isomorphism must reject the map
+        c, ct = build_pillow(a, b), build_pillow(b, a)
+
+        def swapped(a, b, side):
+            rows = grid_rows(a, b, side)
+            if side == "bottom":
+                rows[0][0], rows[0][1] = rows[0][1], rows[0][0]
+            return rows
+
+        with monkeypatch.context() as m:
+            m.setattr(pillow, "grid_rows", swapped)
+            mapping = transpose_map(a, b)
+        assert not is_complex_isomorphism(c, ct, mapping)
 
     def test_non_isomorphism_detected(self):
         c = build_pillow(2, 3)
         ct = build_pillow(3, 2)
-        mapping = transpose_map(c, ct)
+        mapping = transpose_map(c.a, c.b)
         # swap two images; lines no longer map to lines
         mapping[1], mapping[2] = mapping[2], mapping[1]
         assert not is_complex_isomorphism(c, ct, mapping)
@@ -352,7 +410,7 @@ class TestTransposeIsomorphism:
         # lines and triangles still map into (2, 3), but not onto it
         c = build_pillow(3, 2)
         ct = build_pillow(2, 3)
-        mapping = transpose_map(c, ct)
+        mapping = transpose_map(c.a, c.b)
         sub = PillowConfig(c.a, c.b, c.vertices, c.lines[:-1], c.triangles[:-1])
         assert is_complex_isomorphism(c, ct, mapping)
         assert not is_complex_isomorphism(sub, ct, mapping)
@@ -369,7 +427,7 @@ class TestTransposeIsomorphism:
         # keyed by the vertex list, has no image for 0
         c = build_pillow(3, 2)
         ct = build_pillow(2, 3)
-        mapping = transpose_map(c, ct)
+        mapping = transpose_map(c.a, c.b)
 
         def rename(v):
             return 0 if v == 1 else v

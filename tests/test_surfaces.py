@@ -20,7 +20,7 @@ from pillowdeg import (
     verify_character_identities,
     verify_families,
 )
-from pillowdeg.surfaces import BranchCharacters
+from pillowdeg.surfaces import FAMILIES, BranchCharacters
 
 
 class TestConstructors:
@@ -161,7 +161,8 @@ class TestVerifyFamilies:
         def wrong_at_7(g):
             return BranchCharacters(0, 0, 0, 0) if g == 7 else k3_characters(g)
 
-        monkeypatch.setattr("pillowdeg.surfaces.k3_characters", wrong_at_7)
+        name, sweep, constructor, _ = FAMILIES["k3"]
+        monkeypatch.setitem(FAMILIES, "k3", (name, sweep, constructor, wrong_at_7))
         report = verify_families()
         assert report["k3_closed_forms"].lhs == 1
         assert report.failures == [report["k3_closed_forms"]]
