@@ -296,31 +296,35 @@ class TestDisjointPairs:
         with pytest.raises(MalformedComplex):
             disjoint_pairs_via_degrees(doubled)
 
-    @pytest.mark.parametrize("operation", [verify_configuration, build_table, dot_line_pieces])
+    @pytest.mark.parametrize("operation", [
+        verify_pillow, verify_configuration, disjoint_pairs_via_degrees, build_table,
+        dot_line_pieces,
+    ])
     def test_foreign_endpoint_is_malformed(self, operation):
-        # the table sees the line as a degree outside {3, 6}; dot_line_pieces
-        # raises on the call, before a piece is asked for
+        # the degree route counts the endpoint 999 as it stands, and agrees
+        # with the brute force on the 37 distinct endpoint pairs, so
+        # verify_pillow reports the complex; the table sees the line as a
+        # degree outside {3, 6}; dot_line_pieces raises on the call, before
+        # a piece is asked for
         c = build_pillow(3, 2)
         c = c._replace(lines=c.lines + (Line(1, 999, "horizontal", "top"),))
+        if operation is disjoint_pairs_via_degrees:
+            assert c.line_degrees()[999] == 1
+            assert operation(c) == count_disjoint_line_pairs(c) == 501
+            return
+        if operation is verify_pillow:
+            report = operation(c)
+            assert {ch.name: (ch.lhs, ch.rhs) for ch in report.failures} == {
+                "line_in_two_triangles": (1, 0),
+                "euler_characteristic": (1, 2),
+                "line_degrees_match_triangle_degrees": (1, 0),
+                "disjoint_pairs_brute_vs_formula": (501, 468),
+            }
+            return
         message = (r"line \(1, 999\) has an endpoint outside" if operation is dot_line_pieces
                    else r"line-degree outside \{3, 6\}: \[\(1, 4\), \(999, 1\)\]$")
         with pytest.raises(MalformedComplex, match=message):
             operation(c)
-
-    def test_foreign_endpoint_is_reported_by_verify_pillow(self):
-        # the degree route counts the endpoint 999 as it stands, and agrees
-        # with the brute force on the 37 distinct endpoint pairs
-        c = build_pillow(3, 2)
-        c = c._replace(lines=c.lines + (Line(1, 999, "horizontal", "top"),))
-        assert c.line_degrees()[999] == 1
-        assert disjoint_pairs_via_degrees(c) == count_disjoint_line_pairs(c) == 501
-        report = verify_pillow(c)
-        assert {ch.name: (ch.lhs, ch.rhs) for ch in report.failures} == {
-            "line_in_two_triangles": (1, 0),
-            "euler_characteristic": (1, 2),
-            "line_degrees_match_triangle_degrees": (1, 0),
-            "disjoint_pairs_brute_vs_formula": (501, 468),
-        }
 
     def test_verify_pillow_adds_pair_checks_to_sphere_checks(self):
         c = build_pillow(2, 3)
