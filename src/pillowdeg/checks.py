@@ -2,12 +2,11 @@
 
 A report is a list of checks, each recording both sides of the
 comparison so a failure is diagnosable from the report alone.  The sphere
-and stage checks report failures on any complex.  A route whose assumption
-a malformed complex breaks raises MalformedComplex instead, and so does a
-verifier that runs it; the CLI then exits 1.  These are the degree route,
-on a repeated endpoint pair; the table, on a line-degree outside {3, 6};
-the DOT line export, on an endpoint outside the vertex list; and ``g``, on
-a stored bidegree below (2, 2).
+and stage checks, both disjoint-pair routes and the exports take any lines
+and triangles, so a malformed complex fails checks.  Two routes raise
+MalformedComplex instead, and so does a verifier that runs them; the CLI
+then exits 1.  These are the table, on a line-degree outside {3, 6}, and
+``g``, on a stored bidegree below (2, 2).
 
 The package's records (``Check`` here, the lines, triangles and tables
 elsewhere) are immutable named tuples: read their fields by name, and use

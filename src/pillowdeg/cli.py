@@ -41,18 +41,18 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-def _finish(args, parameters: dict, payload: dict, checks: list[Check],
+def _finish(args, payload: dict, checks: list[Check],
             artifacts: tuple[str, ...] = ()) -> int:
     """The exit code of one invocation: 0 when every check passed, else 1.
     Under ``--format json`` it also writes the invocation's one JSON
-    document: command, parameters, the payload's keys, checks, all_passed,
-    artifacts and exit_code, in that order."""
+    document: command, ``_parameters(args)``, the payload's keys, checks,
+    all_passed, artifacts and exit_code, in that order."""
     passed = all(c.passed for c in checks)
     code = EXIT_OK if passed else EXIT_CHECK_FAILED
     if args.format == "json":
         import json
 
-        doc = {"command": args.command, "parameters": parameters, **payload,
+        doc = {"command": args.command, "parameters": _parameters(args), **payload,
                "checks": [c.as_dict() for c in checks], "all_passed": passed,
                "artifacts": list(artifacts), "exit_code": code}
         sys.stdout.write(json.dumps(doc, indent=2) + "\n")
@@ -87,15 +87,7 @@ def cmd_characters(args) -> int:
     s = _surface_for(args)
     chars = surfaces.branch_characters(s)
     checks = surfaces.verify_character_identities(s, chars).checks
-    code = _finish(
-        args,
-        _parameters(args),
-        {
-            "surface": s._asdict(),
-            "characters": chars._asdict(),
-        },
-        checks,
-    )
+    code = _finish(args, {"surface": s._asdict(), "characters": chars._asdict()}, checks)
     if args.format == "text":
         print(f"surface: {s.label} (d={s.d}, kh={s.kh}, k2={s.k2}, euler={s.euler})")
         print(f"characters: {chars}")
@@ -123,8 +115,9 @@ def cmd_pillow(args) -> int:
     }
     artifacts = ()
 
-    # the pieces functions raise MalformedComplex before returning, so a
-    # malformed complex is reported before --out is opened
+    # the exports render any lines and triangles; the one fault they raise
+    # on, a bidegree below (2, 2), c.g in the summary above has already
+    # raised, so --out is never opened for a malformed complex
     pieces = None
     if args.export == "json":
         pieces = pillow.config_json_pieces(c)
@@ -144,13 +137,7 @@ def cmd_pillow(args) -> int:
         else:
             sys.stdout.writelines(pieces)
 
-    code = _finish(
-        args,
-        _parameters(args),
-        payload,
-        checks,
-        artifacts,
-    )
+    code = _finish(args, payload, checks, artifacts)
     if args.format == "text" and (args.export is None or args.out is not None):
         print(
             f"pillow ({c.a}, {c.b}): V={len(c.vertices)} E={len(c.lines)} "
@@ -172,8 +159,7 @@ def cmd_table(args) -> int:
     c = pillow.build_pillow(args.a, args.b)
     table = degeneration.build_table(c)
     checks = degeneration.verify_conservation(table).checks
-    code = _finish(args, _parameters(args),
-                   {"table": degeneration.table_to_dict(table)}, checks)
+    code = _finish(args, {"table": degeneration.table_to_dict(table)}, checks)
     if args.format == "text":
         sys.stdout.write(degeneration.render_table(table))
         print("conservation checks:")
@@ -225,12 +211,7 @@ def cmd_verify(args) -> int:
         for section in sections
         for c in section.checks
     ]
-    code = _finish(
-        args,
-        _parameters(args),
-        {"configurations": (a_hi - a_lo + 1) * (b_hi - b_lo + 1)},
-        checks,
-    )
+    code = _finish(args, {"configurations": (a_hi - a_lo + 1) * (b_hi - b_lo + 1)}, checks)
     if args.format == "text":
         for section in sections:
             status = "PASS" if section.all_passed else "FAIL"

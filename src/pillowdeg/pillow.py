@@ -339,18 +339,14 @@ def count_disjoint_line_pairs(c: PillowConfig) -> int:
 
 def disjoint_pairs_via_degrees(c: PillowConfig) -> int:
     """Same count through the vertex degrees in O(V + E): all pairs minus
-    the meeting pairs, which number sum over vertices of C(degree, 2).
-
-    That holds, whatever the vertex list, when two distinct lines share at
-    most one vertex, i.e. no endpoint pair repeats (``Line`` rules out
-    loops); a repeated pair raises MalformedComplex, not a wrong count.
-    """
-    if len({ln.pair for ln in c.lines}) != len(c.lines):
-        raise MalformedComplex(
-            "lines repeat an endpoint pair; the degree route needs distinct pairs"
-        )
+    the meeting pairs.  Those number sum over vertices of C(degree, 2), less
+    C(m, 2) for each endpoint pair on m lines, since two lines on one pair
+    meet at both its ends.  ``Line`` rules out loops, so the count is exact
+    for any line list, whatever the vertex list."""
     degrees = c.line_degrees()
-    return comb(len(c.lines), 2) - sum(comb(d, 2) for d in degrees.values())
+    repeats = Counter(map(itemgetter(0, 1), c.lines))
+    return (comb(len(c.lines), 2) - sum(comb(d, 2) for d in degrees.values())
+            + sum(comb(m, 2) for m in repeats.values()))
 
 
 def formula_disjoint_pairs(g: int) -> int:
@@ -439,26 +435,23 @@ def transpose_map(a: int, b: int) -> dict[int, int]:
 def is_complex_isomorphism(c: PillowConfig, other: PillowConfig,
                            vertex_map: dict[int, int]) -> bool:
     """True when the bijection carries lines onto lines and triangles onto
-    triangles (equal counts, so a proper subcomplex of ``other`` fails).
-    A line or triangle of ``c`` on a label outside ``vertex_map`` fails."""
+    triangles one to one: the image sets equal ``other``'s sets, and both
+    complexes list each line and triangle once, so a repeat on either side
+    fails.  A line or triangle of ``c`` on a label outside ``vertex_map``
+    fails."""
     if (sorted(vertex_map) != sorted(c.vertices)
             or sorted(vertex_map.values()) != sorted(other.vertices)):
         return False
-    if len(c.lines) != len(other.lines) or len(c.triangles) != len(other.triangles):
-        return False
-    other_lines = {ln.pair for ln in other.lines}
-    other_tris = {tri.vertices for tri in other.triangles}
     try:
-        for ln in c.lines:
-            if _sorted_pair(vertex_map[ln.u], vertex_map[ln.v]) not in other_lines:
-                return False
-        for tri in c.triangles:
-            image = tuple(sorted(vertex_map[v] for v in tri.vertices))
-            if image not in other_tris:
-                return False
+        lines = {_sorted_pair(vertex_map[u], vertex_map[v]) for u, v, _, _ in c.lines}
+        tris = {tuple(sorted(map(vertex_map.__getitem__, tri.vertices)))
+                for tri in c.triangles}
     except KeyError:
         return False
-    return True
+    return (len(c.lines) == len(other.lines) == len(lines)
+            and len(c.triangles) == len(other.triangles) == len(tris)
+            and lines == {ln.pair for ln in other.lines}
+            and tris == {tri.vertices for tri in other.triangles})
 
 
 # ---------------------------------------------------------------------------
@@ -577,25 +570,20 @@ def dot_face_pieces(c: PillowConfig) -> Iterator[str]:
 def dot_line_pieces(c: PillowConfig) -> Iterator[str]:
     """The DOT line-intersection graph in pieces: one node per line, one
     edge per pair of lines meeting in a vertex, each vertex listing its
-    lines by endpoint pair.  A line with an endpoint outside ``vertices``
-    raises MalformedComplex on the call, before the first piece."""
-    incident: dict[int, list[str]] = {v: [] for v in c.vertices}
+    lines by endpoint pair.  The vertices come in ``line_degrees`` order:
+    the vertex list, then any endpoint outside it."""
+    incident: dict[int, list[str]] = {v: [] for v in c.line_degrees()}
     # sorted by endpoint pair, stably: a line's name is a function of its
     # pair, so the order of lines sharing a pair does not show
-    try:
-        for u, v, _, _ in sorted(c.lines, key=itemgetter(0, 1)):
-            name = f'"L{u}_{v}"'
-            incident[u].append(name)
-            incident[v].append(name)
-    except KeyError:
-        raise MalformedComplex(
-            f"line {(u, v)} has an endpoint outside the vertex list"
-        ) from None
+    for u, v, _, _ in sorted(c.lines, key=itemgetter(0, 1)):
+        name = f'"L{u}_{v}"'
+        incident[u].append(name)
+        incident[v].append(name)
     return _pieces(chain(
         ("graph line_intersection {",),
         (f'\n  "L{ln.u}_{ln.v}";' for ln in c.lines),
         (f"\n  {first} -- {second};"
-         for at_v in map(incident.__getitem__, c.vertices)
+         for at_v in incident.values()
          for idx, first in enumerate(at_v) for second in at_v[idx + 1:]),
         ("\n}\n",),
     ))

@@ -520,13 +520,12 @@ class TestStreamedExports:
         assert max(stdout.sizes) <= WRITE_BOUND
 
     def test_malformed_line_export_writes_nothing(self, capsys, monkeypatch, tmp_path):
-        # the endpoint check runs before --out is opened
-        c = pillow.build_pillow(2, 2)
-        foreign = c._replace(lines=c.lines + (pillow.Line(1, 999, "horizontal", "top"),))
-        monkeypatch.setattr("pillowdeg.pillow.build_pillow", lambda a, b: foreign)
+        # g of a stored bidegree below (2, 2) raises before --out is opened
+        malformed = pillow.build_pillow(2, 2)._replace(b=0)
+        monkeypatch.setattr("pillowdeg.pillow.build_pillow", lambda a, b: malformed)
         monkeypatch.chdir(tmp_path)
         code, out, err = run_cli(capsys, "pillow", "--a", "2", "--b", "2", "--export", "dot",
                                  "--dot-graph", "lines", "--out", "x.dot")
         assert (code, out) == (1, "")
-        assert err == "error: line (1, 999) has an endpoint outside the vertex list\n"
+        assert err == "error: bidegree (2, 0) is below (2, 2)\n"
         assert list(tmp_path.iterdir()) == []

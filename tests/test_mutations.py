@@ -1,13 +1,14 @@
 """Mutated pillows: every operation on a complex that is no longer the
-pillow either returns or raises MalformedComplex, the sphere and stage
-checks always return their reports, and verify_pillow does whenever the
-lines' endpoint pairs are distinct; every mutation but an edge flip or a
-changed bidegree breaks one of the sphere checks, and those two fail the
-census or the corner check of the sphere report."""
+pillow either returns or raises MalformedComplex; the sphere and stage
+checks and verify_pillow always return their reports, the degree route
+equals the brute force, and the DOT line graph renders every mutant;
+every mutation but an edge flip or a changed bidegree breaks one of the
+sphere checks, and those two fail the census or the corner check of the
+sphere report."""
 
 from collections.abc import Iterable, Sequence
+from math import comb
 
-import pytest
 from hypothesis import given, settings, strategies as st
 
 from pillowdeg import (
@@ -63,12 +64,8 @@ def drop_triangle(draw, c):
     return c._replace(triangles=c.triangles[:k] + c.triangles[k + 1:])
 
 
-def relabel_vertex(draw, c):
-    """Rename one vertex in the lines and triangles only, to a fresh label
-    or to a label that shares no line with it; the vertex list stays."""
-    vertex = draw(st.sampled_from(c.vertices))
-    taken = _neighbours(c, vertex) | {vertex}
-    target = draw(st.integers(-1, len(c.vertices) + 2).filter(lambda w: w not in taken))
+def relabelled(c, vertex, target):
+    """``vertex`` renamed ``target`` in the lines and triangles only."""
 
     def rename(w):
         return target if w == vertex else w
@@ -77,6 +74,15 @@ def relabel_vertex(draw, c):
                   for ln in c.lines)
     triangles = tuple(_triangle(t, map(rename, t.vertices)) for t in c.triangles)
     return c._replace(lines=lines, triangles=triangles)
+
+
+def relabel_vertex(draw, c):
+    """Rename one vertex in the lines and triangles only, to a fresh label
+    or to a label that shares no line with it; the vertex list stays."""
+    vertex = draw(st.sampled_from(c.vertices))
+    taken = _neighbours(c, vertex) | {vertex}
+    target = draw(st.integers(-1, len(c.vertices) + 2).filter(lambda w: w not in taken))
+    return relabelled(c, vertex, target)
 
 
 def flip_edge(draw, c):
@@ -266,22 +272,36 @@ class TestMutatedPillows:
         report = verify_sphere_triangulation(mutant[1])
         assert [ch.name for ch in report.checks] == [*SPHERE_CHECKS, *CENSUS_CHECKS]
 
-    @settings(max_examples=150, deadline=None)
+    @settings(max_examples=1000, deadline=None)
     @given(mutant=mutants())
-    def test_verify_pillow_reports_distinct_pairs(self, mutant):
-        # the degree route needs only distinct endpoint pairs; a relabelled
-        # vertex can repeat one through a neighbour it shares
+    def test_verify_pillow_reports_every_mutant(self, mutant):
+        # a relabelled vertex can repeat an endpoint pair through a
+        # neighbour it shares; the degree route counts that pair too
         c = mutant[1]
-        if len({ln.pair for ln in c.lines}) < len(c.lines):
-            with pytest.raises(MalformedComplex, match="repeat an endpoint pair"):
-                verify_pillow(c)
-            return
         report = verify_pillow(c)
         assert [ch.name for ch in report.checks] == [
             *SPHERE_CHECKS, *CENSUS_CHECKS,
             "disjoint_pairs_brute_vs_formula", "disjoint_pairs_brute_vs_degree_method",
         ]
         assert report["disjoint_pairs_brute_vs_degree_method"].passed
+        # the DOT line graph renders it too: one edge per pair of lines at
+        # each vertex, a foreign endpoint included
+        text = "".join(dot_line_pieces(c))
+        assert text.count(" -- ") == sum(comb(d, 2) for d in c.line_degrees().values())
+
+    def test_verify_pillow_reports_a_repeated_pair(self):
+        # vertex 1 of (2, 2) renamed 3 in the lines and triangles: 1 and 3
+        # share the neighbour 2, so the lines 1-2 and 2-3 both become 2-3
+        c = relabelled(build_pillow(2, 2), 1, 3)
+        assert len({ln.pair for ln in c.lines}) == len(c.lines) - 1
+        report = verify_pillow(c)
+        assert [ch.name for ch in report.failures] == [
+            "line_in_two_triangles", "vertex_link_single_cycle",
+            "degree3_vertices_are_corners", "triangle_degree_census",
+            "disjoint_pairs_brute_vs_formula",
+        ]
+        check = report["disjoint_pairs_brute_vs_degree_method"]
+        assert (check.lhs, check.rhs) == (166, 166)
 
     @settings(max_examples=150, deadline=None)
     @given(mutant=mutants())

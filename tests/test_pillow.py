@@ -287,14 +287,17 @@ class TestDisjointPairs:
         assert brute == formula_disjoint_pairs(c.g)
         assert brute == disjoint_pairs_via_degrees(c)
 
-    def test_degree_route_rejects_repeated_pairs(self):
+    def test_degree_route_counts_repeated_pairs(self):
         c = build_pillow(2, 2)
         line = c.lines[0]
-        # the same line twice: C(2, 2) - 2 C(2, 2) would give -1
+        # the same line twice meets itself at both ends: C(2, 2) - 2 C(2, 2)
+        # would give -1 without the C(m, 2) term of the repeated pair
         doubled = PillowConfig(c.a, c.b, c.vertices, (line, line), c.triangles)
-        assert count_disjoint_line_pairs(doubled) == 0
-        with pytest.raises(MalformedComplex):
-            disjoint_pairs_via_degrees(doubled)
+        assert disjoint_pairs_via_degrees(doubled) == count_disjoint_line_pairs(doubled) == 0
+        # the corner line 1-2 tripled in the pillow: 174 plus the pairs of
+        # its two copies with the 16 lines that miss both of its ends
+        tripled = c._replace(lines=c.lines + (line, line))
+        assert disjoint_pairs_via_degrees(tripled) == count_disjoint_line_pairs(tripled) == 206
 
     @pytest.mark.parametrize("operation", [
         verify_pillow, verify_configuration, disjoint_pairs_via_degrees, build_table,
@@ -302,10 +305,9 @@ class TestDisjointPairs:
     ])
     def test_foreign_endpoint_is_malformed(self, operation):
         # the degree route counts the endpoint 999 as it stands, and agrees
-        # with the brute force on the 37 distinct endpoint pairs, so
-        # verify_pillow reports the complex; the table sees the line as a
-        # degree outside {3, 6}; dot_line_pieces raises on the call, before
-        # a piece is asked for
+        # with the brute force, so verify_pillow reports the complex;
+        # dot_line_pieces renders the line and its edges at vertex 1; the
+        # table sees the line as a degree outside {3, 6}
         c = build_pillow(3, 2)
         c = c._replace(lines=c.lines + (Line(1, 999, "horizontal", "top"),))
         if operation is disjoint_pairs_via_degrees:
@@ -321,9 +323,18 @@ class TestDisjointPairs:
                 "disjoint_pairs_brute_vs_formula": (501, 468),
             }
             return
-        message = (r"line \(1, 999\) has an endpoint outside" if operation is dot_line_pieces
-                   else r"line-degree outside \{3, 6\}: \[\(1, 4\), \(999, 1\)\]$")
-        with pytest.raises(MalformedComplex, match=message):
+        if operation is dot_line_pieces:
+            text = joined(operation, c)
+            assert text.count('\n  "L1_999";') == 1
+            # vertex 1 is on the three lines of its corner and on 1-999
+            at_one = [f'"L1_{v}"' for v in (2, 10, 13)]
+            assert [ln for ln in text.splitlines() if '"L1_999"' in ln and "--" in ln] == [
+                f"  {name} -- \"L1_999\";" for name in at_one
+            ]
+            assert text.count(" -- ") == joined(operation, build_pillow(3, 2)).count(" -- ") + 3
+            return
+        with pytest.raises(MalformedComplex,
+                           match=r"line-degree outside \{3, 6\}: \[\(1, 4\), \(999, 1\)\]$"):
             operation(c)
 
     def test_verify_pillow_adds_pair_checks_to_sphere_checks(self):
@@ -409,6 +420,23 @@ class TestTransposeIsomorphism:
         # swap two images; lines no longer map to lines
         mapping[1], mapping[2] = mapping[2], mapping[1]
         assert not is_complex_isomorphism(c, ct, mapping)
+
+    @pytest.mark.parametrize("field", ["lines", "triangles"])
+    def test_repeated_record_is_no_isomorphism(self, field):
+        # the last line or triangle replaced by a copy of the first: every
+        # image is still in (2, 3) and the counts still match, but one
+        # record of (2, 3) is hit twice and another never
+        c = build_pillow(3, 2)
+        records = getattr(c, field)
+        repeated = c._replace(**{field: records[:-1] + records[:1]})
+        assert not is_complex_isomorphism(repeated, build_pillow(2, 3), transpose_map(3, 2))
+        # both sides repeat, different records: equal sets and equal counts
+        other = c._replace(**{field: records[:-1] + records[1:2]})
+        identity = {v: v for v in c.vertices}
+        assert not is_complex_isomorphism(repeated, other, identity)
+        if field == "triangles":
+            check = verify_configuration(repeated)["transpose_isomorphism"]
+            assert (check.lhs, check.passed) == (False, False)
 
     def test_proper_subcomplex_rejected(self):
         # lines and triangles still map into (2, 3), but not onto it
