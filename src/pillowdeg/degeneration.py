@@ -143,18 +143,37 @@ def verify_conservation(table: DegenerationTable) -> Report:
     return report
 
 
-def verify_configuration(c: pillow.PillowConfig) -> Report:
-    """Every invariant of one configuration: the sphere and pair checks,
-    the stage contracts, conservation, and the isomorphism with the
-    transposed bidegree (b, a), the only other complex built here."""
+def verify_configuration(c: pillow.PillowConfig,
+                         transpose: pillow.PillowConfig | None = None) -> Report:
+    """Every invariant of one configuration: the sphere, pair and stage
+    checks on one ``incidence_index(c)``, conservation, and the isomorphism
+    with ``transpose``, the pillow (b, a), built here unless it is given."""
     report = Report(f"configuration ({c.a}, {c.b})")
-    report.extend(pillow.verify_pillow(c))
-    report.extend(pillow.verify_stages(c))
+    index = pillow.incidence_index(c)
+    report.extend(pillow.verify_pillow(c, index))
+    report.extend(pillow.verify_stages(c, index))
     report.extend(verify_conservation(build_table(c)))
-    ct = pillow.build_pillow(c.b, c.a)
+    ct = transpose if transpose is not None else pillow.build_pillow(c.b, c.a)
     report.add("transpose_isomorphism",
                pillow.is_complex_isomorphism(c, ct, pillow.transpose_map(c.a, c.b)), True)
     return report
+
+
+def verify_box(a_range: range, b_range: range) -> list[Report]:
+    """``verify_configuration`` of each (a, b) in the box, a-major, each
+    bidegree built once: the pillows of (a, b) and (b, a) in the box are
+    each other's transpose side, a square one its own, one pair at a time."""
+    reports: dict[tuple[int, int], Report] = {}
+    for a in a_range:
+        for b in b_range:
+            if (a, b) not in reports:
+                c = pillow.build_pillow(a, b)
+                ct = c if a == b else None
+                if a != b and b in a_range and a in b_range:
+                    ct = pillow.build_pillow(b, a)
+                    reports[(b, a)] = verify_configuration(ct, c)
+                reports[(a, b)] = verify_configuration(c, ct)
+    return [reports[(a, b)] for a in a_range for b in b_range]
 
 
 # ---------------------------------------------------------------------------

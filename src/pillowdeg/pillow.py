@@ -27,7 +27,7 @@ of coordinate points intersect precisely when the pairs overlap.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
-from collections.abc import Callable, Iterable, Iterator
+from collections.abc import Iterable, Iterator
 from itertools import chain
 from math import comb
 from operator import itemgetter
@@ -51,7 +51,7 @@ DIAGONAL = "diagonal"
 # DOT face graph's line index set that peak.  verify_pillow runs the
 # brute-force pair oracle, whose pair tests and per-vertex edge masks both
 # grow as E^2: at the verify limit (E = 6144) it takes 8-12 ms and at most
-# 1.3 MB, and verify_pillow as a whole 0.08-0.12 s, on the same host.
+# 1.3 MB, and verify_pillow as a whole 0.03-0.07 s, on the same host.
 MAX_PILLOW_CELLS = 16384
 MAX_VERIFY_CELLS = 1024
 
@@ -236,43 +236,22 @@ def build_pillow(a: int, b: int) -> PillowConfig:
 # Verification.
 
 
-def _line_incidence(c: PillowConfig) -> dict[tuple[int, int], list[int]]:
-    """Map each line's endpoint pair to the indices of triangles containing it."""
+def incidence_index(c: PillowConfig, stars: bool = True) -> tuple[dict, dict]:
+    """One pass over the triangles: the indices of the triangles on each
+    line's endpoint pair and, unless ``stars`` is False, on each vertex."""
     incidence: dict[tuple[int, int], list[int]] = {ln.pair: [] for ln in c.lines}
+    star: dict[int, list[int]] = {v: [] for v in c.vertices} if stars else {}
     for idx, tri in enumerate(c.triangles):
         for pair in tri.edge_pairs():
             if pair in incidence:
                 incidence[pair].append(idx)
-    return incidence
+        for v in tri.vertices:
+            if v in star:
+                star[v].append(idx)
+    return incidence, star
 
 
-def _reach(start: int, neighbours: Callable[[int], Iterable[int]]) -> set[int]:
-    """The nodes reachable from ``start``, by a depth-first flood."""
-    seen = {start}
-    stack = [start]
-    while stack:
-        for n in neighbours(stack.pop()):
-            if n not in seen:
-                seen.add(n)
-                stack.append(n)
-    return seen
-
-
-def _vertex_link_is_single_cycle(c: PillowConfig, vertex: int, star: list[int],
-                                 incidence: dict[tuple[int, int], list[int]]) -> bool:
-    """The triangles of a vertex's star, glued along shared lines through
-    it, must form exactly one closed cycle (the closed-surface condition)."""
-    near = {
-        i: {j for other in c.triangles[i].vertices if other != vertex
-            for j in incidence.get(_sorted_pair(vertex, other), ()) if j != i}
-        for i in star
-    }
-    # 2-regular and one flood covers it => a single cycle; an empty star fails
-    return (bool(near) and all(len(js) == 2 for js in near.values())
-            and len(_reach(star[0], near.__getitem__)) == len(near))
-
-
-def verify_sphere_triangulation(c: PillowConfig) -> Report:
+def verify_sphere_triangulation(c: PillowConfig, index: tuple | None = None) -> Report:
     """Check that the configuration triangulates the 2-sphere.
 
     Reported checks: every line in exactly two triangles; every vertex
@@ -280,37 +259,54 @@ def verify_sphere_triangulation(c: PillowConfig) -> Report:
     characteristic 2; and the vertex census (the four corners on exactly
     three lines and three triangles, every other vertex on six).
 
-    The line incidence and the vertex stars are each built in one pass
-    over the triangles, so the check is linear in the size of ``c``.
+    The line incidence and the vertex stars come from one pass over the
+    triangles, ``incidence_index(c)`` unless ``index`` is given, so the
+    check is linear in the size of ``c``.
     """
     report = Report(f"sphere triangulation, bidegree ({c.a}, {c.b})")
-    incidence = _line_incidence(c)
-    star: dict[int, list[int]] = {v: [] for v in c.vertices}
-    for idx, tri in enumerate(c.triangles):
-        for v in tri.vertices:
-            if v in star:
-                star[v].append(idx)
+    incidence, star = index or incidence_index(c)
 
     bad_lines = sum(1 for tris in incidence.values() if len(tris) != 2)
     report.add("line_in_two_triangles", bad_lines, 0)
 
-    bad_links = sum(
-        1 for v, tris in star.items()
-        if not _vertex_link_is_single_cycle(c, v, tris, incidence)
-    )
-    report.add("vertex_link_single_cycle", bad_links, 0)
+    def link_is_one_cycle(v: int) -> bool:
+        # each star triangle joins its two vertices other than v (on v twice,
+        # it gives x = v, on no line); each neighbour x, on a line (v, x),
+        # must be joined to two others, and one walk must visit them all
+        link: dict[int, list[int]] = {}
+        for i in star[v]:
+            p, q, r = c.triangles[i].vertices
+            x, y = (q, r) if v == p else (p, r) if v == q else (p, q)
+            link.setdefault(x, []).append(y)
+            link.setdefault(y, []).append(x)
+        for x, ends in link.items():
+            if len(ends) != 2 or ends[0] == ends[1] or _sorted_pair(v, x) not in incidence:
+                return False
+        if not link:
+            return False
+        start = prev = next(iter(link))
+        here, steps = link[start][0], 1
+        while here != start:
+            ends = link[here]
+            prev, here = here, ends[ends[0] == prev]  # the end not come in by
+            steps += 1
+        return steps == len(link)
 
-    def across(i: int) -> list[int]:
-        # triangles meet across a line that lies on exactly two of them
-        sides = (incidence.get(pair, ()) for pair in c.triangles[i].edge_pairs())
-        return [j for tris in sides if len(tris) == 2 for j in tris]
+    report.add("vertex_link_single_cycle", sum(1 for v in star if not link_is_one_cycle(v)), 0)
 
-    unseen = set(range(len(c.triangles)))
-    face_components = 0
-    while unseen:
-        unseen -= _reach(unseen.pop(), across)
-        face_components += 1
-    report.add("face_adjacency_connected", face_components, 1)
+    # triangles meet across a line that lies on exactly two of them; the
+    # face graph's components by union-find, with path halving
+    root = list(range(len(c.triangles)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for tris in incidence.values():
+        if len(tris) == 2:
+            root[find(tris[0])] = find(tris[1])
+    report.add("face_adjacency_connected", sum(1 for i, r in enumerate(root) if i == r), 1)
 
     euler = len(c.vertices) - len(c.lines) + len(c.triangles)
     report.add("euler_characteristic", euler, 2)
@@ -359,19 +355,19 @@ def formula_disjoint_pairs(g: int) -> int:
     return (9 * g * g - 51 * g + 78) // 2
 
 
-def verify_pillow(c: PillowConfig) -> Report:
-    """The sphere checks, then the brute-force disjoint-pair count against
-    the closed form and against the degree route.  The brute force tests
-    every line pair, bit-parallel but still O(E^2), and assumes nothing of
-    the lines it is given; a*b above MAX_VERIFY_CELLS raises
-    InvalidParameter."""
+def verify_pillow(c: PillowConfig, index: tuple | None = None) -> Report:
+    """The sphere checks, passed ``index`` when given, then the brute-force
+    disjoint-pair count against the closed form and against the degree
+    route.  The brute force tests every line pair, bit-parallel but still
+    O(E^2), and assumes nothing of the lines it is given; a*b above
+    MAX_VERIFY_CELLS raises InvalidParameter."""
     if c.a * c.b > MAX_VERIFY_CELLS:
         raise InvalidParameter(
             f"verifying bidegree ({c.a}, {c.b}) runs the O(E^2) pair oracle; "
             f"a*b = {c.a * c.b} is above the limit {MAX_VERIFY_CELLS}"
         )
     report = Report(f"pillow ({c.a}, {c.b})")
-    report.extend(verify_sphere_triangulation(c))
+    report.extend(verify_sphere_triangulation(c, index))
     brute = count_disjoint_line_pairs(c)
     report.add("disjoint_pairs_brute_vs_formula", brute, formula_disjoint_pairs(c.g))
     report.add("disjoint_pairs_brute_vs_degree_method", brute, disjoint_pairs_via_degrees(c))
@@ -382,19 +378,19 @@ def verify_pillow(c: PillowConfig) -> Report:
 # Intermediate degeneration stages.
 
 
-def verify_stages(c: PillowConfig) -> Report:
+def verify_stages(c: PillowConfig, index: tuple | None = None) -> Report:
     """Contracts of the intermediate stages, each a grouping of the
     triangles of ``c``.  The 2ab quadrics group them by (side, row, col):
-    a line on exactly two triangles of one quadric lies inside it (the
-    diagonal), and each of the other lines of ``c``, 4ab of them, must lie
-    on triangles of exactly two quadrics.  The two surfaces are the
+    a line on exactly two triangles of one quadric, by ``index`` if given,
+    is its diagonal, and each of the other lines of ``c``, 4ab of them, must
+    lie on triangles of exactly two quadrics.  The two surfaces are the
     vertices of the triangles on each side: they must have the expected
     spans, meet in the 2a + 2b boundary points, and together be the
     vertices of ``c``.  A malformed complex fails checks; nothing raises."""
     a, b = c.a, c.b
     report = Report(f"stages, bidegree ({a}, {b})")
     quadric = [(tri.side, tri.row, tri.col) for tri in c.triangles]
-    incidence = _line_incidence(c)
+    incidence = (index or incidence_index(c, stars=False))[0]
     # the triangles of each quadric line, a line of c not inside one quadric
     outer = [tris for tris in (incidence[ln.pair] for ln in c.lines)
              if len(tris) != 2 or quadric[tris[0]] != quadric[tris[1]]]
@@ -556,7 +552,7 @@ def dot_face_pieces(c: PillowConfig) -> Iterator[str]:
     """The DOT face-adjacency graph in pieces: one node per triangle, one
     edge per line shared by two."""
     names = [f'"{tri.name}"' for tri in c.triangles]
-    incidence = _line_incidence(c)
+    incidence, _ = incidence_index(c, stars=False)
     # the triangles of each line on exactly two, by endpoint pair
     shared = [on for on in map(incidence.__getitem__, sorted(incidence)) if len(on) == 2]
     return _pieces(chain(

@@ -4,6 +4,7 @@ import contextlib
 import hashlib
 import io
 import json
+import re
 import subprocess
 import sys
 import time
@@ -224,8 +225,15 @@ class TestVerify:
         code, _, _ = run_cli(capsys, "verify", "--a", a_range, "--b", "2..2")
         assert code == 2
 
-    def test_two_builds_per_configuration(self, capsys, monkeypatch):
-        # each (a, b) once, and once more as the transpose (b, a)
+    @pytest.mark.parametrize("a_range,b_range,built_once", [
+        # a square box holds every transpose
+        ("2..3", "2..3", [(2, 2), (2, 3), (3, 2), (3, 3)]),
+        # an off-diagonal box holds none: each (b, a) is built for its (a, b)
+        ("2..3", "4..4", [(2, 4), (3, 4), (4, 2), (4, 3)]),
+    ], ids=["square", "off_diagonal"])
+    def test_each_bidegree_built_once(self, capsys, monkeypatch, a_range, b_range,
+                                      built_once):
+        # the box and its transposes, each bidegree built exactly once
         built = []
         original = pillow.build_pillow
 
@@ -234,11 +242,15 @@ class TestVerify:
             return original(a, b)
 
         monkeypatch.setattr(pillow, "build_pillow", counting)
-        code, _, _ = run_cli(capsys, "verify", "--a", "2..3", "--b", "2..3")
+        code, out, _ = run_cli(capsys, "verify", "--a", a_range, "--b", b_range)
         assert code == 0
-        configurations = [(a, b) for a in (2, 3) for b in (2, 3)]
-        assert len(built) == 2 * len(configurations)
-        assert sorted(built) == sorted(configurations + [(b, a) for a, b in configurations])
+        assert sorted(built) == built_once
+        # the reports keep the box's a-major order
+        a_lo, a_hi = map(int, a_range.split(".."))
+        b_lo, b_hi = map(int, b_range.split(".."))
+        assert re.findall(r"configuration \(\d+, \d+\)", out) == [
+            f"configuration ({a}, {b})"
+            for a in range(a_lo, a_hi + 1) for b in range(b_lo, b_hi + 1)]
 
     def test_json_format(self, capsys):
         code, out, _ = run_cli(capsys, "verify", "--a", "2..2", "--b", "2..2",

@@ -229,6 +229,13 @@ class TestVerifyConfiguration:
         report = verify_configuration(build_pillow(2, 2))
         assert [ch.name for ch in report.failures] == ["forced"]
 
+    @pytest.mark.parametrize("a", range(2, 7))
+    def test_reused_transpose_gives_the_same_checks(self, a):
+        for b in range(2, 7):
+            c = build_pillow(a, b)
+            reused = verify_configuration(c, c if a == b else build_pillow(b, a))
+            assert reused.checks == verify_configuration(c).checks
+
 
 class TestSerialization:
     def test_json_dict_schema(self):

@@ -30,6 +30,7 @@ from pillowdeg import (
     verify_sphere_triangulation,
     verify_stages,
 )
+from pillowdeg.pillow import incidence_index
 
 
 def _sorted_pair(u, v):
@@ -314,3 +315,15 @@ class TestMutatedPillows:
         assert sphere_ok == (name in KEEP_THE_SPHERE), str(report)
         if name in KEEP_THE_SPHERE:
             assert not report[KEEP_THE_SPHERE[name]].passed
+
+    @settings(max_examples=1000, deadline=None)
+    @given(mutant=mutants())
+    def test_link_walk_matches_the_oracles(self, mutant):
+        # the walk over each vertex's link counts the vertices whose
+        # triangles the copied check fails to glue into one cycle, and the
+        # report does not depend on who built the index
+        c = mutant[1]
+        report = verify_sphere_triangulation(c, incidence_index(c))
+        assert report["vertex_link_single_cycle"].lhs == bad_links(c)
+        assert report["face_adjacency_connected"].lhs == face_components(c)
+        assert report.checks == verify_sphere_triangulation(c).checks
