@@ -3,10 +3,10 @@
 A report is a list of checks, each recording both sides of the
 comparison so a failure is diagnosable from the report alone.  The sphere
 and stage checks, both disjoint-pair routes and the exports take any lines
-and triangles, so a malformed complex fails checks.  Two routes raise
-MalformedComplex instead, and so does a verifier that runs them; the CLI
-then exits 1.  These are the table, on a line-degree outside {3, 6}, and
-``g``, on a stored bidegree below (2, 2).
+and triangles, so a malformed complex fails checks.  Only the table
+raises MalformedComplex, on a line-degree outside {3, 6}, and
+``verify_configuration`` reports that as a failed check, so no verifier
+raises.  A PillowConfig rejects a bidegree below (2, 2) on construction.
 
 The package's records (``Check`` here, the lines, triangles and tables
 elsewhere) are immutable named tuples: read their fields by name, and use
@@ -19,8 +19,8 @@ from typing import Any, NamedTuple
 
 
 def _jsonable(value: Any) -> Any:
-    # bool is an int, so it stays a JSON true or false
-    if isinstance(value, (int, str)):
+    # bool is an int, so it stays a JSON true or false; None becomes null
+    if value is None or isinstance(value, (int, str)):
         return value
     # records are tuple subclasses; like every other object they render as
     # their str, so only plain tuples and lists become arrays

@@ -12,9 +12,9 @@ Subcommands:
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
 parameters or usage, 3 file I/O failure.  Every package error ends with
-``error: ...`` on stderr: MalformedComplex (a structural invariant of a
-built complex failed, which is a failed check) exits 1, every other
-PillowDegError exits 2.
+``error: ...`` on stderr and exits 2, but MalformedComplex, a failed
+check, exits 1; only ``build_table`` raises it, and every table here is
+built from a pillow, so no input reaches it.
 
 Size limits (exit 2 with ``error: ...``): ``pillow`` and ``table`` accept
 a*b up to ``pillow.MAX_PILLOW_CELLS`` = 16384 cells, where the build and
@@ -115,9 +115,8 @@ def cmd_pillow(args) -> int:
     }
     artifacts = ()
 
-    # the exports render any lines and triangles; the one fault they raise
-    # on, a bidegree below (2, 2), c.g in the summary above has already
-    # raised, so --out is never opened for a malformed complex
+    # the exports render any complex, and every argument fault has already
+    # raised above, so --out is never opened by an invocation that exits 2
     pieces = None
     if args.export == "json":
         pieces = pillow.config_json_pieces(c)

@@ -532,12 +532,11 @@ class TestStreamedExports:
         assert max(stdout.sizes) <= WRITE_BOUND
 
     def test_malformed_line_export_writes_nothing(self, capsys, monkeypatch, tmp_path):
-        # g of a stored bidegree below (2, 2) raises before --out is opened
-        malformed = pillow.build_pillow(2, 2)._replace(b=0)
-        monkeypatch.setattr("pillowdeg.pillow.build_pillow", lambda a, b: malformed)
+        # a bidegree above the cell limit raises before --out is opened
         monkeypatch.chdir(tmp_path)
-        code, out, err = run_cli(capsys, "pillow", "--a", "2", "--b", "2", "--export", "dot",
-                                 "--dot-graph", "lines", "--out", "x.dot")
-        assert (code, out) == (1, "")
-        assert err == "error: bidegree (2, 0) is below (2, 2)\n"
+        code, out, err = run_cli(capsys, "pillow", "--a", "129", "--b", "128",
+                                 "--export", "json", "--out", "x.json")
+        assert (code, out) == (2, "")
+        assert err == ("error: bidegree (129, 128) has a*b = 16512 cells, "
+                       "above the limit 16384\n")
         assert list(tmp_path.iterdir()) == []

@@ -229,6 +229,30 @@ class TestVerifyConfiguration:
         report = verify_configuration(build_pillow(2, 2))
         assert [ch.name for ch in report.failures] == ["forced"]
 
+    def test_line_degree_outside_local_models_is_reported(self):
+        # the last line of (3, 2) replaced by a copy of its first: the table
+        # raises, and the report keeps every other section around its fault
+        c = build_pillow(3, 2)
+        repeated = c._replace(lines=c.lines[:-1] + c.lines[:1])
+        message = "vertices with line-degree outside {3, 6}: [(1, 4), (2, 7), (13, 5), (14, 5)]"
+        with pytest.raises(MalformedComplex) as raised:
+            build_table(repeated)
+        assert str(raised.value) == message
+        report = verify_configuration(repeated)
+        assert {ch.name: (ch.lhs, ch.rhs) for ch in report.failures} == {
+            "vertex_link_single_cycle": (2, 0),
+            "line_degrees_match_triangle_degrees": (4, 0),
+            "disjoint_pairs_brute_vs_formula": (470, 468),
+            "line_degrees_in_local_models": (message, None),
+            "transpose_isomorphism": (False, True),
+        }
+        names = [ch.name for ch in report.checks]
+        assert names[names.index("two_surface_point_inclusion_exclusion") + 1:] == [
+            "line_degrees_in_local_models", "transpose_isomorphism",
+        ]
+        # the missing rhs is a JSON null, not the string "None"
+        assert report["line_degrees_in_local_models"].as_dict()["rhs"] is None
+
     @pytest.mark.parametrize("a", range(2, 7))
     def test_reused_transpose_gives_the_same_checks(self, a):
         for b in range(2, 7):

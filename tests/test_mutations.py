@@ -1,7 +1,8 @@
 """Mutated pillows: every operation on a complex that is no longer the
-pillow either returns or raises MalformedComplex; the sphere and stage
-checks and verify_pillow always return their reports, the degree route
-equals the brute force, and the DOT line graph renders every mutant;
+pillow returns, and only the table raises MalformedComplex; the sphere and
+stage checks, verify_pillow and verify_configuration always return their
+reports, the degree route equals the brute force, and the DOT line graph
+renders every mutant;
 every mutation but an edge flip or a changed bidegree breaks one of the
 sphere checks, and those two fail the census or the corner check of the
 sphere report."""
@@ -12,6 +13,7 @@ from math import comb
 from hypothesis import given, settings, strategies as st
 
 from pillowdeg import (
+    Check,
     Line,
     MalformedComplex,
     Triangle,
@@ -166,11 +168,13 @@ def _drained(pieces):
     return lambda c: "".join(pieces(c))
 
 
+# the table, and so conservation of it, raises MalformedComplex on a
+# line-degree outside {3, 6}; every other operation returns
+TABLE_OPERATIONS = (build_table, lambda c: verify_conservation(build_table(c)))
 OPERATIONS = (
     verify_sphere_triangulation, verify_pillow, verify_stages,
-    lambda c: verify_conservation(build_table(c)),
     verify_configuration, _transpose_isomorphism,
-    build_table, disjoint_pairs_via_degrees, config_to_dict,
+    disjoint_pairs_via_degrees, config_to_dict,
     *map(_drained, (config_json_pieces, dot_face_pieces, dot_line_pieces)),
 )
 SPHERE_CHECKS = (
@@ -180,6 +184,15 @@ SPHERE_CHECKS = (
 CENSUS_CHECKS = (
     "degree3_vertices_are_corners", "triangle_degree_census",
     "line_degrees_match_triangle_degrees",
+)
+PAIR_CHECKS = ("disjoint_pairs_brute_vs_formula", "disjoint_pairs_brute_vs_degree_method")
+STAGE_CHECKS = (
+    "quadric_face_count", "quadric_line_count", "quadric_lines_shared_by_two_faces",
+    "two_surface_spans", "two_surface_point_inclusion_exclusion",
+)
+CONSERVATION_CHECKS = (
+    "branch_point_total", "node_total", "cusp_total",
+    "lines_row_contributes_nothing", "doubled_lines_give_branch_degree",
 )
 
 
@@ -250,10 +263,37 @@ class TestMutatedPillows:
     def test_every_operation_returns_or_raises_malformed(self, mutant):
         _, c = mutant
         for operation in OPERATIONS:
+            operation(c)
+        for operation in TABLE_OPERATIONS:
             try:
                 operation(c)
             except MalformedComplex:
                 pass
+
+    @settings(max_examples=1000, deadline=None)
+    @given(mutant=mutants())
+    def test_verify_configuration_reports_every_mutant(self, mutant):
+        # the sections are those of the verifiers it runs, and the table's
+        # fault is one failed check in place of conservation
+        c = mutant[1]
+        report = verify_configuration(c)
+        head = [*SPHERE_CHECKS, *CENSUS_CHECKS, *PAIR_CHECKS, *STAGE_CHECKS]
+        names = [ch.name for ch in report.checks]
+        assert names[:len(head)] == head
+        assert names[len(head):] in (
+            [*CONSERVATION_CHECKS, "transpose_isomorphism"],
+            ["line_degrees_in_local_models", "transpose_isomorphism"],
+        )
+        index = incidence_index(c)
+        sections = verify_pillow(c, index).checks + verify_stages(c, index).checks
+        assert report.checks[:len(head)] == sections
+        try:
+            table = build_table(c)
+        except MalformedComplex as exc:
+            assert report.checks[len(head)] == Check("line_degrees_in_local_models", str(exc), None)
+            assert not report.checks[len(head)].passed
+        else:
+            assert report.checks[len(head):-1] == verify_conservation(table).checks
 
     @settings(max_examples=150, deadline=None)
     @given(mutant=mutants())
@@ -261,10 +301,7 @@ class TestMutatedPillows:
         # the stage checks read only the triangles and the lines' pairs, so
         # a malformed complex fails checks instead of raising
         report = verify_stages(mutant[1])
-        assert [ch.name for ch in report.checks] == [
-            "quadric_face_count", "quadric_line_count", "quadric_lines_shared_by_two_faces",
-            "two_surface_spans", "two_surface_point_inclusion_exclusion",
-        ]
+        assert [ch.name for ch in report.checks] == [*STAGE_CHECKS]
 
     @settings(max_examples=150, deadline=None)
     @given(mutant=mutants())
@@ -280,10 +317,7 @@ class TestMutatedPillows:
         # neighbour it shares; the degree route counts that pair too
         c = mutant[1]
         report = verify_pillow(c)
-        assert [ch.name for ch in report.checks] == [
-            *SPHERE_CHECKS, *CENSUS_CHECKS,
-            "disjoint_pairs_brute_vs_formula", "disjoint_pairs_brute_vs_degree_method",
-        ]
+        assert [ch.name for ch in report.checks] == [*SPHERE_CHECKS, *CENSUS_CHECKS, *PAIR_CHECKS]
         assert report["disjoint_pairs_brute_vs_degree_method"].passed
         # the DOT line graph renders it too: one edge per pair of lines at
         # each vertex, a foreign endpoint included

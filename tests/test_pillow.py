@@ -25,10 +25,8 @@ from pillowdeg import (
     is_complex_isomorphism,
     transpose_map,
     verify_configuration,
-    verify_conservation,
     verify_pillow,
     verify_sphere_triangulation,
-    verify_stages,
 )
 from pillowdeg.pillow import MAX_PILLOW_CELLS, MAX_VERIFY_CELLS, PIECE_CHARS
 
@@ -253,9 +251,14 @@ class TestSphereTriangulation:
                 assert len(tris[i] & tris[j]) <= 1
 
     def test_lines_are_unique_vertex_pairs(self):
-        c = build_pillow(4, 3)
-        pairs = [ln.pair for ln in c.lines]
-        assert len(pairs) == len(set(pairs)) == 6 * 4 * 3
+        # the build has no guard of its own: 6ab distinct endpoint pairs and
+        # 4ab triangles, over the verify box
+        for a in range(2, 13):
+            for b in range(2, 13):
+                c = build_pillow(a, b)
+                pairs = [ln.pair for ln in c.lines]
+                assert len(pairs) == len(set(pairs)) == 6 * a * b, (a, b)
+                assert len(c.triangles) == 4 * a * b, (a, b)
 
     def test_sides_share_exactly_the_boundary(self):
         c = build_pillow(3, 2)
@@ -307,7 +310,8 @@ class TestDisjointPairs:
         # the degree route counts the endpoint 999 as it stands, and agrees
         # with the brute force, so verify_pillow reports the complex;
         # dot_line_pieces renders the line and its edges at vertex 1; the
-        # table sees the line as a degree outside {3, 6}
+        # table sees the line as a degree outside {3, 6}, which
+        # verify_configuration reports in place of conservation
         c = build_pillow(3, 2)
         c = c._replace(lines=c.lines + (Line(1, 999, "horizontal", "top"),))
         if operation is disjoint_pairs_via_degrees:
@@ -333,9 +337,23 @@ class TestDisjointPairs:
             ]
             assert text.count(" -- ") == joined(operation, build_pillow(3, 2)).count(" -- ") + 3
             return
-        with pytest.raises(MalformedComplex,
-                           match=r"line-degree outside \{3, 6\}: \[\(1, 4\), \(999, 1\)\]$"):
+        message = "vertices with line-degree outside {3, 6}: [(1, 4), (999, 1)]"
+        if operation is verify_configuration:
+            report = operation(c)
+            assert {ch.name: (ch.lhs, ch.rhs) for ch in report.failures} == {
+                "line_in_two_triangles": (1, 0),
+                "euler_characteristic": (1, 2),
+                "line_degrees_match_triangle_degrees": (1, 0),
+                "disjoint_pairs_brute_vs_formula": (501, 468),
+                "quadric_line_count": (25, 24),
+                "quadric_lines_shared_by_two_faces": (1, 0),
+                "line_degrees_in_local_models": (message, None),
+                "transpose_isomorphism": (False, True),
+            }
+            return
+        with pytest.raises(MalformedComplex) as raised:
             operation(c)
+        assert str(raised.value) == message
 
     def test_verify_pillow_adds_pair_checks_to_sphere_checks(self):
         c = build_pillow(2, 3)
@@ -362,22 +380,20 @@ class TestDisjointPairs:
 
 
 class TestSmallStoredBidegree:
-    """A built complex whose bidegree was set below (2, 2): g is not
-    defined, so everything that reads it raises MalformedComplex, and the
-    checks and exports that never read it still return."""
+    """A bidegree below (2, 2) is no pillow and has no g: the record
+    rejects it as build_pillow does, on construction and on _replace, so
+    no complex that an operation is given can carry one."""
 
     @pytest.mark.parametrize("a,b", [(3, 0), (0, 3), (3, 1), (1, 3), (1, 1), (-1, 3)])
-    def test_readers_of_g_raise_malformed(self, a, b):
-        c = build_pillow(3, 2)._replace(a=a, b=b)
-        for operation in (verify_pillow, verify_configuration, build_table,
-                          lambda c: verify_conservation(build_table(c)),
-                          config_to_dict, config_json_pieces):
-            with pytest.raises(MalformedComplex, match=rf"bidegree \({a}, {b}\) is below"):
-                operation(c)
-        assert len(verify_sphere_triangulation(c).checks) == 7
-        assert len(verify_stages(c).checks) == 5
-        for pieces in (dot_face_pieces, dot_line_pieces):
-            assert joined(pieces, c) == joined(pieces, build_pillow(3, 2))
+    def test_record_rejects_it(self, a, b):
+        c = build_pillow(3, 2)
+        message = rf"^bidegree parameters must both be >= 2, got \({a}, {b}\)$"
+        with pytest.raises(InvalidParameter, match=message):
+            PillowConfig(a, b, c.vertices, c.lines, c.triangles)
+        with pytest.raises(InvalidParameter, match=message):
+            c._replace(a=a, b=b)
+        with pytest.raises(InvalidParameter, match=message):
+            build_pillow(a, b)
 
 
 class TestTransposeIsomorphism:
@@ -434,9 +450,8 @@ class TestTransposeIsomorphism:
         other = c._replace(**{field: records[:-1] + records[1:2]})
         identity = {v: v for v in c.vertices}
         assert not is_complex_isomorphism(repeated, other, identity)
-        if field == "triangles":
-            check = verify_configuration(repeated)["transpose_isomorphism"]
-            assert (check.lhs, check.passed) == (False, False)
+        check = verify_configuration(repeated)["transpose_isomorphism"]
+        assert (check.lhs, check.passed) == (False, False)
 
     def test_proper_subcomplex_rejected(self):
         # lines and triangles still map into (2, 3), but not onto it
