@@ -19,7 +19,7 @@ built from a pillow, so no input reaches it.
 Size limits (exit 2 with ``error: ...``): ``pillow`` and ``table`` accept
 a*b up to ``pillow.MAX_PILLOW_CELLS`` = 16384 cells, where the build and
 one linear-time export, written to ``--out`` or stdout in pieces, take
-0.5-1.1 s and peak at 44-69 MB of RSS; ``pillow --verify`` and every
+0.4-1.5 s and peak at 34-67 MB of RSS; ``pillow --verify`` and every
 configuration of ``verify`` accept a*b up to ``pillow.MAX_VERIFY_CELLS`` =
 1024, since the brute-force pair oracle they run is O(E^2) in time and in
 memory, bit-parallel as it is; at that limit ``pillow --verify`` takes
@@ -29,6 +29,7 @@ checks its largest corner before it starts.
 from __future__ import annotations
 
 import argparse
+import gc
 import sys
 
 from . import degeneration, pillow, surfaces
@@ -284,6 +285,11 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+    # the records are tuples, which hold no reference cycle, so the cyclic
+    # collector would only rescan tens of thousands of them to free nothing;
+    # it stays off while the command runs and is then put back as it was
+    collecting = gc.isenabled()
+    gc.disable()
     try:
         return args.func(args)
     except PillowDegError as exc:
@@ -292,6 +298,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
+    finally:
+        if collecting:
+            gc.enable()
 
 
 if __name__ == "__main__":

@@ -98,8 +98,9 @@ def build_table(c: pillow.PillowConfig) -> DegenerationTable:
 
     Object counts come from the configuration itself: the line count, the
     census of vertices on three and on six lines, and the disjoint-pair
-    count by the O(V + E) degree route.  The brute-force enumeration and
-    the closed form check that count in the verification paths, not here.
+    count by the O(V + E) degree route on that same census.  The
+    brute-force enumeration and the closed form check that count in the
+    verification paths, not here.
     """
     degrees = c.line_degrees()
     bad = {v: d for v, d in degrees.items() if d not in (3, 6)}
@@ -109,7 +110,7 @@ def build_table(c: pillow.PillowConfig) -> DegenerationTable:
         )
     three_points = sum(1 for d in degrees.values() if d == 3)
     six_points = sum(1 for d in degrees.values() if d == 6)
-    two_points = pillow.disjoint_pairs_via_degrees(c)
+    two_points = pillow._disjoint_pairs(c, degrees)
 
     b3 = npoint_budget(3)
     b6 = npoint_budget(6)

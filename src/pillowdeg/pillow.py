@@ -45,9 +45,9 @@ VERTICAL = "vertical"
 DIAGONAL = "diagonal"
 
 # Size guards on the cell count a*b.  The build and each export are linear:
-# at the build limit one `pillow --export` invocation takes 0.5-1.1 s and
-# peaks at 44-69 MB of RSS (2-core host, Python 3.10-3.13).  The exports
-# are written in pieces, so the build's own 48 MB (Python 3.11) and the
+# at the build limit one `pillow --export` invocation takes 0.4-1.5 s and
+# peaks at 34-67 MB of RSS (2-core host, Python 3.10-3.13).  The exports
+# are written in pieces, so the build's own 36 MB (Python 3.11) and the
 # DOT face graph's line index set that peak.  verify_pillow runs the
 # brute-force pair oracle, whose pair tests and per-vertex edge masks both
 # grow as E^2: at the verify limit (E = 6144) it takes 8-12 ms and at most
@@ -96,10 +96,6 @@ class Triangle(NamedTuple):
     def edge_pairs(self) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
         a, b, c = self.vertices
         return ((a, b), (a, c), (b, c))
-
-    @property
-    def name(self) -> str:
-        return f"{self.side}_r{self.row}_c{self.col}_{self.half}"
 
 
 class PillowConfig(namedtuple("PillowConfig", "a b vertices lines triangles")):
@@ -159,20 +155,20 @@ def grid_rows(a: int, b: int, side: str) -> list[list[int]]:
     return rows
 
 
-def _cells(a: int, b: int) -> Iterator[tuple[str, int, int, int, int, int, int]]:
-    """(side, i, j, nw, ne, se, sw) for every cell, in (side, row, col)
-    order, the export order of the triangles: cell (i, j) spans rows i-1..i
-    and columns j-1..j, and its corners are named by compass point."""
-    for side in SIDES:
-        rows = grid_rows(a, b, side)
-        for i in range(1, b + 1):
-            north, south = rows[i - 1], rows[i]
-            for j in range(1, a + 1):
-                yield side, i, j, north[j - 1], north[j], south[j], south[j - 1]
-
-
 def _sorted_pair(u: int, v: int) -> tuple[int, int]:
     return (u, v) if u < v else (v, u)
+
+
+def _line_keys(ends: Iterable[tuple[int, int]], kind: str, side: str) -> list[tuple]:
+    """The fields (u, v, kind, side) of a line on each pair of ``ends``, u < v."""
+    return [(u, v, kind, side) if u < v else (v, u, kind, side) for u, v in ends]
+
+
+def _triangles(rows: Iterable[Iterable[tuple[int, int, int]]], side: str,
+               half: str) -> list[Triangle]:
+    """The ``half`` triangle of each cell, from its corners row by row."""
+    return [Triangle(tuple(sorted(corners)), side, i, j, half)
+            for i, row in enumerate(rows, 1) for j, corners in enumerate(row, 1)]
 
 
 def build_pillow(a: int, b: int) -> PillowConfig:
@@ -188,42 +184,46 @@ def build_pillow(a: int, b: int) -> PillowConfig:
     n_vertices = 2 * a * b + 2
     vertices = tuple(range(1, n_vertices + 1))
 
-    line_map: dict[tuple[int, int], Line] = {}
-
-    def add_line(u: int, v: int, kind: str, side: str) -> None:
-        pair = _sorted_pair(u, v)
-        line_map[pair] = Line(pair[0], pair[1], kind, side)
-
     # the shared boundary cycle of 2a + 2b lines
     cycle = list(range(1, 2 * a + 2 * b + 1))
-    for u, v in zip(cycle, cycle[1:] + cycle[:1]):
-        add_line(u, v, BOUNDARY, "shared")
+    keys = _line_keys(zip(cycle, cycle[1:] + cycle[:1]), BOUNDARY, "shared")
 
-    # one pass over the cells in (side, row, col) order, the export order of
-    # the triangles; every line off the boundary cycle is the north line (off
-    # the top row), the west line (off the left column) or the diagonal of
-    # exactly one cell
+    # each side row by row, one comprehension per kind of record over all
+    # its rows: the cells of row i = 1..b lie between position rows i-1
+    # (north) and i (south), cell j between columns j-1 and j.  Every line
+    # off the boundary cycle is a horizontal inside an inner position row, a
+    # vertical between two cells of a row or the diagonal of one cell.  The
+    # triangles come in (side, row, col) order, each cell's lower half first
     triangles: list[Triangle] = []
-    for side, i, j, nw, ne, se, sw in _cells(a, b):
-        if i > 1:
-            add_line(nw, ne, HORIZONTAL, side)
-        if j > 1:
-            add_line(nw, sw, VERTICAL, side)
+    for side in SIDES:
+        rows = grid_rows(a, b, side)
+        cells = list(zip(rows, rows[1:]))
+        keys += _line_keys(chain.from_iterable(zip(r, r[1:]) for r in rows[1:-1]),
+                           HORIZONTAL, side)
+        keys += _line_keys(chain.from_iterable(zip(n[1:-1], s[1:-1]) for n, s in cells),
+                           VERTICAL, side)
         if side == "top":
-            # rising diagonal sw-ne
-            add_line(sw, ne, DIAGONAL, side)
-            lower, upper = (sw, se, ne), (sw, nw, ne)
+            # rising diagonals sw-ne; lower (sw, se, ne), upper (sw, nw, ne)
+            keys += _line_keys(chain.from_iterable(zip(s, n[1:]) for n, s in cells),
+                               DIAGONAL, side)
+            lower = (zip(s, s[1:], n[1:]) for n, s in cells)
+            upper = (zip(s, n, n[1:]) for n, s in cells)
         else:
-            # falling diagonal nw-se
-            add_line(nw, se, DIAGONAL, side)
-            lower, upper = (nw, sw, se), (nw, ne, se)
-        triangles.append(Triangle(tuple(sorted(lower)), side, i, j, "lower"))
-        triangles.append(Triangle(tuple(sorted(upper)), side, i, j, "upper"))
+            # falling diagonals nw-se; lower (nw, sw, se), upper (nw, ne, se)
+            keys += _line_keys(chain.from_iterable(zip(n, s[1:]) for n, s in cells),
+                               DIAGONAL, side)
+            lower = (zip(n, s, s[1:]) for n, s in cells)
+            upper = (zip(n, n[1:], s[1:]) for n, s in cells)
+        triangles += chain.from_iterable(zip(_triangles(lower, side, "lower"),
+                                             _triangles(upper, side, "upper")))
 
-    # endpoint pairs are unique, so sorting the tuple keys orders the lines
-    # exactly as Line's (u, v) ordering would
-    lines = tuple(line_map[pair] for pair in sorted(line_map))
-    return PillowConfig(a, b, vertices, lines, tuple(triangles))
+    # endpoint pairs are unique, so the keys sort by (u, v) alone and no Line
+    # is ever compared; each key then gives way to its validated Line in
+    # place, so the Line can reuse the memory the key frees
+    keys.sort()
+    for k, key in enumerate(keys):
+        keys[k] = Line(*key)
+    return PillowConfig(a, b, vertices, tuple(keys), tuple(triangles))
 
 
 # ---------------------------------------------------------------------------
@@ -233,15 +233,17 @@ def build_pillow(a: int, b: int) -> PillowConfig:
 def incidence_index(c: PillowConfig, stars: bool = True) -> tuple[dict, dict]:
     """One pass over the triangles: the indices of the triangles on each
     line's endpoint pair and, unless ``stars`` is False, on each vertex."""
-    incidence: dict[tuple[int, int], list[int]] = {ln.pair: [] for ln in c.lines}
+    incidence: dict[tuple[int, int], list[int]] = {(u, v): [] for u, v, _, _ in c.lines}
     star: dict[int, list[int]] = {v: [] for v in c.vertices} if stars else {}
     for idx, tri in enumerate(c.triangles):
-        for pair in tri.edge_pairs():
+        p, q, r = tri.vertices  # tri.edge_pairs(), inlined
+        for pair in ((p, q), (p, r), (q, r)):
             if pair in incidence:
                 incidence[pair].append(idx)
-        for v in tri.vertices:
-            if v in star:
-                star[v].append(idx)
+        if stars:
+            for v in tri.vertices:
+                if v in star:
+                    star[v].append(idx)
     return incidence, star
 
 
@@ -333,7 +335,11 @@ def disjoint_pairs_via_degrees(c: PillowConfig) -> int:
     C(m, 2) for each endpoint pair on m lines, since two lines on one pair
     meet at both its ends.  ``Line`` rules out loops, so the count is exact
     for any line list, whatever the vertex list."""
-    degrees = c.line_degrees()
+    return _disjoint_pairs(c, c.line_degrees())
+
+
+def _disjoint_pairs(c: PillowConfig, degrees: Counter[int]) -> int:
+    """The degree route on ``degrees``, the ``line_degrees()`` of ``c``."""
     repeats = Counter(map(itemgetter(0, 1), c.lines))
     return (comb(len(c.lines), 2) - sum(comb(d, 2) for d in degrees.values())
             + sum(comb(m, 2) for m in repeats.values()))
@@ -527,25 +533,25 @@ def config_json_pieces(c: PillowConfig) -> Iterator[str]:
         _json_array(f",\n    {v}" for v in c.vertices),
         (',\n  "lines": ',),
         _json_array(
-            f',\n    {{\n      "u": {ln.u},\n      "v": {ln.v},\n'
-            f'      "kind": {q[ln.kind]},\n      "side": {q[ln.side]}\n    }}'
-            for ln in c.lines
+            f',\n    {{\n      "u": {u},\n      "v": {v},\n'
+            f'      "kind": {q[kind]},\n      "side": {q[side]}\n    }}'
+            for u, v, kind, side in c.lines
         ),
         (',\n  "triangles": ',),
         _json_array(
-            f',\n    {{\n      "v1": {tri.vertices[0]},\n      "v2": {tri.vertices[1]},\n'
-            f'      "v3": {tri.vertices[2]},\n      "side": {q[tri.side]},\n'
-            f'      "row": {tri.row},\n      "col": {tri.col},\n      "half": {q[tri.half]}\n    }}'
-            for tri in c.triangles
+            f',\n    {{\n      "v1": {vs[0]},\n      "v2": {vs[1]},\n'
+            f'      "v3": {vs[2]},\n      "side": {q[side]},\n'
+            f'      "row": {row},\n      "col": {col},\n      "half": {q[half]}\n    }}'
+            for vs, side, row, col, half in c.triangles
         ),
         ("\n}\n",),
     ))
 
 
 def dot_face_pieces(c: PillowConfig) -> Iterator[str]:
-    """The DOT face-adjacency graph in pieces: one node per triangle, one
-    edge per line shared by two."""
-    names = [f'"{tri.name}"' for tri in c.triangles]
+    """The DOT face-adjacency graph in pieces: one node per triangle, named
+    ``<side>_r<row>_c<col>_<half>``, one edge per line shared by two."""
+    names = [f'"{side}_r{row}_c{col}_{half}"' for _, side, row, col, half in c.triangles]
     incidence, _ = incidence_index(c, stars=False)
     # the triangles of each line on exactly two, by endpoint pair
     shared = [on for on in map(incidence.__getitem__, sorted(incidence)) if len(on) == 2]
@@ -571,10 +577,10 @@ def dot_line_pieces(c: PillowConfig) -> Iterator[str]:
         incident[v].append(name)
     return _pieces(chain(
         ("graph line_intersection {",),
-        (f'\n  "L{ln.u}_{ln.v}";' for ln in c.lines),
-        (f"\n  {first} -- {second};"
-         for at_v in incident.values()
-         for idx, first in enumerate(at_v) for second in at_v[idx + 1:]),
+        (f'\n  "L{u}_{v}";' for u, v, _, _ in c.lines),
+        # the edges from each line to the later lines at the vertex, one text
+        (f"\n  {first} -- " + f";\n  {first} -- ".join(at_v[idx:]) + ";"
+         for at_v in incident.values() for idx, first in enumerate(at_v[:-1], 1)),
         ("\n}\n",),
     ))
 

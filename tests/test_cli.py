@@ -1,6 +1,7 @@
 """Command-line interface: outputs, exports, exit codes, determinism."""
 
 import contextlib
+import gc
 import hashlib
 import io
 import json
@@ -300,6 +301,55 @@ class TestExitCodeContract:
         assert code == expected
         assert out == ""
         assert err == f"error: {error}\n"
+
+
+def set_collector(enabled):
+    if enabled:
+        gc.enable()
+    else:
+        gc.disable()
+
+
+class TestCollector:
+    """main turns the cyclic garbage collector off while a command runs and
+    leaves it as the caller had it, whatever the exit code."""
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["enabled", "disabled"])
+    @pytest.mark.parametrize("argv,expected", [
+        (("pillow", "--a", "2", "--b", "2"), 0),
+        (("table", "--a", "2", "--b", "2"), 1),
+        (("verify", "--a", "2..1", "--b", "2"), 2),
+        (("table", "--a", "2", "--b", "2", "--nope"), 2),
+        (("pillow", "--a", "2", "--b", "2", "--export", "json", "--out", "{missing}"), 3),
+    ], ids=["ok", "malformed", "bad-range", "usage", "io"])
+    def test_state_restored(self, capsys, monkeypatch, tmp_path, enabled, argv, expected):
+        if expected == 1:
+            def broken(a, b):
+                raise MalformedComplex("forced: vertex on 4 lines")
+
+            monkeypatch.setattr("pillowdeg.pillow.build_pillow", broken)
+        argv = [arg.format(missing=tmp_path / "missing" / "x.json") for arg in argv]
+        was_enabled = gc.isenabled()
+        try:
+            set_collector(enabled)
+            code = main(argv)
+            after = gc.isenabled()
+        finally:
+            set_collector(was_enabled)
+        capsys.readouterr()
+        assert (code, after) == (expected, enabled)
+
+    def test_off_while_the_command_runs(self, capsys, monkeypatch):
+        seen = []
+        build = pillow.build_pillow
+
+        def watched(a, b):
+            seen.append(gc.isenabled())
+            return build(a, b)
+
+        monkeypatch.setattr("pillowdeg.pillow.build_pillow", watched)
+        assert run_cli(capsys, "pillow", "--a", "2", "--b", "2")[0] == 0
+        assert seen == [False]
 
 
 class TestSizeLimits:

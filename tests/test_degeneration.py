@@ -124,6 +124,20 @@ class TestBuildTable:
         assert by_type["six_points"] == g - 3
         assert by_type["two_points"] == formula_disjoint_pairs(g)
 
+    def test_line_degrees_counted_once(self, monkeypatch):
+        # the census and the 2-point count share one degree count
+        calls = []
+        count = PillowConfig.line_degrees
+
+        def counted(c):
+            calls.append(c)
+            return count(c)
+
+        monkeypatch.setattr(PillowConfig, "line_degrees", counted)
+        table = build_table(build_pillow(3, 4))
+        assert len(calls) == 1
+        assert table.row("two_points").count == formula_disjoint_pairs(table.g)
+
     def test_malformed_complex_rejected(self):
         c = build_pillow(2, 2)
         # dropping a line leaves its endpoints on 2 or 5 lines

@@ -39,6 +39,22 @@ def joined(pieces, c):
     return "".join(pieces(c))
 
 
+def assert_build_invariants(c):
+    """What a built pillow's records must be, whatever order the build
+    makes them in: validated lines in strictly increasing endpoint pairs,
+    6ab of them, and the triangles in (side, row, col) order, lower before
+    upper, each with its vertices sorted."""
+    a, b = c.a, c.b
+    assert all(type(ln) is Line and ln.u < ln.v for ln in c.lines), (a, b)
+    pairs = [ln.pair for ln in c.lines]
+    assert all(p < q for p, q in zip(pairs, pairs[1:])), (a, b)
+    assert len(pairs) == 6 * a * b, (a, b)
+    assert [(t.side, t.row, t.col, t.half) for t in c.triangles] == [
+        (side, i, j, half) for side in ("top", "bottom") for i in range(1, b + 1)
+        for j in range(1, a + 1) for half in ("lower", "upper")], (a, b)
+    assert all(list(t.vertices) == sorted(t.vertices) for t in c.triangles), (a, b)
+
+
 class TestCounts:
     def test_2x2(self):
         c = build_pillow(2, 2)
@@ -89,6 +105,18 @@ class TestLineRecord:
             Line(u, v, "horizontal", "top")
         with pytest.raises(InvalidParameter, match=message):
             Line(1, 4, "horizontal", "top")._replace(u=u, v=v)
+
+    def test_build_validates_every_line(self, monkeypatch):
+        fields = []
+        new = Line.__new__
+
+        def recorded(cls, *args):
+            fields.append(args)
+            return new(cls, *args)
+
+        monkeypatch.setattr(Line, "__new__", recorded)
+        c = build_pillow(4, 3)
+        assert sorted(fields) == [tuple(ln) for ln in c.lines]
 
     def test_replace_keeps_the_record_type(self):
         line = Line(1, 4, "horizontal", "top")._replace(kind="vertical")
@@ -259,6 +287,11 @@ class TestSphereTriangulation:
                 pairs = [ln.pair for ln in c.lines]
                 assert len(pairs) == len(set(pairs)) == 6 * a * b, (a, b)
                 assert len(c.triangles) == 4 * a * b, (a, b)
+                assert_build_invariants(c)
+
+    @pytest.mark.parametrize("a,b", [(2, 8192), (8192, 2), (128, 128)])
+    def test_build_invariants_at_the_cell_limit(self, a, b):
+        assert_build_invariants(build_pillow(a, b))
 
     def test_sides_share_exactly_the_boundary(self):
         c = build_pillow(3, 2)
