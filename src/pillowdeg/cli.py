@@ -17,14 +17,14 @@ check, exits 1; only ``build_table`` raises it, and every table here is
 built from a pillow, so no input reaches it.
 
 Size limits (exit 2 with ``error: ...``): ``pillow`` and ``table`` accept
-a*b up to ``pillow.MAX_PILLOW_CELLS`` = 16384 cells, where the build and
-one linear-time export, written to ``--out`` or stdout in pieces, take
-0.4-1.5 s and peak at 34-67 MB of RSS; ``pillow --verify`` and every
-configuration of ``verify`` accept a*b up to ``pillow.MAX_VERIFY_CELLS`` =
-1024, since the brute-force pair oracle they run is O(E^2) in time and in
-memory, bit-parallel as it is; at that limit ``pillow --verify`` takes
-0.13-0.2 s end to end (2-core host, Python 3.10-3.13).  ``verify``
-checks its largest corner before it starts.
+a*b up to ``pillow.MAX_PILLOW_CELLS`` = 16384 cells; the build and one
+linear-time export take 0.4-1.5 s and peak at 34-67 MB of RSS written in
+pieces to ``--out`` or text stdout, up to 97-103 MB in a ``--format json``
+document, which holds the export whole.  ``pillow --verify`` and each
+``verify`` configuration accept a*b up to ``pillow.MAX_VERIFY_CELLS`` =
+1024: their brute-force pair oracle is O(E^2) in time and memory; at
+that limit ``pillow --verify`` takes 0.13-0.2 s end to end (2-core host,
+Python 3.10-3.13).  ``verify`` checks its largest corner before it starts.
 """
 from __future__ import annotations
 

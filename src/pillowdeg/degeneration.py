@@ -147,14 +147,14 @@ def verify_conservation(table: DegenerationTable) -> Report:
 def verify_configuration(c: pillow.PillowConfig,
                          transpose: pillow.PillowConfig | None = None) -> Report:
     """Every invariant of one configuration: the sphere, pair and stage
-    checks on one ``incidence_index(c)``, conservation, and the isomorphism
-    with ``transpose``, the pillow (b, a), built here unless it is given.
-    Where ``build_table`` raises, one failed check with its message as lhs,
-    ``line_degrees_in_local_models``, replaces conservation."""
+    checks on one line incidence, ``incidence_index(c)``, conservation, and
+    the isomorphism with ``transpose``, the pillow (b, a), built here unless
+    it is given.  Where ``build_table`` raises, one failed check with its
+    message as lhs, ``line_degrees_in_local_models``, replaces conservation."""
     report = Report(f"configuration ({c.a}, {c.b})")
-    index = pillow.incidence_index(c)
-    report.extend(pillow.verify_pillow(c, index))
-    report.extend(pillow.verify_stages(c, index))
+    incidence = pillow.incidence_index(c)
+    report.extend(pillow.verify_pillow(c, incidence))
+    report.extend(pillow.verify_stages(c, incidence))
     try:
         report.extend(verify_conservation(build_table(c)))
     except MalformedComplex as exc:

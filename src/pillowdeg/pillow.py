@@ -45,15 +45,24 @@ VERTICAL = "vertical"
 DIAGONAL = "diagonal"
 
 # Size guards on the cell count a*b.  The build and each export are linear:
-# at the build limit one `pillow --export` invocation takes 0.4-1.5 s and
-# peaks at 34-67 MB of RSS (2-core host, Python 3.10-3.13).  The exports
-# are written in pieces, so the build's own 36 MB (Python 3.11) and the
-# DOT face graph's line index set that peak.  verify_pillow runs the
-# brute-force pair oracle, whose pair tests and per-vertex edge masks both
-# grow as E^2: at the verify limit (E = 6144) it takes 8-12 ms and at most
-# 1.3 MB, and verify_pillow as a whole 0.03-0.07 s, on the same host.
+# at the build limit one `pillow --export` takes 0.4-1.5 s and peaks at
+# 34-67 MB of RSS written in pieces to --out or text stdout, set by the
+# build's own 36 MB (Python 3.11) and the DOT face graph's line index; a
+# --format json document holds the export whole and peaks at 97-103 MB for
+# the JSON export or DOT line graph (2-core host, Python 3.10-3.13).
+# verify_pillow runs the brute-force pair oracle, whose pair tests and
+# per-vertex edge masks both grow as E^2: at the verify limit (E = 6144) it
+# takes 8-12 ms and at most 1.3 MB, and verify_pillow 0.03-0.07 s, same host.
 MAX_PILLOW_CELLS = 16384
 MAX_VERIFY_CELLS = 1024
+
+
+def _check_bidegree(a: int, b: int) -> None:
+    if a < 2 or b < 2:
+        raise InvalidParameter(f"bidegree parameters must both be >= 2, got ({a}, {b})")
+    if a * b > MAX_PILLOW_CELLS:
+        raise InvalidParameter(f"bidegree ({a}, {b}) has a*b = {a * b} cells, "
+                               f"above the limit {MAX_PILLOW_CELLS}")
 
 
 class Line(namedtuple("Line", "u v kind side")):
@@ -104,15 +113,14 @@ class PillowConfig(namedtuple("PillowConfig", "a b vertices lines triangles")):
     An immutable tuple like every record of the package: a changed copy is
     ``c._replace(lines=...)``.  The label of each grid position is not
     stored: ``grid_rows(a, b, side)`` derives it from the bidegree.
-    Construction and ``_replace`` both reject a or b below 2, so ``g`` is
-    always defined; nothing checks the other fields against each other.
+    Construction and ``_replace`` reject what ``build_pillow`` rejects, so
+    ``g`` is always defined; nothing checks the other fields together.
     """
 
     __slots__ = ()
 
     def __new__(cls, a: int, b: int, vertices, lines, triangles) -> PillowConfig:
-        if a < 2 or b < 2:
-            raise InvalidParameter(f"bidegree parameters must both be >= 2, got ({a}, {b})")
+        _check_bidegree(a, b)
         return tuple.__new__(cls, (a, b, vertices, lines, triangles))
 
     @classmethod
@@ -174,13 +182,7 @@ def _triangles(rows: Iterable[Iterable[tuple[int, int, int]]], side: str,
 def build_pillow(a: int, b: int) -> PillowConfig:
     """Construct the pillow configuration of bidegree (a, b), for
     2 <= a, b and a*b <= MAX_PILLOW_CELLS."""
-    if a < 2 or b < 2:
-        raise InvalidParameter(f"bidegree parameters must both be >= 2, got ({a}, {b})")
-    if a * b > MAX_PILLOW_CELLS:
-        raise InvalidParameter(
-            f"bidegree ({a}, {b}) has a*b = {a * b} cells, above the limit {MAX_PILLOW_CELLS}"
-        )
-
+    _check_bidegree(a, b)
     n_vertices = 2 * a * b + 2
     vertices = tuple(range(1, n_vertices + 1))
 
@@ -230,24 +232,19 @@ def build_pillow(a: int, b: int) -> PillowConfig:
 # Verification.
 
 
-def incidence_index(c: PillowConfig, stars: bool = True) -> tuple[dict, dict]:
-    """One pass over the triangles: the indices of the triangles on each
-    line's endpoint pair and, unless ``stars`` is False, on each vertex."""
+def incidence_index(c: PillowConfig) -> dict[tuple[int, int], list[int]]:
+    """One pass over the triangles: each line's endpoint pair to the indices
+    of the triangles on that line, built once per verified configuration."""
     incidence: dict[tuple[int, int], list[int]] = {(u, v): [] for u, v, _, _ in c.lines}
-    star: dict[int, list[int]] = {v: [] for v in c.vertices} if stars else {}
     for idx, tri in enumerate(c.triangles):
         p, q, r = tri.vertices  # tri.edge_pairs(), inlined
         for pair in ((p, q), (p, r), (q, r)):
             if pair in incidence:
                 incidence[pair].append(idx)
-        if stars:
-            for v in tri.vertices:
-                if v in star:
-                    star[v].append(idx)
-    return incidence, star
+    return incidence
 
 
-def verify_sphere_triangulation(c: PillowConfig, index: tuple | None = None) -> Report:
+def verify_sphere_triangulation(c: PillowConfig, incidence: dict | None = None) -> Report:
     """Check that the configuration triangulates the 2-sphere.
 
     Reported checks: every line in exactly two triangles; every vertex
@@ -255,12 +252,16 @@ def verify_sphere_triangulation(c: PillowConfig, index: tuple | None = None) -> 
     characteristic 2; and the vertex census (the four corners on exactly
     three lines and three triangles, every other vertex on six).
 
-    The line incidence and the vertex stars come from one pass over the
-    triangles, ``incidence_index(c)`` unless ``index`` is given, so the
-    check is linear in the size of ``c``.
+    The line incidence is ``incidence``, else ``incidence_index(c)``; the
+    vertex stars take one more pass, so the check is linear in ``c``.
     """
     report = Report(f"sphere triangulation, bidegree ({c.a}, {c.b})")
-    incidence, star = index or incidence_index(c)
+    incidence = incidence_index(c) if incidence is None else incidence
+    star: dict[int, list[int]] = {v: [] for v in c.vertices}
+    for idx, tri in enumerate(c.triangles):
+        for v in tri.vertices:
+            if v in star:
+                star[v].append(idx)
 
     bad_lines = sum(1 for tris in incidence.values() if len(tris) != 2)
     report.add("line_in_two_triangles", bad_lines, 0)
@@ -355,19 +356,19 @@ def formula_disjoint_pairs(g: int) -> int:
     return (9 * g * g - 51 * g + 78) // 2
 
 
-def verify_pillow(c: PillowConfig, index: tuple | None = None) -> Report:
-    """The sphere checks, passed ``index`` when given, then the brute-force
-    disjoint-pair count against the closed form and against the degree
-    route.  The brute force tests every line pair, bit-parallel but still
-    O(E^2), and assumes nothing of the lines it is given; a*b above
-    MAX_VERIFY_CELLS raises InvalidParameter."""
+def verify_pillow(c: PillowConfig, incidence: dict | None = None) -> Report:
+    """The sphere checks, passed ``incidence`` when given, then the
+    brute-force disjoint-pair count against the closed form and against
+    the degree route.  The brute force tests every line pair, bit-parallel
+    but still O(E^2), and assumes nothing of the lines it is given; a*b
+    above MAX_VERIFY_CELLS raises InvalidParameter."""
     if c.a * c.b > MAX_VERIFY_CELLS:
         raise InvalidParameter(
             f"verifying bidegree ({c.a}, {c.b}) runs the O(E^2) pair oracle; "
             f"a*b = {c.a * c.b} is above the limit {MAX_VERIFY_CELLS}"
         )
     report = Report(f"pillow ({c.a}, {c.b})")
-    report.extend(verify_sphere_triangulation(c, index))
+    report.extend(verify_sphere_triangulation(c, incidence))
     brute = count_disjoint_line_pairs(c)
     report.add("disjoint_pairs_brute_vs_formula", brute, formula_disjoint_pairs(c.g))
     report.add("disjoint_pairs_brute_vs_degree_method", brute, disjoint_pairs_via_degrees(c))
@@ -378,10 +379,10 @@ def verify_pillow(c: PillowConfig, index: tuple | None = None) -> Report:
 # Intermediate degeneration stages.
 
 
-def verify_stages(c: PillowConfig, index: tuple | None = None) -> Report:
+def verify_stages(c: PillowConfig, incidence: dict | None = None) -> Report:
     """Contracts of the intermediate stages, each a grouping of the
     triangles of ``c``.  The 2ab quadrics group them by (side, row, col):
-    a line on exactly two triangles of one quadric, by ``index`` if given,
+    a line on exactly two triangles of one quadric, by ``incidence`` if given,
     is its diagonal, and each of the other lines of ``c``, 4ab of them, must
     lie on triangles of exactly two quadrics.  The two surfaces are the
     vertices of the triangles on each side: they must have the expected
@@ -390,7 +391,7 @@ def verify_stages(c: PillowConfig, index: tuple | None = None) -> Report:
     a, b = c.a, c.b
     report = Report(f"stages, bidegree ({a}, {b})")
     quadric = [(tri.side, tri.row, tri.col) for tri in c.triangles]
-    incidence = (index or incidence_index(c, stars=False))[0]
+    incidence = incidence_index(c) if incidence is None else incidence
     # the triangles of each quadric line, a line of c not inside one quadric
     outer = [tris for tris in (incidence[ln.pair] for ln in c.lines)
              if len(tris) != 2 or quadric[tris[0]] != quadric[tris[1]]]
@@ -416,9 +417,8 @@ def verify_stages(c: PillowConfig, index: tuple | None = None) -> Report:
 def transpose_map(a: int, b: int) -> dict[int, int]:
     """Vertex bijection sending grid position (side, i, j) of the pillow of
     bidegree (a, b) to (side, j, i) of the pillow of bidegree (b, a), read
-    off ``grid_rows`` alone; a or b below 2 raises InvalidParameter."""
-    if a < 2 or b < 2:
-        raise InvalidParameter(f"bidegree parameters must both be >= 2, got ({a}, {b})")
+    off ``grid_rows`` alone; it raises where ``build_pillow`` raises."""
+    _check_bidegree(a, b)
     mapping: dict[int, int] = {}
     for side in SIDES:
         rows_t = grid_rows(b, a, side)
@@ -552,7 +552,7 @@ def dot_face_pieces(c: PillowConfig) -> Iterator[str]:
     """The DOT face-adjacency graph in pieces: one node per triangle, named
     ``<side>_r<row>_c<col>_<half>``, one edge per line shared by two."""
     names = [f'"{side}_r{row}_c{col}_{half}"' for _, side, row, col, half in c.triangles]
-    incidence, _ = incidence_index(c, stars=False)
+    incidence = incidence_index(c)
     # the triangles of each line on exactly two, by endpoint pair
     shared = [on for on in map(incidence.__getitem__, sorted(incidence)) if len(on) == 2]
     return _pieces(chain(

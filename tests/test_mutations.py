@@ -284,8 +284,8 @@ class TestMutatedPillows:
             [*CONSERVATION_CHECKS, "transpose_isomorphism"],
             ["line_degrees_in_local_models", "transpose_isomorphism"],
         )
-        index = incidence_index(c)
-        sections = verify_pillow(c, index).checks + verify_stages(c, index).checks
+        incidence = incidence_index(c)
+        sections = verify_pillow(c, incidence).checks + verify_stages(c, incidence).checks
         assert report.checks[:len(head)] == sections
         try:
             table = build_table(c)
@@ -354,10 +354,14 @@ class TestMutatedPillows:
     @given(mutant=mutants())
     def test_link_walk_matches_the_oracles(self, mutant):
         # the walk over each vertex's link counts the vertices whose
-        # triangles the copied check fails to glue into one cycle, and the
-        # report does not depend on who built the index
+        # triangles the copied check fails to glue into one cycle, the index
+        # is the copied line incidence, and neither the sphere nor the stage
+        # report depends on who built the index
         c = mutant[1]
-        report = verify_sphere_triangulation(c, incidence_index(c))
+        incidence = incidence_index(c)
+        assert incidence == _incidence_and_stars(c)[0]
+        report = verify_sphere_triangulation(c, incidence)
         assert report["vertex_link_single_cycle"].lhs == bad_links(c)
         assert report["face_adjacency_connected"].lhs == face_components(c)
         assert report.checks == verify_sphere_triangulation(c).checks
+        assert verify_stages(c).checks == verify_stages(c, incidence).checks

@@ -1,6 +1,7 @@
 """Pillow complex construction, labeling, verification, and exports."""
 
 import json
+import re
 
 import pytest
 from test_cli import EXPORT_DIGESTS, sha256
@@ -437,10 +438,18 @@ class TestTransposeIsomorphism:
         mapping = transpose_map(a, b)
         assert is_complex_isomorphism(c, ct, mapping)
 
-    @pytest.mark.parametrize("a,b", [(3, 0), (1, 2)])
+    @pytest.mark.parametrize("a,b", [(3, 0), (1, 2), (129, 128), (2, 8193)])
     def test_transpose_rejects_a_bidegree_below_two(self, a, b):
-        with pytest.raises(InvalidParameter, match="must both be >= 2"):
+        # or above the cell limit, before any label is laid out: the one
+        # bidegree rule, with the message build_pillow and the record give
+        message = "must both be >= 2" if min(a, b) < 2 else "cells, above the limit"
+        with pytest.raises(InvalidParameter, match=message) as raised:
             transpose_map(a, b)
+        exact = f"^{re.escape(str(raised.value))}$"
+        with pytest.raises(InvalidParameter, match=exact):
+            build_pillow(a, b)
+        with pytest.raises(InvalidParameter, match=exact):
+            build_pillow(2, 2)._replace(a=a, b=b)
 
     @pytest.mark.parametrize("a", range(2, 7))
     @pytest.mark.parametrize("b", range(2, 7))
