@@ -18,7 +18,7 @@ built from a pillow, so no input reaches it.
 
 Size limits (exit 2 with ``error: ...``): ``pillow`` and ``table`` accept
 a*b up to ``pillow.MAX_PILLOW_CELLS`` = 16384 cells; the build and one
-linear-time export take 0.4-1.5 s and peak at 34-67 MB of RSS written in
+linear-time export take 0.4-1.5 s and peak at 34-62 MB of RSS written in
 pieces to ``--out`` or text stdout, up to 97-103 MB in a ``--format json``
 document, which holds the export whole.  ``pillow --verify`` and each
 ``verify`` configuration accept a*b up to ``pillow.MAX_VERIFY_CELLS`` =

@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from collections import Counter, namedtuple
 from collections.abc import Iterable, Iterator
-from itertools import chain
+from itertools import chain, pairwise, starmap
 from math import comb
-from operator import itemgetter
+from operator import itemgetter, lt
 from typing import NamedTuple
 
 from . import pairs
@@ -46,10 +46,12 @@ DIAGONAL = "diagonal"
 
 # Size guards on the cell count a*b.  The build and each export are linear:
 # at the build limit one `pillow --export` takes 0.4-1.5 s and peaks at
-# 34-67 MB of RSS written in pieces to --out or text stdout, set by the
-# build's own 36 MB (Python 3.11) and the DOT face graph's line index; a
-# --format json document holds the export whole and peaks at 97-103 MB for
-# the JSON export or DOT line graph (2-core host, Python 3.10-3.13).
+# 34-62 MB of RSS written in pieces to --out or text stdout, set by the
+# build's own 36 MB (Python 3.11) and, at the top, the DOT face graph, which
+# frees its line index before it renders the triangle names (56-62 MB, 59 MB
+# at (128, 128) on Python 3.11); a --format json document holds the export
+# whole and peaks at 97-103 MB for the JSON export or DOT line graph (2-core
+# host, Python 3.10-3.13).
 # verify_pillow runs the brute-force pair oracle, whose pair tests and
 # per-vertex edge masks both grow as E^2: at the verify limit (E = 6144) it
 # takes 8-12 ms and at most 1.3 MB, and verify_pillow 0.03-0.07 s, same host.
@@ -335,15 +337,26 @@ def disjoint_pairs_via_degrees(c: PillowConfig) -> int:
     the meeting pairs.  Those number sum over vertices of C(degree, 2), less
     C(m, 2) for each endpoint pair on m lines, since two lines on one pair
     meet at both its ends.  ``Line`` rules out loops, so the count is exact
-    for any line list, whatever the vertex list."""
+    for any line list, whatever the vertex list.  When the endpoint pairs
+    strictly increase, as ``build_pillow`` sorts them, none repeats and the
+    repeated pairs are not counted."""
     return _disjoint_pairs(c, c.line_degrees())
 
 
 def _disjoint_pairs(c: PillowConfig, degrees: Counter[int]) -> int:
-    """The degree route on ``degrees``, the ``line_degrees()`` of ``c``."""
-    repeats = Counter(map(itemgetter(0, 1), c.lines))
-    return (comb(len(c.lines), 2) - sum(comb(d, 2) for d in degrees.values())
-            + sum(comb(m, 2) for m in repeats.values()))
+    """The degree route on ``degrees``, the ``line_degrees()`` of ``c``.
+
+    One streaming pass first tests whether the endpoint pairs strictly
+    increase, holding two pairs at a time; if they do, no pair repeats and
+    the C(m, 2) term is 0.  Only a line list that fails the test, or whose
+    labels do not compare, has its pairs counted in a ``Counter``."""
+    try:
+        increasing = all(starmap(lt, pairwise(map(itemgetter(0, 1), c.lines))))
+    except TypeError:
+        increasing = False
+    repeated = 0 if increasing else sum(
+        comb(m, 2) for m in Counter(map(itemgetter(0, 1), c.lines)).values())
+    return comb(len(c.lines), 2) - sum(comb(d, 2) for d in degrees.values()) + repeated
 
 
 def formula_disjoint_pairs(g: int) -> int:
@@ -551,10 +564,12 @@ def config_json_pieces(c: PillowConfig) -> Iterator[str]:
 def dot_face_pieces(c: PillowConfig) -> Iterator[str]:
     """The DOT face-adjacency graph in pieces: one node per triangle, named
     ``<side>_r<row>_c<col>_<half>``, one edge per line shared by two."""
-    names = [f'"{side}_r{row}_c{col}_{half}"' for _, side, row, col, half in c.triangles]
     incidence = incidence_index(c)
-    # the triangles of each line on exactly two, by endpoint pair
+    # the triangles of each line on exactly two, by endpoint pair; the index
+    # is freed before the names are rendered, so they reuse its memory
     shared = [on for on in map(incidence.__getitem__, sorted(incidence)) if len(on) == 2]
+    del incidence
+    names = [f'"{side}_r{row}_c{col}_{half}"' for _, side, row, col, half in c.triangles]
     return _pieces(chain(
         ("graph face_adjacency {",),
         (f"\n  {name};" for name in names),

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import pytest
 from test_cli import EXPORT_DIGESTS, sha256
@@ -29,7 +30,7 @@ from pillowdeg import (
     verify_pillow,
     verify_sphere_triangulation,
 )
-from pillowdeg.pillow import MAX_PILLOW_CELLS, MAX_VERIFY_CELLS, PIECE_CHARS
+from pillowdeg.pillow import MAX_PILLOW_CELLS, MAX_VERIFY_CELLS, PIECE_CHARS, incidence_index
 
 
 def reference_json(c):
@@ -38,6 +39,22 @@ def reference_json(c):
 
 def joined(pieces, c):
     return "".join(pieces(c))
+
+
+def traced_peak(call):
+    """The most memory, in bytes, that ``call()`` holds at once above what
+    was held when it started, under ``tracemalloc``."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
 
 
 def assert_build_invariants(c):
@@ -335,6 +352,24 @@ class TestDisjointPairs:
         # its two copies with the 16 lines that miss both of its ends
         tripled = c._replace(lines=c.lines + (line, line))
         assert disjoint_pairs_via_degrees(tripled) == count_disjoint_line_pairs(tripled) == 206
+        # the lines reversed: no pair repeats, though the pairs fall
+        reversed_ = c._replace(lines=c.lines[::-1])
+        assert disjoint_pairs_via_degrees(reversed_) == count_disjoint_line_pairs(reversed_) == 174
+        # a copy of a middle line at the end, not next to its twin: 174 plus
+        # the 16 lines that miss both of its ends
+        copied = c._replace(lines=c.lines + (c.lines[9],))
+        assert disjoint_pairs_via_degrees(copied) == count_disjoint_line_pairs(copied) == 190
+        # int and str labels do not compare, so the repeated str line is
+        # found without the order: 174 plus each copy against the 24 lines
+        mixed = c._replace(lines=c.lines + (Line("p", "q", "horizontal", "top"),) * 2)
+        assert disjoint_pairs_via_degrees(mixed) == count_disjoint_line_pairs(mixed) == 222
+
+    def test_degree_route_holds_no_pair_per_line(self):
+        # on strictly increasing endpoint pairs the route holds the degree
+        # count and no more: no dict keyed by the E pairs
+        c = build_pillow(32, 32)
+        degrees = traced_peak(c.line_degrees)
+        assert traced_peak(lambda: disjoint_pairs_via_degrees(c)) <= degrees + 32 * 1024
 
     @pytest.mark.parametrize("operation", [
         verify_pillow, verify_configuration, disjoint_pairs_via_degrees, build_table,
@@ -557,6 +592,16 @@ class TestExports:
         assert len(nodes) == 4 * 3 * 3
         assert len(edges) == 6 * 3 * 3
         assert '"top_r1_c1_lower"' in dot
+
+    def test_dot_face_names_reuse_the_freed_index(self):
+        # the line index is reduced to its shared lists and freed before the
+        # triangle names are rendered, so the two never peak together
+        c = build_pillow(32, 32)
+        index = traced_peak(lambda: incidence_index(c))
+        names = traced_peak(lambda: [f'"{side}_r{row}_c{col}_{half}"'
+                                     for _, side, row, col, half in c.triangles])
+        # all() drains the pieces, each a non-empty string, holding one at a time
+        assert traced_peak(lambda: all(dot_face_pieces(c))) < index + names
 
     def test_dot_line_intersection_counts(self):
         c = build_pillow(2, 2)
