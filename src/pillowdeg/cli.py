@@ -18,9 +18,9 @@ built from a pillow, so no input reaches it.
 
 Size limits (exit 2 with ``error: ...``): ``pillow`` and ``table`` accept
 a*b up to ``pillow.MAX_PILLOW_CELLS`` = 16384 cells; the build and one
-linear-time export take 0.4-1.5 s and peak at 34-62 MB of RSS written in
-pieces to ``--out`` or text stdout, up to 97-103 MB in a ``--format json``
-document, which holds the export whole.  ``pillow --verify`` and each
+linear-time export take 0.4-1.5 s and peak at 34-52 MB of RSS, written in
+pieces to ``--out``, to text stdout or inside a ``--format json``
+document alike.  ``pillow --verify`` and each
 ``verify`` configuration accept a*b up to ``pillow.MAX_VERIFY_CELLS`` =
 1024: their brute-force pair oracle is O(E^2) in time and memory; at
 that limit ``pillow --verify`` takes 0.13-0.2 s end to end (2-core host,
@@ -31,6 +31,7 @@ from __future__ import annotations
 import argparse
 import gc
 import sys
+from collections.abc import Iterable
 
 from . import degeneration, pillow, surfaces
 from .checks import Check
@@ -42,21 +43,43 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
+# stands in for the export in a rendered document: only the command, its
+# parameters and the summary come before the export, and no argument can
+# hold a NUL, so the mark's first match is its place
+_EXPORT_MARK = "\0export\0"
+
+
 def _finish(args, payload: dict, checks: list[Check],
-            artifacts: tuple[str, ...] = ()) -> int:
+            artifacts: tuple[str, ...] = (), export: Iterable[str] | None = None) -> int:
     """The exit code of one invocation: 0 when every check passed, else 1.
     Under ``--format json`` it also writes the invocation's one JSON
-    document: command, ``_parameters(args)``, the payload's keys, checks,
-    all_passed, artifacts and exit_code, in that order."""
+    document: command, ``_parameters(args)``, the payload's keys, the text
+    of the ``export`` pieces if given, checks, all_passed, artifacts and
+    exit_code, in that order.
+
+    The export is written as it is rendered: the document is rendered with
+    a mark in its place and split there, and each piece is written between
+    the two halves as the content of its own JSON string.  JSON escapes
+    each character on its own, so the bytes are those of the document that
+    holds the whole export, which is never held."""
     passed = all(c.passed for c in checks)
     code = EXIT_OK if passed else EXIT_CHECK_FAILED
     if args.format == "json":
         import json
 
-        doc = {"command": args.command, "parameters": _parameters(args), **payload,
-               "checks": [c.as_dict() for c in checks], "all_passed": passed,
-               "artifacts": list(artifacts), "exit_code": code}
-        sys.stdout.write(json.dumps(doc, indent=2) + "\n")
+        doc = {"command": args.command, "parameters": _parameters(args), **payload}
+        if export is not None:
+            doc["export"] = _EXPORT_MARK
+        doc.update({"checks": [c.as_dict() for c in checks], "all_passed": passed,
+                    "artifacts": list(artifacts), "exit_code": code})
+        text = json.dumps(doc, indent=2) + "\n"
+        if export is None:
+            sys.stdout.write(text)
+        else:
+            head, _, tail = text.partition(json.dumps(_EXPORT_MARK)[1:-1])
+            sys.stdout.write(head)
+            sys.stdout.writelines(json.dumps(piece)[1:-1] for piece in export)
+            sys.stdout.write(tail)
     return code
 
 
@@ -126,6 +149,7 @@ def cmd_pillow(args) -> int:
             pieces = pillow.dot_line_pieces(c)
         else:
             pieces = pillow.dot_face_pieces(c)
+    export = None
     if pieces is not None:
         if args.out is not None:
             with open(args.out, "w") as f:
@@ -133,11 +157,11 @@ def cmd_pillow(args) -> int:
             artifacts = (args.out,)
         elif args.format == "json":
             # keep stdout a single JSON document
-            payload["export"] = "".join(pieces)
+            export = pieces
         else:
             sys.stdout.writelines(pieces)
 
-    code = _finish(args, payload, checks, artifacts)
+    code = _finish(args, payload, checks, artifacts, export)
     if args.format == "text" and (args.export is None or args.out is not None):
         print(
             f"pillow ({c.a}, {c.b}): V={len(c.vertices)} E={len(c.lines)} "

@@ -26,11 +26,11 @@ of coordinate points intersect precisely when the pairs overlap.
 """
 from __future__ import annotations
 
-from collections import Counter, namedtuple
-from collections.abc import Iterable, Iterator
+from collections import Counter, defaultdict, namedtuple
+from collections.abc import Iterable, Iterator, Sequence
 from itertools import chain, pairwise, starmap
 from math import comb
-from operator import itemgetter, lt
+from operator import attrgetter, itemgetter, lt
 from typing import NamedTuple
 
 from . import pairs
@@ -46,12 +46,10 @@ DIAGONAL = "diagonal"
 
 # Size guards on the cell count a*b.  The build and each export are linear:
 # at the build limit one `pillow --export` takes 0.4-1.5 s and peaks at
-# 34-62 MB of RSS written in pieces to --out or text stdout, set by the
-# build's own 36 MB (Python 3.11) and, at the top, the DOT face graph, which
-# frees its line index before it renders the triangle names (56-62 MB, 59 MB
-# at (128, 128) on Python 3.11); a --format json document holds the export
-# whole and peaks at 97-103 MB for the JSON export or DOT line graph (2-core
-# host, Python 3.10-3.13).
+# 34-52 MB of RSS, written in pieces to --out, to text stdout or inside a
+# --format json document alike.  The build's own 34-37 MB sets it, and at
+# the top the DOT face graph, which builds no line index (45-52 MB, 48 MB at
+# (128, 128) on Python 3.11; 2-core host, Python 3.10-3.13).
 # verify_pillow runs the brute-force pair oracle, whose pair tests and
 # per-vertex edge masks both grow as E^2: at the verify limit (E = 6144) it
 # takes 8-12 ms and at most 1.3 MB, and verify_pillow 0.03-0.07 s, same host.
@@ -346,17 +344,23 @@ def disjoint_pairs_via_degrees(c: PillowConfig) -> int:
 def _disjoint_pairs(c: PillowConfig, degrees: Counter[int]) -> int:
     """The degree route on ``degrees``, the ``line_degrees()`` of ``c``.
 
-    One streaming pass first tests whether the endpoint pairs strictly
-    increase, holding two pairs at a time; if they do, no pair repeats and
-    the C(m, 2) term is 0.  Only a line list that fails the test, or whose
-    labels do not compare, has its pairs counted in a ``Counter``."""
-    try:
-        increasing = all(starmap(lt, pairwise(map(itemgetter(0, 1), c.lines))))
-    except TypeError:
-        increasing = False
-    repeated = 0 if increasing else sum(
+    When the endpoint pairs strictly increase, by ``_increasing``, no pair
+    repeats and the C(m, 2) term is 0.  Only a line list that fails the
+    test, or whose labels do not compare, has its pairs counted in a
+    ``Counter``."""
+    repeated = 0 if _increasing(map(itemgetter(0, 1), c.lines)) else sum(
         comb(m, 2) for m in Counter(map(itemgetter(0, 1), c.lines)).values())
     return comb(len(c.lines), 2) - sum(comb(d, 2) for d in degrees.values()) + repeated
+
+
+def _increasing(items: Iterable) -> bool:
+    """Whether ``items``, such as the endpoint pairs of a line list,
+    strictly increase, tested in one streaming pass that holds two items
+    at a time.  Items that do not compare count as not increasing."""
+    try:
+        return all(starmap(lt, pairwise(items)))
+    except TypeError:
+        return False
 
 
 def formula_disjoint_pairs(g: int) -> int:
@@ -563,39 +567,118 @@ def config_json_pieces(c: PillowConfig) -> Iterator[str]:
 
 def dot_face_pieces(c: PillowConfig) -> Iterator[str]:
     """The DOT face-adjacency graph in pieces: one node per triangle, named
-    ``<side>_r<row>_c<col>_<half>``, one edge per line shared by two."""
-    incidence = incidence_index(c)
-    # the triangles of each line on exactly two, by endpoint pair; the index
-    # is freed before the names are rendered, so they reuse its memory
-    shared = [on for on in map(incidence.__getitem__, sorted(incidence)) if len(on) == 2]
-    del incidence
-    names = [f'"{side}_r{row}_c{col}_{half}"' for _, side, row, col, half in c.triangles]
+    ``<side>_r<row>_c<col>_<half>``, one edge per line on exactly two
+    triangles, in endpoint-pair order.
+
+    No line index is built.  A triangle (p, q, r) lies on the pairs (p, q),
+    (p, r) and (q, r), so it is listed at p and at q, the first endpoints of
+    its pairs: two entries per triangle.  The line pairs are then walked one
+    first endpoint at a time, each reading the triangles listed there: in
+    ``c.lines`` order when they strictly increase, as ``build_pillow``
+    sorts them, and else sorted without repeats."""
+    triangles = c.triangles
+    starts: defaultdict[object, list[int]] = defaultdict(list)
+    for idx, (p, q, _) in enumerate(map(attrgetter("vertices"), triangles)):
+        starts[p].append(idx)
+        if q != p:
+            starts[q].append(idx)
+    names = [f'"{side}_r{row}_c{col}_{half}"' for _, side, row, col, half in triangles]
+    pairs = map(itemgetter(0, 1), c.lines)
+    if not _increasing(map(itemgetter(0, 1), c.lines)):
+        pairs = sorted(dict.fromkeys(pairs))
     return _pieces(chain(
         ("graph face_adjacency {",),
         (f"\n  {name};" for name in names),
-        (f"\n  {names[i]} -- {names[j]};" for i, j in shared),
+        (f"\n  {names[i]} -- {names[j]};" for i, j in _shared_lines(triangles, starts, pairs)),
         ("\n}\n",),
     ))
+
+
+def _shared_lines(triangles: Sequence[Triangle], starts: dict[object, list[int]],
+                  pairs: Iterable[tuple]) -> Iterator[list[int]]:
+    """The triangles, by index, of each of ``pairs`` that lies on exactly
+    two, read from ``starts``, the triangles listed at each pair's first
+    endpoint.  The pairs come grouped by first endpoint, and each group
+    reads the other vertices of its triangles once, in index order.  A
+    yielded list is valid until the next one is asked for."""
+    here, on = object(), defaultdict(list)
+    for u, v in pairs:
+        if u != here:
+            here = u
+            on.clear()
+            for idx in starts.get(u, ()):
+                p, q, r = triangles[idx].vertices
+                if p == u:
+                    on[q].append(idx)
+                    on[r].append(idx)
+                if q == u:
+                    on[r].append(idx)
+        tris = on.get(v, ())
+        if len(tris) == 2:
+            yield tris
 
 
 def dot_line_pieces(c: PillowConfig) -> Iterator[str]:
     """The DOT line-intersection graph in pieces: one node per line, one
     edge per pair of lines meeting in a vertex, each vertex listing its
     lines by endpoint pair.  The vertices come in ``line_degrees`` order:
-    the vertex list, then any endpoint outside it."""
-    incident: dict[int, list[str]] = {v: [] for v in c.line_degrees()}
-    # sorted by endpoint pair, stably: a line's name is a function of its
-    # pair, so the order of lines sharing a pair does not show
-    for u, v, _, _ in sorted(c.lines, key=itemgetter(0, 1)):
-        name = f'"L{u}_{v}"'
-        incident[u].append(name)
-        incident[v].append(name)
+    the vertex list, then any endpoint outside it.
+
+    When the complex is in vertex order, as ``build_pillow`` gives, the
+    names are rendered as the vertices are walked and each is held only
+    from its line's first endpoint to its second; any other complex has
+    the names of all its lines rendered first."""
+    lines = c.lines
+    if _in_vertex_order(c.vertices, lines):
+        at_vertices = _names_at_sorted_vertices(c.vertices, lines)
+    else:
+        incident: dict[int, list[str]] = {v: [] for v in c.line_degrees()}
+        # sorted by endpoint pair, stably: a line's name is a function of its
+        # pair, so the order of lines sharing a pair does not show
+        for u, v, _, _ in sorted(lines, key=itemgetter(0, 1)):
+            name = f'"L{u}_{v}"'
+            incident[u].append(name)
+            incident[v].append(name)
+        at_vertices = incident.values()
     return _pieces(chain(
         ("graph line_intersection {",),
-        (f'\n  "L{u}_{v}";' for u, v, _, _ in c.lines),
+        (f'\n  "L{u}_{v}";' for u, v, _, _ in lines),
         # the edges from each line to the later lines at the vertex, one text
         (f"\n  {first} -- " + f";\n  {first} -- ".join(at_v[idx:]) + ";"
-         for at_v in incident.values() for idx, first in enumerate(at_v[:-1], 1)),
+         for at_v in at_vertices for idx, first in enumerate(at_v[:-1], 1)),
         ("\n}\n",),
     ))
 
+
+def _in_vertex_order(vertices: Sequence, lines: Sequence[tuple]) -> bool:
+    """Whether the vertices and the endpoint pairs both strictly increase,
+    every line has u < v and every endpoint is a vertex.  Then the lines at
+    a vertex, by endpoint pair, are those ending there and then those
+    starting there.  Labels that do not compare or hash fail."""
+    try:
+        if not (_increasing(vertices) and _increasing(map(itemgetter(0, 1), lines))
+                and all(map(lt, map(itemgetter(0), lines), map(itemgetter(1), lines)))):
+            return False
+        labels = set(vertices)
+        return (labels.issuperset(map(itemgetter(0), lines))
+                and labels.issuperset(map(itemgetter(1), lines)))
+    except TypeError:
+        return False
+
+
+def _names_at_sorted_vertices(vertices: Iterable, lines: Iterable[tuple]) -> Iterator[list[str]]:
+    """The names of the lines at each of ``vertices`` by endpoint pair, for
+    a complex in vertex order (``_in_vertex_order``): the lines ending at a
+    vertex, named at their first endpoints, then the lines starting there."""
+    ending: defaultdict[object, list[str]] = defaultdict(list)
+    lines = iter(lines)
+    line = next(lines, None)
+    for w in vertices:
+        at_w = ending.pop(w, [])
+        while line is not None and line[0] == w:
+            u, v, _, _ = line
+            name = f'"L{u}_{v}"'
+            at_w.append(name)
+            ending[v].append(name)
+            line = next(lines, None)
+        yield at_w

@@ -9,13 +9,15 @@ import re
 import subprocess
 import sys
 import time
+import tracemalloc
+from argparse import Namespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from pillowdeg import pillow
 from pillowdeg.checks import Report
-from pillowdeg.cli import main
+from pillowdeg.cli import _finish, main
 from pillowdeg.errors import MalformedComplex, PillowDegError
 
 
@@ -476,6 +478,22 @@ def sha256(text):
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def traced_peak(call):
+    """The most memory, in bytes, that ``call()`` holds at once above what
+    was held when it started, under ``tracemalloc``."""
+    tracing = tracemalloc.is_tracing()
+    if not tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        start = tracemalloc.get_traced_memory()[0]
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+
+
 # SHA-256 of each export as written before the exports were rebuilt from
 # templates: the bytes must not change.
 EXPORT_DIGESTS = {
@@ -553,6 +571,13 @@ class WriteRecorder(io.StringIO):
         super().close()
 
 
+class Discard(io.TextIOBase):
+    """A text stream that keeps nothing of what is written to it."""
+
+    def write(self, s):
+        return len(s)
+
+
 class TestStreamedExports:
     @pytest.mark.parametrize("a,b,mode", [(a, b, mode) for (a, b), mode in EXPORT_DIGESTS])
     def test_out_file_is_written_in_bounded_pieces(self, capsys, monkeypatch, a, b, mode):
@@ -590,3 +615,50 @@ class TestStreamedExports:
         assert err == ("error: bidegree (129, 128) has a*b = 16512 cells, "
                        "above the limit 16384\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("mode", ["json", "faces", "lines"])
+    def test_json_document_streams_the_export(self, monkeypatch, mode):
+        # the document is written in bounded pieces and reads as json.dumps
+        # of itself, the export whole inside it
+        stdout = WriteRecorder()
+        monkeypatch.setattr(sys, "stdout", stdout)
+        code = main(["pillow", "--a", "16", "--b", "16", *EXPORT_ARGS[mode], "--format", "json"])
+        text = stdout.getvalue()
+        doc = json.loads(text)
+        assert code == 0
+        assert text == json.dumps(doc, indent=2) + "\n"
+        assert list(doc) == ["command", "parameters", "summary", "export", "checks",
+                             "all_passed", "artifacts", "exit_code"]
+        assert sha256(doc["export"]) == EXPORT_DIGESTS[(16, 16), mode]
+        # escaping at most doubles the characters of a DOT or JSON export
+        assert len(stdout.sizes) > 3 and max(stdout.sizes) <= 2 * WRITE_BOUND
+
+    @pytest.mark.parametrize("mode", ["json", "lines"])
+    def test_json_document_holds_no_whole_export(self, monkeypatch, mode):
+        # beyond what writing the same export to --out holds, the document
+        # holds one escaped piece at a time, not the export
+        argv = ["pillow", "--a", "32", "--b", "32", *EXPORT_ARGS[mode]]
+        monkeypatch.setattr(sys, "stdout", Discard())
+        monkeypatch.setattr("pillowdeg.cli.open", lambda path, mode="r": Discard(),
+                            raising=False)
+        out = traced_peak(lambda: main([*argv, "--out", "x.export"]))
+        doc = traced_peak(lambda: main([*argv, "--format", "json"]))
+        export = {"json": pillow.config_json_pieces, "lines": pillow.dot_line_pieces}[mode]
+        size = len("".join(export(pillow.build_pillow(32, 32))))
+        assert doc - out < size // 2
+
+    def test_json_document_escapes_each_piece_as_the_whole(self, monkeypatch):
+        # JSON escapes each character on its own, so the export may be cut
+        # between any two characters
+        text = 'a"b\\c\nd\te\u00e9\u2028\U0001F600\x00\x1f\0export\0 end'
+        args = Namespace(command="pillow", format="json", a=2)
+        whole = json.dumps({"command": "pillow", "parameters": {"a": 2}, "summary": 1,
+                            "export": text, "checks": [], "all_passed": True,
+                            "artifacts": [], "exit_code": 0}, indent=2) + "\n"
+        cuts = [[text[:k], text[k:]] for k in range(len(text) + 1)] + [list(text), []]
+        for pieces in cuts:
+            stdout = io.StringIO()
+            monkeypatch.setattr(sys, "stdout", stdout)
+            assert _finish(args, {"summary": 1}, [], (), iter(pieces)) == 0
+            expected = whole.replace(json.dumps(text), json.dumps("".join(pieces)))
+            assert stdout.getvalue() == expected

@@ -1,15 +1,19 @@
 """Mutated pillows: every operation on a complex that is no longer the
 pillow returns, and only the table raises MalformedComplex; the sphere and
 stage checks, verify_pillow and verify_configuration always return their
-reports, the degree route equals the brute force, and the DOT line graph
-renders every mutant;
+reports, the degree route equals the brute force, the DOT line graph
+renders every mutant, and both DOT exports write what their copies kept
+from before the face export stopped reading the line index;
 every mutation but an edge flip or a changed bidegree breaks one of the
 sphere checks, and those two fail the census or the corner check of the
 sphere report."""
 
-from collections.abc import Iterable, Sequence
+from collections.abc import Iterable, Iterator, Sequence
+from itertools import chain
 from math import comb
+from operator import itemgetter
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from pillowdeg import (
@@ -32,7 +36,7 @@ from pillowdeg import (
     verify_sphere_triangulation,
     verify_stages,
 )
-from pillowdeg.pillow import incidence_index
+from pillowdeg.pillow import _pieces, incidence_index
 
 
 def _sorted_pair(u, v):
@@ -255,6 +259,121 @@ def face_components(c):
     incidence, _ = _incidence_and_stars(c)
     return _components(range(len(c.triangles)),
                        (tris for tris in incidence.values() if len(tris) == 2))
+
+
+# The two DOT exports as they were written while the face export read the
+# line index, copied verbatim: the oracles for the face export, which builds
+# no index, and for the line graph, which names the lines of a complex in
+# vertex order as it walks the vertices.
+def _reference_dot_face_pieces(c) -> Iterator[str]:
+    """The DOT face-adjacency graph in pieces: one node per triangle, named
+    ``<side>_r<row>_c<col>_<half>``, one edge per line shared by two."""
+    incidence = incidence_index(c)
+    # the triangles of each line on exactly two, by endpoint pair; the index
+    # is freed before the names are rendered, so they reuse its memory
+    shared = [on for on in map(incidence.__getitem__, sorted(incidence)) if len(on) == 2]
+    del incidence
+    names = [f'"{side}_r{row}_c{col}_{half}"' for _, side, row, col, half in c.triangles]
+    return _pieces(chain(
+        ("graph face_adjacency {",),
+        (f"\n  {name};" for name in names),
+        (f"\n  {names[i]} -- {names[j]};" for i, j in shared),
+        ("\n}\n",),
+    ))
+
+
+def _reference_dot_line_pieces(c) -> Iterator[str]:
+    """The DOT line-intersection graph in pieces: one node per line, one
+    edge per pair of lines meeting in a vertex, each vertex listing its
+    lines by endpoint pair.  The vertices come in ``line_degrees`` order:
+    the vertex list, then any endpoint outside it."""
+    incident: dict[int, list[str]] = {v: [] for v in c.line_degrees()}
+    # sorted by endpoint pair, stably: a line's name is a function of its
+    # pair, so the order of lines sharing a pair does not show
+    for u, v, _, _ in sorted(c.lines, key=itemgetter(0, 1)):
+        name = f'"L{u}_{v}"'
+        incident[u].append(name)
+        incident[v].append(name)
+    return _pieces(chain(
+        ("graph line_intersection {",),
+        (f'\n  "L{u}_{v}";' for u, v, _, _ in c.lines),
+        # the edges from each line to the later lines at the vertex, one text
+        (f"\n  {first} -- " + f";\n  {first} -- ".join(at_v[idx:]) + ";"
+         for at_v in incident.values() for idx, first in enumerate(at_v[:-1], 1)),
+        ("\n}\n",),
+    ))
+
+
+EXPORT_ORACLES = ((dot_face_pieces, _reference_dot_face_pieces),
+                  (dot_line_pieces, _reference_dot_line_pieces))
+
+
+def export_outcome(pieces, c):
+    """The joined text of ``pieces(c)``, or the type and message of the
+    exception it raised, on the call or while the pieces were drained."""
+    try:
+        drained = pieces(c)
+    except Exception as exc:
+        return "call", type(exc), str(exc)
+    try:
+        return "text", "".join(drained)
+    except Exception as exc:
+        return "drain", type(exc), str(exc)
+
+
+def odd_complexes():
+    """Hand-built complexes off the pillow's conventions, by what they hold."""
+    c = build_pillow(2, 2)
+
+    def extra_triangle(vertices):
+        return c._replace(triangles=c.triangles + (Triangle(vertices, "top", 9, 9, "lower"),))
+
+    return {
+        "str labels after int ones": c._replace(lines=c.lines + (Line("p", "q", "x", "y"),)),
+        "str labels before int ones": c._replace(lines=(Line("p", "q", "x", "y"),) + c.lines),
+        "unhashable labels": c._replace(lines=c.lines + (([1], [2], "x", "y"),)),
+        "a float label": c._replace(lines=c.lines + (Line(1.5, 2, "x", "y"),)),
+        "a label equal to a vertex of another type": c._replace(
+            lines=(c.lines[0]._replace(u=True),) + c.lines[1:]),
+        "a loop": c._replace(lines=c.lines + ((3, 3, "x", "y"),)),
+        "a line with u > v": c._replace(
+            lines=c.lines[:1] + ((c.lines[1].v, c.lines[1].u, "x", "y"),) + c.lines[2:]),
+        "a repeated line, sorted": c._replace(lines=tuple(sorted(c.lines + (c.lines[3],)))),
+        "a repeated pair of two kinds, sorted": c._replace(
+            lines=tuple(sorted(c.lines + (c.lines[3]._replace(kind="zz"),)))),
+        "a repeated vertex in a triangle": extra_triangle((1, 1, 2)),
+        "a repeated last vertex in a triangle": extra_triangle((1, 2, 2)),
+        "an unsorted triangle": extra_triangle((3, 1, 2)),
+        "a triangle on two vertices": extra_triangle((1, 2)),
+        "vertices in reverse": c._replace(vertices=c.vertices[::-1]),
+        "a repeated vertex": c._replace(vertices=c.vertices + (1,)),
+        "no lines": c._replace(lines=()),
+        "nothing": c._replace(vertices=(), lines=(), triangles=()),
+    }
+
+
+class TestExportOracles:
+    @settings(max_examples=1000, deadline=None)
+    @given(mutant=mutants())
+    def test_dot_exports_match_the_copies_on_every_mutant(self, mutant):
+        c = mutant[1]
+        for pieces, reference in EXPORT_ORACLES:
+            assert export_outcome(pieces, c) == export_outcome(reference, c)
+
+    @pytest.mark.parametrize("name", sorted(odd_complexes()))
+    def test_dot_exports_match_the_copies_on_odd_complexes(self, name):
+        c = odd_complexes()[name]
+        for pieces, reference in EXPORT_ORACLES:
+            assert export_outcome(pieces, c) == export_outcome(reference, c)
+
+    @pytest.mark.parametrize("a,b", [(a, b) for a in range(2, 9) for b in range(2, 9)]
+                             + [(64, 64), (2, 2048), (2048, 2)])
+    def test_dot_exports_match_the_copies_on_built_pillows(self, a, b):
+        c = build_pillow(a, b)
+        for pieces, reference in EXPORT_ORACLES:
+            outcome = export_outcome(pieces, c)
+            assert outcome[0] == "text"
+            assert outcome == export_outcome(reference, c)
 
 
 class TestMutatedPillows:

@@ -2,10 +2,9 @@
 
 import json
 import re
-import tracemalloc
 
 import pytest
-from test_cli import EXPORT_DIGESTS, sha256
+from test_cli import EXPORT_DIGESTS, sha256, traced_peak
 
 from pillowdeg import pillow
 from pillowdeg import (
@@ -39,22 +38,6 @@ def reference_json(c):
 
 def joined(pieces, c):
     return "".join(pieces(c))
-
-
-def traced_peak(call):
-    """The most memory, in bytes, that ``call()`` holds at once above what
-    was held when it started, under ``tracemalloc``."""
-    tracing = tracemalloc.is_tracing()
-    if not tracing:
-        tracemalloc.start()
-    try:
-        tracemalloc.reset_peak()
-        start = tracemalloc.get_traced_memory()[0]
-        call()
-        return tracemalloc.get_traced_memory()[1] - start
-    finally:
-        if not tracing:
-            tracemalloc.stop()
 
 
 def assert_build_invariants(c):
@@ -594,14 +577,29 @@ class TestExports:
         assert '"top_r1_c1_lower"' in dot
 
     def test_dot_face_names_reuse_the_freed_index(self):
-        # the line index is reduced to its shared lists and freed before the
-        # triangle names are rendered, so the two never peak together
+        # the export builds no line index, so its triangle names never peak
+        # together with one
         c = build_pillow(32, 32)
         index = traced_peak(lambda: incidence_index(c))
         names = traced_peak(lambda: [f'"{side}_r{row}_c{col}_{half}"'
                                      for _, side, row, col, half in c.triangles])
         # all() drains the pieces, each a non-empty string, holding one at a time
         assert traced_peak(lambda: all(dot_face_pieces(c))) < index + names
+
+    @pytest.mark.parametrize("n", [32, 64])
+    def test_dot_face_export_holds_less_than_the_line_index(self, n):
+        # each triangle is listed at the first endpoints of its pairs, two
+        # entries a triangle, where the index holds a pair and a list a line
+        c = build_pillow(n, n)
+        index = traced_peak(lambda: incidence_index(c))
+        assert traced_peak(lambda: all(dot_face_pieces(c))) < index
+
+    def test_dot_line_names_are_held_from_end_to_end(self):
+        # the lines of a built pillow are in vertex order, so each name is
+        # held only from its line's first endpoint to its second
+        c = build_pillow(64, 64)
+        names = traced_peak(lambda: [f'"L{u}_{v}"' for u, v, _, _ in c.lines])
+        assert traced_peak(lambda: all(dot_line_pieces(c))) < names
 
     def test_dot_line_intersection_counts(self):
         c = build_pillow(2, 2)
