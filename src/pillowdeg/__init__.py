@@ -35,7 +35,6 @@ from .pillow import (
     Triangle,
     build_pillow,
     config_json_pieces,
-    config_to_dict,
     count_disjoint_line_pairs,
     disjoint_pairs_via_degrees,
     dot_face_pieces,
@@ -87,7 +86,6 @@ __all__ = [
     "build_pillow",
     "build_table",
     "config_json_pieces",
-    "config_to_dict",
     "count_disjoint_line_pairs",
     "del_pezzo",
     "del_pezzo_characters",

@@ -12,19 +12,16 @@ Subcommands:
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
 parameters or usage, 3 file I/O failure.  Every package error ends with
-``error: ...`` on stderr and exits 2, but MalformedComplex, a failed
-check, exits 1; only ``build_table`` raises it, and every table here is
-built from a pillow, so no input reaches it.
+``error: ...`` on stderr and exits 2.
 
 Size limits (exit 2 with ``error: ...``): ``pillow`` and ``table`` accept
-a*b up to ``pillow.MAX_PILLOW_CELLS`` = 16384 cells; the build and one
-linear-time export take 0.4-1.5 s and peak at 34-52 MB of RSS, written in
-pieces to ``--out``, to text stdout or inside a ``--format json``
-document alike.  ``pillow --verify`` and each
-``verify`` configuration accept a*b up to ``pillow.MAX_VERIFY_CELLS`` =
-1024: their brute-force pair oracle is O(E^2) in time and memory; at
-that limit ``pillow --verify`` takes 0.13-0.2 s end to end (2-core host,
-Python 3.10-3.13).  ``verify`` checks its largest corner before it starts.
+a*b up to ``pillow.MAX_PILLOW_CELLS`` = 16384 cells, and every export is
+written in pieces, to ``--out``, to text stdout or inside a ``--format
+json`` document alike.  ``pillow --verify`` and each ``verify``
+configuration accept a*b up to ``pillow.MAX_VERIFY_CELLS`` = 1024: their
+brute-force pair oracle is O(E^2) in time and memory.  ``verify`` checks
+its largest corner before it starts.  README gives the measured times and
+peaks at these limits.
 """
 from __future__ import annotations
 
@@ -35,7 +32,7 @@ from collections.abc import Iterable
 
 from . import degeneration, pillow, surfaces
 from .checks import Check
-from .errors import InvalidParameter, MalformedComplex, PillowDegError
+from .errors import InvalidParameter, PillowDegError
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -43,9 +40,9 @@ EXIT_USAGE = 2
 EXIT_IO = 3
 
 
-# stands in for the export in a rendered document: only the command, its
-# parameters and the summary come before the export, and no argument can
-# hold a NUL, so the mark's first match is its place
+# stands in for the export in a rendered document: no argument can hold a
+# NUL and JSON doubles every backslash, so the mark's escaped text appears
+# only where _finish put it
 _EXPORT_MARK = "\0export\0"
 
 
@@ -72,14 +69,12 @@ def _finish(args, payload: dict, checks: list[Check],
             doc["export"] = _EXPORT_MARK
         doc.update({"checks": [c.as_dict() for c in checks], "all_passed": passed,
                     "artifacts": list(artifacts), "exit_code": code})
-        text = json.dumps(doc, indent=2) + "\n"
-        if export is None:
-            sys.stdout.write(text)
-        else:
-            head, _, tail = text.partition(json.dumps(_EXPORT_MARK)[1:-1])
-            sys.stdout.write(head)
-            sys.stdout.writelines(json.dumps(piece)[1:-1] for piece in export)
-            sys.stdout.write(tail)
+        # without an export the mark is absent and the head is the whole text
+        head, _, tail = (json.dumps(doc, indent=2) + "\n").partition(
+            json.dumps(_EXPORT_MARK)[1:-1])
+        sys.stdout.write(head)
+        sys.stdout.writelines(json.dumps(piece)[1:-1] for piece in export or ())
+        sys.stdout.write(tail)
     return code
 
 
@@ -318,7 +313,7 @@ def main(argv=None) -> int:
         return args.func(args)
     except PillowDegError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CHECK_FAILED if isinstance(exc, MalformedComplex) else EXIT_USAGE
+        return EXIT_USAGE
     except OSError as exc:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO

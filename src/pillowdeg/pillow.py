@@ -44,15 +44,10 @@ HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 DIAGONAL = "diagonal"
 
-# Size guards on the cell count a*b.  The build and each export are linear:
-# at the build limit one `pillow --export` takes 0.4-1.5 s and peaks at
-# 34-52 MB of RSS, written in pieces to --out, to text stdout or inside a
-# --format json document alike.  The build's own 34-37 MB sets it, and at
-# the top the DOT face graph, which builds no line index (45-52 MB, 48 MB at
-# (128, 128) on Python 3.11; 2-core host, Python 3.10-3.13).
-# verify_pillow runs the brute-force pair oracle, whose pair tests and
-# per-vertex edge masks both grow as E^2: at the verify limit (E = 6144) it
-# takes 8-12 ms and at most 1.3 MB, and verify_pillow 0.03-0.07 s, same host.
+# Size guards on the cell count a*b.  The build and each export are linear
+# and must stay under 80 MB of RSS at the build limit; verify_pillow runs
+# the brute-force pair oracle, whose time and memory grow as E^2.  README
+# gives the measured times and peaks at both limits.
 MAX_PILLOW_CELLS = 16384
 MAX_VERIFY_CELLS = 1024
 
@@ -101,10 +96,6 @@ class Triangle(NamedTuple):
     row: int
     col: int
     half: str
-
-    def edge_pairs(self) -> tuple[tuple[int, int], tuple[int, int], tuple[int, int]]:
-        a, b, c = self.vertices
-        return ((a, b), (a, c), (b, c))
 
 
 class PillowConfig(namedtuple("PillowConfig", "a b vertices lines triangles")):
@@ -237,7 +228,7 @@ def incidence_index(c: PillowConfig) -> dict[tuple[int, int], list[int]]:
     of the triangles on that line, built once per verified configuration."""
     incidence: dict[tuple[int, int], list[int]] = {(u, v): [] for u, v, _, _ in c.lines}
     for idx, tri in enumerate(c.triangles):
-        p, q, r = tri.vertices  # tri.edge_pairs(), inlined
+        p, q, r = tri.vertices
         for pair in ((p, q), (p, r), (q, r)):
             if pair in incidence:
                 incidence[pair].append(idx)
@@ -477,33 +468,6 @@ def is_complex_isomorphism(c: PillowConfig, other: PillowConfig,
 PIECE_CHARS = 1 << 16
 
 
-def config_to_dict(c: PillowConfig) -> dict:
-    """JSON-ready dict with stable ordering: vertices ascending, lines by
-    endpoint pair, triangles by (side, row, col, half).  The reference for
-    the JSON export: ``config_json_pieces`` renders its indent=2 text."""
-    return {
-        "a": c.a,
-        "b": c.b,
-        "g": c.g,
-        "vertices": list(c.vertices),
-        "lines": [
-            {"u": ln.u, "v": ln.v, "kind": ln.kind, "side": ln.side} for ln in c.lines
-        ],
-        "triangles": [
-            {
-                "v1": tri.vertices[0],
-                "v2": tri.vertices[1],
-                "v3": tri.vertices[2],
-                "side": tri.side,
-                "row": tri.row,
-                "col": tri.col,
-                "half": tri.half,
-            }
-            for tri in c.triangles
-        ],
-    }
-
-
 class _JSONStrings(dict):
     """The JSON literal of each string, encoded once per distinct value."""
 
@@ -540,10 +504,10 @@ def _json_array(items: Iterator[str]) -> Iterable[str]:
 
 
 def config_json_pieces(c: PillowConfig) -> Iterator[str]:
-    """The JSON export in pieces, which join to
-    ``json.dumps(config_to_dict(c), indent=2) + "\\n"`` byte for byte, in
-    linear time: one f-string template per record, so the indenting
-    pure-Python JSON encoder never runs."""
+    """The JSON export in pieces, in linear time: one f-string template per
+    record, so the indenting pure-Python JSON encoder never runs.  The
+    pieces join, byte for byte, to the indent=2 ``json.dumps`` text of the
+    dict the tests' reference in ``tests/reference.py`` builds, plus "\\n"."""
     q = _JSONStrings()
     return _pieces(chain(
         (f'{{\n  "a": {c.a},\n  "b": {c.b},\n  "g": {c.g},\n  "vertices": ',),

@@ -10,6 +10,8 @@ import subprocess
 import sys
 import time
 
+from reference import edge_pairs
+
 from pillowdeg import (
     branch_characters,
     build_pillow,
@@ -149,7 +151,7 @@ def test_criterion_7_stage_contracts():
                 rows = grid_rows(a, b, side)
                 nw, ne, se, sw = rows[i - 1][j - 1], rows[i - 1][j], rows[i][j], rows[i][j - 1]
                 cycle = {tuple(sorted(p)) for p in ((nw, ne), (ne, se), (se, sw), (sw, nw))}
-                on = [pair for tri in tris for pair in tri.edge_pairs()]
+                on = [pair for tri in tris for pair in edge_pairs(tri)]
                 assert {pair for pair in on if on.count(pair) == 1} == cycle
     elapsed = time.perf_counter() - start
     _report(7, "stage contracts 2..6 x 2..6", elapsed)

@@ -291,7 +291,7 @@ class TestExitCodeContract:
             assert code == expected, argv
 
     @pytest.mark.parametrize("error,expected", [
-        (MalformedComplex("forced: vertex on 4 lines"), 1),
+        (MalformedComplex("forced: vertex on 4 lines"), 2),
         (PillowDegError("forced: base class"), 2),
     ])
     def test_package_errors_end_with_exit_code(self, capsys, monkeypatch, error, expected):
@@ -326,10 +326,13 @@ class TestCollector:
     ], ids=["ok", "malformed", "bad-range", "usage", "io"])
     def test_state_restored(self, capsys, monkeypatch, tmp_path, enabled, argv, expected):
         if expected == 1:
-            def broken(a, b):
-                raise MalformedComplex("forced: vertex on 4 lines")
+            # the table's fault as verify_configuration reports it
+            def failing(table):
+                report = Report("forced")
+                report.add("line_degrees_in_local_models", "forced: vertex on 4 lines", None)
+                return report
 
-            monkeypatch.setattr("pillowdeg.pillow.build_pillow", broken)
+            monkeypatch.setattr("pillowdeg.degeneration.verify_conservation", failing)
         argv = [arg.format(missing=tmp_path / "missing" / "x.json") for arg in argv]
         was_enabled = gc.isenabled()
         try:

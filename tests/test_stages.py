@@ -4,6 +4,7 @@ checked by verify_stages."""
 from collections import Counter, defaultdict
 
 import pytest
+from reference import edge_pairs
 
 from pillowdeg import Line, build_pillow, grid_rows, verify_stages
 
@@ -18,7 +19,7 @@ def quadrics(c):
 
 def boundary(triangles):
     """The endpoint pairs on exactly one of ``triangles``."""
-    on = Counter(pair for tri in triangles for pair in tri.edge_pairs())
+    on = Counter(pair for tri in triangles for pair in edge_pairs(tri))
     return {pair for pair, n in on.items() if n == 1}
 
 
@@ -45,7 +46,7 @@ class TestQuadricStage:
         c = build_pillow(3, 3)
         kind = {ln.pair: ln.kind for ln in c.lines}
         for tris in quadrics(c).values():
-            inner = set(tris[0].edge_pairs()) & set(tris[1].edge_pairs())
+            inner = set(edge_pairs(tris[0])) & set(edge_pairs(tris[1]))
             assert [kind[pair] for pair in inner] == ["diagonal"]
             assert all(kind[pair] != "diagonal" for pair in boundary(tris))
 
@@ -95,7 +96,7 @@ class TestTwoSurfaceStage:
         # the lines on a triangle of each side are the boundary cycle
         c = build_pillow(3, 2)
         top, bottom = ({pair for tri in c.triangles if tri.side == side
-                        for pair in tri.edge_pairs()} for side in ("top", "bottom"))
+                        for pair in edge_pairs(tri)} for side in ("top", "bottom"))
         shared = [ln for ln in c.lines if ln.pair in top & bottom]
         assert len(shared) == 2 * 3 + 2 * 2
         assert all(ln.kind == "boundary" for ln in shared)
