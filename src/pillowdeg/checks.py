@@ -15,10 +15,10 @@ mutable record, a title and the list of checks it collects.
 """
 from __future__ import annotations
 
-from typing import Any, NamedTuple
+from collections import namedtuple
 
 
-def _jsonable(value: Any) -> Any:
+def _jsonable(value: object) -> object:
     # bool is an int, so it stays a JSON true or false; None becomes null
     if value is None or isinstance(value, (int, str)):
         return value
@@ -29,12 +29,10 @@ def _jsonable(value: Any) -> Any:
     return str(value)
 
 
-class Check(NamedTuple):
+class Check(namedtuple("Check", "name lhs rhs")):
     """One named comparison: passes iff ``lhs == rhs``."""
 
-    name: str
-    lhs: Any
-    rhs: Any
+    __slots__ = ()
 
     @property
     def passed(self) -> bool:
@@ -60,7 +58,7 @@ class Report:
         self.title = title
         self.checks: list[Check] = []
 
-    def add(self, name: str, lhs: Any, rhs: Any) -> Check:
+    def add(self, name: str, lhs: object, rhs: object) -> Check:
         check = Check(name, lhs, rhs)
         self.checks.append(check)
         return check

@@ -17,7 +17,7 @@ the closed forms serve only as cross-checks.
 """
 from __future__ import annotations
 
-from typing import NamedTuple
+from collections import Counter, namedtuple
 
 from . import pillow
 from .checks import Report
@@ -32,14 +32,11 @@ _ROW_LABELS = {
 }
 
 
-class NPointBudget(NamedTuple):
+class NPointBudget(namedtuple("NPointBudget", "n branch_points nodes cusps")):
     """How many branch points, nodes, and cusps collapse to one point
     where n of the doubled lines meet."""
 
-    n: int
-    branch_points: int
-    nodes: int
-    cusps: int
+    __slots__ = ()
 
 
 def npoint_budget(n: int) -> NPointBudget:
@@ -53,14 +50,10 @@ def npoint_budget(n: int) -> NPointBudget:
     return NPointBudget(n, local.turning_points - n, local.nodes, local.cusps)
 
 
-class TableRow(NamedTuple):
+class TableRow(namedtuple("TableRow", "object_type count branch_points nodes cusps")):
     """One row: how many objects of this type exist and what each absorbs."""
 
-    object_type: str
-    count: int
-    branch_points: int
-    nodes: int
-    cusps: int
+    __slots__ = ()
 
     def weighted(self) -> tuple[int, int, int]:
         return (
@@ -70,15 +63,14 @@ class TableRow(NamedTuple):
         )
 
 
-class TableTotals(NamedTuple):
-    branch_points: int
-    nodes: int
-    cusps: int
+class TableTotals(namedtuple("TableTotals", "branch_points nodes cusps")):
+    __slots__ = ()
 
 
-class DegenerationTable(NamedTuple):
-    g: int
-    rows: tuple[TableRow, ...]
+class DegenerationTable(namedtuple("DegenerationTable", "g rows")):
+    """The table of one g: its rows, a tuple of ``TableRow``."""
+
+    __slots__ = ()
 
     @property
     def totals(self) -> TableTotals:
@@ -103,6 +95,12 @@ def build_table(c: pillow.PillowConfig) -> DegenerationTable:
     verification paths, not here.
     """
     degrees = c.line_degrees()
+    return _table(c, degrees, pillow._disjoint_pairs(c, degrees))
+
+
+def _table(c: pillow.PillowConfig, degrees: Counter[int], two_points: int) -> DegenerationTable:
+    """``build_table`` on ``degrees``, the ``line_degrees()`` of ``c``, and
+    ``two_points``, the degree route's count on them."""
     bad = {v: d for v, d in degrees.items() if d not in (3, 6)}
     if bad:
         raise MalformedComplex(
@@ -110,7 +108,6 @@ def build_table(c: pillow.PillowConfig) -> DegenerationTable:
         )
     three_points = sum(1 for d in degrees.values() if d == 3)
     six_points = sum(1 for d in degrees.values() if d == 6)
-    two_points = pillow._disjoint_pairs(c, degrees)
 
     b3 = npoint_budget(3)
     b6 = npoint_budget(6)
@@ -149,14 +146,18 @@ def verify_configuration(c: pillow.PillowConfig,
     """Every invariant of one configuration: the sphere, pair and stage
     checks on one line incidence, ``incidence_index(c)``, conservation, and
     the isomorphism with ``transpose``, the pillow (b, a), built here unless
-    it is given.  Where ``build_table`` raises, one failed check with its
-    message as lhs, ``line_degrees_in_local_models``, replaces conservation."""
+    it is given.  The line degrees are counted once and the degree route
+    runs once, its count both the pair check's and the table's 2-points.
+    Where the table raises, one failed check with its message as lhs,
+    ``line_degrees_in_local_models``, replaces conservation."""
     report = Report(f"configuration ({c.a}, {c.b})")
     incidence = pillow.incidence_index(c)
-    report.extend(pillow.verify_pillow(c, incidence))
+    degrees = c.line_degrees()
+    pillow_report, two_points = pillow._verify_pillow(c, incidence, degrees)
+    report.extend(pillow_report)
     report.extend(pillow.verify_stages(c, incidence))
     try:
-        report.extend(verify_conservation(build_table(c)))
+        report.extend(verify_conservation(_table(c, degrees, two_points)))
     except MalformedComplex as exc:
         report.add("line_degrees_in_local_models", str(exc), None)
     ct = transpose if transpose is not None else pillow.build_pillow(c.b, c.a)

@@ -15,7 +15,7 @@ steps, and it reads no degree and no closed form.
 """
 from __future__ import annotations
 
-from typing import Sequence
+from collections.abc import Sequence
 
 
 def count_disjoint_pairs(edges: Sequence[tuple[int, int]]) -> int:

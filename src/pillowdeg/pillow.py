@@ -28,10 +28,9 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, pairwise, starmap
+from itertools import chain, pairwise, repeat, starmap
 from math import comb
-from operator import attrgetter, itemgetter, lt
-from typing import NamedTuple
+from operator import itemgetter, lt
 
 from . import pairs
 from .checks import Report
@@ -88,14 +87,12 @@ class Line(namedtuple("Line", "u v kind side")):
         return (self.u, self.v)
 
 
-class Triangle(NamedTuple):
-    """One plane of the configuration: half of a grid cell."""
+class Triangle(namedtuple("Triangle", "vertices side row col half")):
+    """One plane of the configuration: half of a grid cell, its vertices
+    a sorted triple.  Nothing is validated, so the build makes each record
+    straight from its field tuple."""
 
-    vertices: tuple[int, int, int]
-    side: str
-    row: int
-    col: int
-    half: str
+    __slots__ = ()
 
 
 class PillowConfig(namedtuple("PillowConfig", "a b vertices lines triangles")):
@@ -163,11 +160,16 @@ def _line_keys(ends: Iterable[tuple[int, int]], kind: str, side: str) -> list[tu
     return [(u, v, kind, side) if u < v else (v, u, kind, side) for u, v in ends]
 
 
-def _triangles(rows: Iterable[Iterable[tuple[int, int, int]]], side: str,
-               half: str) -> list[Triangle]:
-    """The ``half`` triangle of each cell, from its corners row by row."""
-    return [Triangle(tuple(sorted(corners)), side, i, j, half)
-            for i, row in enumerate(rows, 1) for j, corners in enumerate(row, 1)]
+def _triangles(corners: Iterable[tuple[int, int, int]], side: str, half: str,
+               a: int, b: int) -> Iterator[Triangle]:
+    """The ``half`` triangle of each of the a*b cells of one side, from
+    their corners in row-major order.  ``Triangle`` validates nothing, so
+    one ``map`` makes every record by ``tuple.__new__``, with no
+    Python-level call per triangle and no iterator per row."""
+    rows = chain.from_iterable(map(repeat, range(1, b + 1), repeat(a)))
+    cols = chain.from_iterable(repeat(range(1, a + 1), b))
+    return map(tuple.__new__, repeat(Triangle),
+               zip(map(tuple, map(sorted, corners)), repeat(side), rows, cols, repeat(half)))
 
 
 def build_pillow(a: int, b: int) -> PillowConfig:
@@ -199,16 +201,16 @@ def build_pillow(a: int, b: int) -> PillowConfig:
             # rising diagonals sw-ne; lower (sw, se, ne), upper (sw, nw, ne)
             keys += _line_keys(chain.from_iterable(zip(s, n[1:]) for n, s in cells),
                                DIAGONAL, side)
-            lower = (zip(s, s[1:], n[1:]) for n, s in cells)
-            upper = (zip(s, n, n[1:]) for n, s in cells)
+            lower = chain.from_iterable(zip(s, s[1:], n[1:]) for n, s in cells)
+            upper = chain.from_iterable(zip(s, n, n[1:]) for n, s in cells)
         else:
             # falling diagonals nw-se; lower (nw, sw, se), upper (nw, ne, se)
             keys += _line_keys(chain.from_iterable(zip(n, s[1:]) for n, s in cells),
                                DIAGONAL, side)
-            lower = (zip(n, s, s[1:]) for n, s in cells)
-            upper = (zip(n, n[1:], s[1:]) for n, s in cells)
-        triangles += chain.from_iterable(zip(_triangles(lower, side, "lower"),
-                                             _triangles(upper, side, "upper")))
+            lower = chain.from_iterable(zip(n, s, s[1:]) for n, s in cells)
+            upper = chain.from_iterable(zip(n, n[1:], s[1:]) for n, s in cells)
+        triangles += chain.from_iterable(zip(_triangles(lower, side, "lower", a, b),
+                                             _triangles(upper, side, "upper", a, b)))
 
     # endpoint pairs are unique, so the keys sort by (u, v) alone and no Line
     # is ever compared; each key then gives way to its validated Line in
@@ -246,6 +248,12 @@ def verify_sphere_triangulation(c: PillowConfig, incidence: dict | None = None) 
     The line incidence is ``incidence``, else ``incidence_index(c)``; the
     vertex stars take one more pass, so the check is linear in ``c``.
     """
+    return _sphere_report(c, incidence, c.line_degrees())
+
+
+def _sphere_report(c: PillowConfig, incidence: dict | None, line_deg: Counter[int]) -> Report:
+    """``verify_sphere_triangulation`` on ``line_deg``, the ``line_degrees()``
+    of ``c``."""
     report = Report(f"sphere triangulation, bidegree ({c.a}, {c.b})")
     incidence = incidence_index(c) if incidence is None else incidence
     star: dict[int, list[int]] = {v: [] for v in c.vertices}
@@ -305,7 +313,6 @@ def verify_sphere_triangulation(c: PillowConfig, incidence: dict | None = None) 
     census = tuple(sorted(Counter(tri_deg.values()).items()))
     report.add("triangle_degree_census", census,
                ((3, 4), (6, 2 * c.a * c.b - 2)))
-    line_deg = c.line_degrees()
     report.add("line_degrees_match_triangle_degrees",
                sum(1 for v, d in tri_deg.items() if d != line_deg[v]), 0)
     return report
@@ -370,17 +377,26 @@ def verify_pillow(c: PillowConfig, incidence: dict | None = None) -> Report:
     the degree route.  The brute force tests every line pair, bit-parallel
     but still O(E^2), and assumes nothing of the lines it is given; a*b
     above MAX_VERIFY_CELLS raises InvalidParameter."""
+    return _verify_pillow(c, incidence, c.line_degrees())[0]
+
+
+def _verify_pillow(c: PillowConfig, incidence: dict | None,
+                   degrees: Counter[int]) -> tuple[Report, int]:
+    """``verify_pillow`` on ``degrees``, the ``line_degrees()`` of ``c``, and
+    the degree route's count, which the table reuses: one census and one
+    route per verified configuration."""
     if c.a * c.b > MAX_VERIFY_CELLS:
         raise InvalidParameter(
             f"verifying bidegree ({c.a}, {c.b}) runs the O(E^2) pair oracle; "
             f"a*b = {c.a * c.b} is above the limit {MAX_VERIFY_CELLS}"
         )
     report = Report(f"pillow ({c.a}, {c.b})")
-    report.extend(verify_sphere_triangulation(c, incidence))
+    report.extend(_sphere_report(c, incidence, degrees))
     brute = count_disjoint_line_pairs(c)
+    via_degrees = _disjoint_pairs(c, degrees)
     report.add("disjoint_pairs_brute_vs_formula", brute, formula_disjoint_pairs(c.g))
-    report.add("disjoint_pairs_brute_vs_degree_method", brute, disjoint_pairs_via_degrees(c))
-    return report
+    report.add("disjoint_pairs_brute_vs_degree_method", brute, via_degrees)
+    return report, via_degrees
 
 
 # ---------------------------------------------------------------------------
@@ -534,52 +550,55 @@ def dot_face_pieces(c: PillowConfig) -> Iterator[str]:
     ``<side>_r<row>_c<col>_<half>``, one edge per line on exactly two
     triangles, in endpoint-pair order.
 
-    No line index is built.  A triangle (p, q, r) lies on the pairs (p, q),
-    (p, r) and (q, r), so it is listed at p and at q, the first endpoints of
-    its pairs: two entries per triangle.  The line pairs are then walked one
-    first endpoint at a time, each reading the triangles listed there: in
-    ``c.lines`` order when they strictly increase, as ``build_pillow``
-    sorts them, and else sorted without repeats."""
+    No line index and no list of names is built.  A triangle (p, q, r)
+    lies on the pairs (p, q), (p, r) and (q, r), so its record is listed at
+    p and at q, the first endpoints of its pairs: two entries per triangle,
+    in triangle order.  The node lines are rendered from the records as
+    they are written.  The line pairs are then walked one first endpoint
+    at a time, in ``c.lines`` order when they strictly increase, as
+    ``build_pillow`` sorts them, and else sorted without repeats; each
+    triangle listed at that endpoint has its name rendered once there."""
     triangles = c.triangles
-    starts: defaultdict[object, list[int]] = defaultdict(list)
-    for idx, (p, q, _) in enumerate(map(attrgetter("vertices"), triangles)):
-        starts[p].append(idx)
+    starts: defaultdict[object, list[Triangle]] = defaultdict(list)
+    for tri in triangles:
+        p, q, _ = tri.vertices
+        starts[p].append(tri)
         if q != p:
-            starts[q].append(idx)
-    names = [f'"{side}_r{row}_c{col}_{half}"' for _, side, row, col, half in triangles]
+            starts[q].append(tri)
     pairs = map(itemgetter(0, 1), c.lines)
     if not _increasing(map(itemgetter(0, 1), c.lines)):
         pairs = sorted(dict.fromkeys(pairs))
     return _pieces(chain(
         ("graph face_adjacency {",),
-        (f"\n  {name};" for name in names),
-        (f"\n  {names[i]} -- {names[j]};" for i, j in _shared_lines(triangles, starts, pairs)),
+        (f'\n  "{side}_r{row}_c{col}_{half}";' for _, side, row, col, half in triangles),
+        (f"\n  {first} -- {second};" for first, second in _shared_lines(starts, pairs)),
         ("\n}\n",),
     ))
 
 
-def _shared_lines(triangles: Sequence[Triangle], starts: dict[object, list[int]],
-                  pairs: Iterable[tuple]) -> Iterator[list[int]]:
-    """The triangles, by index, of each of ``pairs`` that lies on exactly
+def _shared_lines(starts: dict[object, list[Triangle]],
+                  pairs: Iterable[tuple]) -> Iterator[list[str]]:
+    """The names of the triangles of each of ``pairs`` that lies on exactly
     two, read from ``starts``, the triangles listed at each pair's first
     endpoint.  The pairs come grouped by first endpoint, and each group
-    reads the other vertices of its triangles once, in index order.  A
-    yielded list is valid until the next one is asked for."""
+    renders the names of its triangles and reads their other vertices
+    once, in listing order.  A yielded list is valid until the next one is
+    asked for."""
     here, on = object(), defaultdict(list)
     for u, v in pairs:
         if u != here:
             here = u
             on.clear()
-            for idx in starts.get(u, ()):
-                p, q, r = triangles[idx].vertices
+            for (p, q, r), side, row, col, half in starts.get(u, ()):
+                name = f'"{side}_r{row}_c{col}_{half}"'
                 if p == u:
-                    on[q].append(idx)
-                    on[r].append(idx)
+                    on[q].append(name)
+                    on[r].append(name)
                 if q == u:
-                    on[r].append(idx)
-        tris = on.get(v, ())
-        if len(tris) == 2:
-            yield tris
+                    on[r].append(name)
+        names = on.get(v, ())
+        if len(names) == 2:
+            yield names
 
 
 def dot_line_pieces(c: PillowConfig) -> Iterator[str]:
@@ -588,10 +607,10 @@ def dot_line_pieces(c: PillowConfig) -> Iterator[str]:
     lines by endpoint pair.  The vertices come in ``line_degrees`` order:
     the vertex list, then any endpoint outside it.
 
-    When the complex is in vertex order, as ``build_pillow`` gives, the
-    names are rendered as the vertices are walked and each is held only
-    from its line's first endpoint to its second; any other complex has
-    the names of all its lines rendered first."""
+    When the complex is in vertex order, as ``build_pillow`` gives, each
+    line's record is held only from its first endpoint to its second and
+    the names at a vertex are rendered as the vertex is walked; any other
+    complex has the names of all its lines rendered first."""
     lines = c.lines
     if _in_vertex_order(c.vertices, lines):
         at_vertices = _names_at_sorted_vertices(c.vertices, lines)
@@ -633,16 +652,16 @@ def _in_vertex_order(vertices: Sequence, lines: Sequence[tuple]) -> bool:
 def _names_at_sorted_vertices(vertices: Iterable, lines: Iterable[tuple]) -> Iterator[list[str]]:
     """The names of the lines at each of ``vertices`` by endpoint pair, for
     a complex in vertex order (``_in_vertex_order``): the lines ending at a
-    vertex, named at their first endpoints, then the lines starting there."""
-    ending: defaultdict[object, list[str]] = defaultdict(list)
+    vertex, then the lines starting there.  A line's record is held from
+    its first endpoint to its second, and a vertex's names are rendered
+    only when they are yielded."""
+    ending: defaultdict[object, list[tuple]] = defaultdict(list)
     lines = iter(lines)
     line = next(lines, None)
     for w in vertices:
         at_w = ending.pop(w, [])
         while line is not None and line[0] == w:
-            u, v, _, _ = line
-            name = f'"L{u}_{v}"'
-            at_w.append(name)
-            ending[v].append(name)
+            at_w.append(line)
+            ending[line[1]].append(line)
             line = next(lines, None)
-        yield at_w
+        yield [f'"L{u}_{v}"' for u, v, _, _ in at_w]

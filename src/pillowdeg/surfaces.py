@@ -13,7 +13,6 @@ Everything here is exact integer arithmetic; no floats anywhere.
 from __future__ import annotations
 
 from collections import namedtuple
-from typing import NamedTuple
 
 from .checks import Report
 from .errors import InvalidParameter, NegativeCharacter, NonIntegralNodeCount
@@ -50,13 +49,10 @@ class SurfaceClasses(namedtuple("SurfaceClasses", "d kh k2 euler label")):
         return cls(*fields)
 
 
-class BranchCharacters(NamedTuple):
+class BranchCharacters(namedtuple("BranchCharacters", "degree nodes cusps turning_points")):
     """Degree and singularity counts of a general branch curve."""
 
-    degree: int
-    nodes: int
-    cusps: int
-    turning_points: int
+    __slots__ = ()
 
     def __str__(self) -> str:
         return (

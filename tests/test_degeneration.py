@@ -2,6 +2,7 @@
 
 import pytest
 
+from pillowdeg import pillow
 from pillowdeg import (
     Report,
     DegenerationTable,
@@ -266,6 +267,28 @@ class TestVerifyConfiguration:
         ]
         # the missing rhs is a JSON null, not the string "None"
         assert report["line_degrees_in_local_models"].as_dict()["rhs"] is None
+
+    def test_one_degree_count_and_one_degree_route(self, monkeypatch):
+        # the sphere census, the pair check and the table's 2-points share
+        # one count of the line degrees and one run of the degree route
+        counted = {"line_degrees": 0, "route": 0}
+        line_degrees, route = PillowConfig.line_degrees, pillow._disjoint_pairs
+
+        def counting_degrees(c):
+            counted["line_degrees"] += 1
+            return line_degrees(c)
+
+        def counting_route(c, degrees):
+            counted["route"] += 1
+            return route(c, degrees)
+
+        c, ct = build_pillow(3, 4), build_pillow(4, 3)
+        monkeypatch.setattr(PillowConfig, "line_degrees", counting_degrees)
+        monkeypatch.setattr(pillow, "_disjoint_pairs", counting_route)
+        report = verify_configuration(c, ct)
+        assert counted == {"line_degrees": 1, "route": 1}
+        assert report.all_passed, str(report)
+        assert report["disjoint_pairs_brute_vs_degree_method"].rhs == formula_disjoint_pairs(c.g)
 
     @pytest.mark.parametrize("a", range(2, 7))
     def test_reused_transpose_gives_the_same_checks(self, a):

@@ -2,6 +2,7 @@
 
 import json
 import re
+import tracemalloc
 
 import pytest
 from reference import config_to_dict, edge_pairs
@@ -590,6 +591,21 @@ class TestExports:
         c = build_pillow(64, 64)
         names = traced_peak(lambda: [f'"L{u}_{v}"' for u, v, _, _ in c.lines])
         assert traced_peak(lambda: all(dot_line_pieces(c))) < names
+
+    @pytest.mark.parametrize("a,b", [(64, 64), (2, 2048), (2048, 2)])
+    def test_exports_peak_below_30_percent_of_their_complex(self, a, b):
+        # drained, no export holds a list of the names of all its records:
+        # the face graph's names alone are some 23% of the complex
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            c = build_pillow(a, b)
+            size = tracemalloc.get_traced_memory()[0] - held
+            for pieces in (config_json_pieces, dot_face_pieces, dot_line_pieces):
+                peak = traced_peak(lambda: all(pieces(c)))
+                assert peak < 0.3 * size, (pieces.__name__, peak, size)
+        finally:
+            tracemalloc.stop()
 
     def test_dot_line_intersection_counts(self):
         c = build_pillow(2, 2)
