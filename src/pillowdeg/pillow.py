@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, pairwise, repeat, starmap
+from itertools import chain, islice, pairwise, repeat, starmap
 from math import comb
-from operator import itemgetter, lt
+from operator import iadd, itemgetter, lt
 
 from . import pairs
 from .checks import Report
@@ -87,12 +87,19 @@ class Line(namedtuple("Line", "u v kind side")):
         return (self.u, self.v)
 
 
-class Triangle(namedtuple("Triangle", "vertices side row col half")):
+class Triangle(namedtuple("Triangle", "v1 v2 v3 side row col half")):
     """One plane of the configuration: half of a grid cell, its vertices
-    a sorted triple.  Nothing is validated, so the build makes each record
-    straight from its field tuple."""
+    v1 < v2 < v3 as the build sorts them.  The fields are the keys of
+    the JSON export's triangle records, in their order.  Nothing is
+    validated, so the build makes each record straight from its field
+    tuple."""
 
     __slots__ = ()
+
+    @property
+    def vertices(self) -> tuple:
+        """The triple (v1, v2, v3)."""
+        return self[:3]
 
 
 class PillowConfig(namedtuple("PillowConfig", "a b vertices lines triangles")):
@@ -137,17 +144,25 @@ class PillowConfig(namedtuple("PillowConfig", "a b vertices lines triangles")):
 def grid_rows(a: int, b: int, side: str) -> list[list[int]]:
     """The labels of one side's grid positions, row by row: ``rows[i][j]``
     is the label at row i = 0..b (top to bottom), column j = 0..a (left to
-    right).  The one code for the labeling conventions above: the
-    boundary rows and columns are the same on both sides, and the interior
-    is numbered row-major from 2a+2b+1 (top) or ab+a+b+2 (bottom)."""
+    right).  The boundary rows and columns are the same on both sides,
+    and the interior is numbered row-major from 2a+2b+1 (top) or ab+a+b+2
+    (bottom)."""
     if side not in SIDES:
         raise InvalidParameter(f"side must be one of {SIDES}, got {side!r}")
+    return _grid_rows(range(1, 2 * a * b + 3), a, b, side)
+
+
+def _grid_rows(labels: Sequence[int], a: int, b: int, side: str) -> list[list[int]]:
+    """``grid_rows(a, b, side)`` with label k read as ``labels[k - 1]``: the
+    one code for the labeling conventions above.  The rows hold the very
+    objects of ``labels``, so a build that reads them from its vertex tuple
+    keeps one object per label."""
     interior = 2 * a + 2 * b if side == "top" else a * b + a + b + 1
-    rows = [list(range(1, a + 2))]
+    rows = [list(labels[:a + 1])]
     for i in range(1, b):
         start = interior + (i - 1) * (a - 1)
-        rows.append([2 * a + 2 * b + 1 - i, *range(start + 1, start + a), a + 1 + i])
-    rows.append(list(range(2 * a + b + 1, a + b, -1)))
+        rows.append([labels[2 * a + 2 * b - i], *labels[start:start + a - 1], labels[a + i]])
+    rows.append(list(labels[2 * a + b:a + b - 1:-1]))
     return rows
 
 
@@ -164,23 +179,25 @@ def _triangles(corners: Iterable[tuple[int, int, int]], side: str, half: str,
                a: int, b: int) -> Iterator[Triangle]:
     """The ``half`` triangle of each of the a*b cells of one side, from
     their corners in row-major order.  ``Triangle`` validates nothing, so
-    one ``map`` makes every record by ``tuple.__new__``, with no
-    Python-level call per triangle and no iterator per row."""
+    one ``map`` makes every flat record by ``tuple.__new__`` from the
+    sorted corners extended by (side, row, col, half), with no Python-level
+    call per triangle, no iterator per row and no tuple of vertices."""
     rows = chain.from_iterable(map(repeat, range(1, b + 1), repeat(a)))
     cols = chain.from_iterable(repeat(range(1, a + 1), b))
     return map(tuple.__new__, repeat(Triangle),
-               zip(map(tuple, map(sorted, corners)), repeat(side), rows, cols, repeat(half)))
+               map(iadd, map(sorted, corners), zip(repeat(side), rows, cols, repeat(half))))
 
 
 def build_pillow(a: int, b: int) -> PillowConfig:
     """Construct the pillow configuration of bidegree (a, b), for
     2 <= a, b and a*b <= MAX_PILLOW_CELLS."""
     _check_bidegree(a, b)
-    n_vertices = 2 * a * b + 2
-    vertices = tuple(range(1, n_vertices + 1))
+    # every label below is an object of this tuple, so the vertices, the
+    # lines and the triangles share one int per label
+    vertices = tuple(range(1, 2 * a * b + 3))
 
     # the shared boundary cycle of 2a + 2b lines
-    cycle = list(range(1, 2 * a + 2 * b + 1))
+    cycle = vertices[:2 * a + 2 * b]
     keys = _line_keys(zip(cycle, cycle[1:] + cycle[:1]), BOUNDARY, "shared")
 
     # each side row by row, one comprehension per kind of record over all
@@ -191,7 +208,7 @@ def build_pillow(a: int, b: int) -> PillowConfig:
     # triangles come in (side, row, col) order, each cell's lower half first
     triangles: list[Triangle] = []
     for side in SIDES:
-        rows = grid_rows(a, b, side)
+        rows = _grid_rows(vertices, a, b, side)
         cells = list(zip(rows, rows[1:]))
         keys += _line_keys(chain.from_iterable(zip(r, r[1:]) for r in rows[1:-1]),
                            HORIZONTAL, side)
@@ -229,11 +246,12 @@ def incidence_index(c: PillowConfig) -> dict[tuple[int, int], list[int]]:
     """One pass over the triangles: each line's endpoint pair to the indices
     of the triangles on that line, built once per verified configuration."""
     incidence: dict[tuple[int, int], list[int]] = {(u, v): [] for u, v, _, _ in c.lines}
-    for idx, tri in enumerate(c.triangles):
-        p, q, r = tri.vertices
+    on_pair = incidence.get
+    for idx, (p, q, r, _, _, _, _) in enumerate(c.triangles):
         for pair in ((p, q), (p, r), (q, r)):
-            if pair in incidence:
-                incidence[pair].append(idx)
+            tris = on_pair(pair)
+            if tris is not None:
+                tris.append(idx)
     return incidence
 
 
@@ -256,11 +274,15 @@ def _sphere_report(c: PillowConfig, incidence: dict | None, line_deg: Counter[in
     of ``c``."""
     report = Report(f"sphere triangulation, bidegree ({c.a}, {c.b})")
     incidence = incidence_index(c) if incidence is None else incidence
-    star: dict[int, list[int]] = {v: [] for v in c.vertices}
-    for idx, tri in enumerate(c.triangles):
-        for v in tri.vertices:
-            if v in star:
-                star[v].append(idx)
+    # the triangles' fields are read by index: unpacking a tuple subclass
+    # takes CPython's generic path, slower than three subscripts
+    star: dict[int, list[Triangle]] = {v: [] for v in c.vertices}
+    at = star.get
+    for tri in c.triangles:
+        for v in (tri[0], tri[1], tri[2]):
+            tris = at(v)
+            if tris is not None:
+                tris.append(tri)
 
     bad_lines = sum(1 for tris in incidence.values() if len(tris) != 2)
     report.add("line_in_two_triangles", bad_lines, 0)
@@ -270,8 +292,8 @@ def _sphere_report(c: PillowConfig, incidence: dict | None, line_deg: Counter[in
         # it gives x = v, on no line); each neighbour x, on a line (v, x),
         # must be joined to two others, and one walk must visit them all
         link: dict[int, list[int]] = {}
-        for i in star[v]:
-            p, q, r = c.triangles[i].vertices
+        for tri in star[v]:
+            p, q, r = tri[0], tri[1], tri[2]
             x, y = (q, r) if v == p else (p, r) if v == q else (p, q)
             link.setdefault(x, []).append(y)
             link.setdefault(y, []).append(x)
@@ -414,7 +436,7 @@ def verify_stages(c: PillowConfig, incidence: dict | None = None) -> Report:
     vertices of ``c``.  A malformed complex fails checks; nothing raises."""
     a, b = c.a, c.b
     report = Report(f"stages, bidegree ({a}, {b})")
-    quadric = [(tri.side, tri.row, tri.col) for tri in c.triangles]
+    quadric = list(map(itemgetter(3, 4, 5), c.triangles))
     incidence = incidence_index(c) if incidence is None else incidence
     # the triangles of each quadric line, a line of c not inside one quadric
     outer = [tris for tris in (incidence[ln.pair] for ln in c.lines)
@@ -425,7 +447,7 @@ def verify_stages(c: PillowConfig, incidence: dict | None = None) -> Report:
                sum(1 for tris in outer if len({quadric[i] for i in tris}) != 2), 0)
 
     # a surface spans the coordinate points of its vertices: their count less one
-    top, bottom = ({v for tri in c.triangles if tri.side == side for v in tri.vertices}
+    top, bottom = ({v for tri in c.triangles if tri[3] == side for v in (tri[0], tri[1], tri[2])}
                    for side in SIDES)
     report.add("two_surface_spans",
                (len(top) - 1, len(bottom) - 1, len(top & bottom) - 1),
@@ -464,14 +486,14 @@ def is_complex_isomorphism(c: PillowConfig, other: PillowConfig,
         return False
     try:
         lines = {_sorted_pair(vertex_map[u], vertex_map[v]) for u, v, _, _ in c.lines}
-        tris = {tuple(sorted(map(vertex_map.__getitem__, tri.vertices)))
-                for tri in c.triangles}
+        tris = {tuple(sorted((vertex_map[p], vertex_map[q], vertex_map[r])))
+                for p, q, r, _, _, _, _ in c.triangles}
     except KeyError:
         return False
     return (len(c.lines) == len(other.lines) == len(lines)
             and len(c.triangles) == len(other.triangles) == len(tris)
             and lines == {ln.pair for ln in other.lines}
-            and tris == {tri.vertices for tri in other.triangles})
+            and tris == {(p, q, r) for p, q, r, _, _, _, _ in other.triangles})
 
 
 # ---------------------------------------------------------------------------
@@ -482,6 +504,10 @@ def is_complex_isomorphism(c: PillowConfig, other: PillowConfig,
 # length, not by record count, bounds every piece whatever its records:
 # 64 Ki characters keep a 4 MB export to some 70 writes.
 PIECE_CHARS = 1 << 16
+
+# _pieces takes the texts this many at a time and joins each run at once,
+# so a piece never holds its texts as separate small strings.
+_RUN = 64
 
 
 class _JSONStrings(dict):
@@ -497,15 +523,29 @@ class _JSONStrings(dict):
 def _pieces(texts: Iterable[str]) -> Iterator[str]:
     """``texts`` joined into consecutive pieces of PIECE_CHARS characters or
     more, the last excepted; a piece passes PIECE_CHARS by less than the
-    length of its last text."""
+    length of its last text.
+
+    The texts come in runs of _RUN, and a piece holds each run joined into
+    one string.  Only a run that reaches PIECE_CHARS is walked text by
+    text, to cut the piece just after the text that reaches it."""
+    texts = iter(texts)
     block: list[str] = []
     size = 0
-    for text in texts:
-        block.append(text)
-        size += len(text)
-        if size >= PIECE_CHARS:
-            yield "".join(block)
-            block, size = [], 0
+    while run := list(islice(texts, _RUN)):
+        joined = "".join(run)
+        if size + len(joined) < PIECE_CHARS:
+            block.append(joined)
+            size += len(joined)
+            continue
+        start = 0
+        for end, text in enumerate(run, 1):
+            size += len(text)
+            if size >= PIECE_CHARS:
+                block.append("".join(run[start:end]))
+                yield "".join(block)
+                block, size, start = [], 0, end
+        if start < len(run):
+            block.append("".join(run[start:]))
     if block:
         yield "".join(block)
 
@@ -536,10 +576,10 @@ def config_json_pieces(c: PillowConfig) -> Iterator[str]:
         ),
         (',\n  "triangles": ',),
         _json_array(
-            f',\n    {{\n      "v1": {vs[0]},\n      "v2": {vs[1]},\n'
-            f'      "v3": {vs[2]},\n      "side": {q[side]},\n'
+            f',\n    {{\n      "v1": {v1},\n      "v2": {v2},\n'
+            f'      "v3": {v3},\n      "side": {q[side]},\n'
             f'      "row": {row},\n      "col": {col},\n      "half": {q[half]}\n    }}'
-            for vs, side, row, col, half in c.triangles
+            for v1, v2, v3, side, row, col, half in c.triangles
         ),
         ("\n}\n",),
     ))
@@ -550,46 +590,73 @@ def dot_face_pieces(c: PillowConfig) -> Iterator[str]:
     ``<side>_r<row>_c<col>_<half>``, one edge per line on exactly two
     triangles, in endpoint-pair order.
 
-    No line index and no list of names is built.  A triangle (p, q, r)
-    lies on the pairs (p, q), (p, r) and (q, r), so its record is listed at
-    p and at q, the first endpoints of its pairs: two entries per triangle,
-    in triangle order.  The node lines are rendered from the records as
-    they are written.  The line pairs are then walked one first endpoint
-    at a time, in ``c.lines`` order when they strictly increase, as
-    ``build_pillow`` sorts them, and else sorted without repeats; each
-    triangle listed at that endpoint has its name rendered once there."""
+    No line index and no list of names is built: the triangles are listed
+    at the first endpoints of their pairs (``_first_endpoint_listing``).
+    The node lines are rendered from the records as they are written.
+    The line pairs are then walked one first endpoint at a time, in
+    ``c.lines`` order when they strictly increase, as ``build_pillow``
+    sorts them, and else sorted without repeats; each triangle listed at
+    that endpoint has its name rendered once there."""
     triangles = c.triangles
-    starts: defaultdict[object, list[Triangle]] = defaultdict(list)
-    for tri in triangles:
-        p, q, _ = tri.vertices
-        starts[p].append(tri)
-        if q != p:
-            starts[q].append(tri)
+    listed, ends = _first_endpoint_listing(triangles)
     pairs = map(itemgetter(0, 1), c.lines)
     if not _increasing(map(itemgetter(0, 1), c.lines)):
         pairs = sorted(dict.fromkeys(pairs))
     return _pieces(chain(
         ("graph face_adjacency {",),
-        (f'\n  "{side}_r{row}_c{col}_{half}";' for _, side, row, col, half in triangles),
-        (f"\n  {first} -- {second};" for first, second in _shared_lines(starts, pairs)),
+        (f'\n  "{side}_r{row}_c{col}_{half}";' for _, _, _, side, row, col, half in triangles),
+        _shared_line_edges(listed, ends, pairs),
         ("\n}\n",),
     ))
 
 
-def _shared_lines(starts: dict[object, list[Triangle]],
-                  pairs: Iterable[tuple]) -> Iterator[list[str]]:
-    """The names of the triangles of each of ``pairs`` that lies on exactly
-    two, read from ``starts``, the triangles listed at each pair's first
-    endpoint.  The pairs come grouped by first endpoint, and each group
-    renders the names of its triangles and reads their other vertices
-    once, in listing order.  A yielded list is valid until the next one is
-    asked for."""
+def _first_endpoint_listing(triangles: Sequence[Triangle]) -> tuple[list, dict[object, int]]:
+    """Each triangle (p, q, r) lies on the pairs (p, q), (p, r) and (q, r),
+    so it is listed at p and at q, the first endpoints of its pairs: two
+    entries a triangle, one when q == p.  The entries are one flat list,
+    each endpoint's together, in triangle order and followed by their
+    count; the dict gives the offset of each endpoint's count.  So the
+    listing holds no list per vertex."""
+    counts = Counter(map(itemgetter(0), triangles))
+    counts.update(q for p, q, _, _, _, _, _ in triangles if q != p)
+    # a plain dict indexes faster than a Counter; each endpoint's offset
+    # moves from its first entry to its count as the entries are placed
+    ends = dict(counts)
+    del counts
+    listed: list = [None] * (len(ends) + sum(ends.values()))
+    offset = 0
+    for label, n in ends.items():
+        ends[label] = offset
+        offset += n
+        listed[offset] = n
+        offset += 1
+    for tri in triangles:
+        p, q = tri[0], tri[1]
+        i = ends[p]
+        listed[i] = tri
+        ends[p] = i + 1
+        if q != p:
+            i = ends[q]
+            listed[i] = tri
+            ends[q] = i + 1
+    return listed, ends
+
+
+def _shared_line_edges(listed: list, ends: dict[object, int],
+                       pairs: Iterable[tuple]) -> Iterator[str]:
+    """The DOT edge of each of ``pairs`` that lies on exactly two triangles,
+    read from the ``_first_endpoint_listing`` of the triangles.  The pairs
+    come grouped by first endpoint, and each group renders the names of
+    the triangles listed there and reads their other vertices once, in
+    listing order."""
     here, on = object(), defaultdict(list)
     for u, v in pairs:
         if u != here:
             here = u
             on.clear()
-            for (p, q, r), side, row, col, half in starts.get(u, ()):
+            end = ends.get(u)
+            for p, q, r, side, row, col, half in (
+                    () if end is None else listed[end - listed[end]:end]):
                 name = f'"{side}_r{row}_c{col}_{half}"'
                 if p == u:
                     on[q].append(name)
@@ -598,7 +665,7 @@ def _shared_lines(starts: dict[object, list[Triangle]],
                     on[r].append(name)
         names = on.get(v, ())
         if len(names) == 2:
-            yield names
+            yield f"\n  {names[0]} -- {names[1]};"
 
 
 def dot_line_pieces(c: PillowConfig) -> Iterator[str]:

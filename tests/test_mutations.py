@@ -44,7 +44,7 @@ def _sorted_pair(u, v):
 
 
 def _triangle(t, vertices):
-    return Triangle(tuple(sorted(vertices)), t.side, t.row, t.col, t.half)
+    return Triangle(*sorted(vertices), t.side, t.row, t.col, t.half)
 
 
 def _neighbours(c, vertex):
@@ -273,7 +273,7 @@ def _reference_dot_face_pieces(c) -> Iterator[str]:
     # is freed before the names are rendered, so they reuse its memory
     shared = [on for on in map(incidence.__getitem__, sorted(incidence)) if len(on) == 2]
     del incidence
-    names = [f'"{side}_r{row}_c{col}_{half}"' for _, side, row, col, half in c.triangles]
+    names = [f'"{side}_r{row}_c{col}_{half}"' for _, _, _, side, row, col, half in c.triangles]
     return _pieces(chain(
         ("graph face_adjacency {",),
         (f"\n  {name};" for name in names),
@@ -326,7 +326,10 @@ def odd_complexes():
     c = build_pillow(2, 2)
 
     def extra_triangle(vertices):
-        return c._replace(triangles=c.triangles + (Triangle(vertices, "top", 9, 9, "lower"),))
+        # made as the build makes its records, by tuple.__new__, so that a
+        # triangle on two vertices is a record one field short
+        extra = tuple.__new__(Triangle, (*vertices, "top", 9, 9, "lower"))
+        return c._replace(triangles=c.triangles + (extra,))
 
     return {
         "str labels after int ones": c._replace(lines=c.lines + (Line("p", "q", "x", "y"),)),
