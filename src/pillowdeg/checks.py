@@ -3,8 +3,9 @@
 A report is a list of checks, each recording both sides of the
 comparison so a failure is diagnosable from the report alone.  The sphere
 and stage checks, both disjoint-pair routes and the exports take any lines
-and triangles, so a malformed complex fails checks.  Only the table
-raises MalformedComplex, on a line-degree outside {3, 6}, and
+and triangles, so a malformed complex fails checks; the verifiers take
+any hashable labels, whether or not they compare with each other.  Only
+the table raises MalformedComplex, on a line-degree outside {3, 6}, and
 ``verify_configuration`` reports that as a failed check, so no verifier
 raises.  A PillowConfig rejects a bidegree below (2, 2) on construction.
 

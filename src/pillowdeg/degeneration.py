@@ -101,11 +101,13 @@ def build_table(c: pillow.PillowConfig) -> DegenerationTable:
 def _table(c: pillow.PillowConfig, degrees: Counter[int], two_points: int) -> DegenerationTable:
     """``build_table`` on ``degrees``, the ``line_degrees()`` of ``c``, and
     ``two_points``, the degree route's count on them."""
-    bad = {v: d for v, d in degrees.items() if d not in (3, 6)}
+    bad = [(v, d) for v, d in degrees.items() if d not in (3, 6)]
     if bad:
-        raise MalformedComplex(
-            f"vertices with line-degree outside {{3, 6}}: {sorted(bad.items())[:5]}"
-        )
+        try:
+            bad = sorted(bad)
+        except TypeError:
+            pass  # labels that do not compare stay in line_degrees order
+        raise MalformedComplex(f"vertices with line-degree outside {{3, 6}}: {bad[:5]}")
     three_points = sum(1 for d in degrees.values() if d == 3)
     six_points = sum(1 for d in degrees.values() if d == 6)
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain, islice, pairwise, repeat, starmap
+from itertools import accumulate, chain, islice, pairwise, repeat, starmap
 from math import comb
 from operator import iadd, itemgetter, lt
 
@@ -480,9 +480,10 @@ def is_complex_isomorphism(c: PillowConfig, other: PillowConfig,
     triangles one to one: the image sets equal ``other``'s sets, and both
     complexes list each line and triangle once, so a repeat on either side
     fails.  A line or triangle of ``c`` on a label outside ``vertex_map``
-    fails."""
-    if (sorted(vertex_map) != sorted(c.vertices)
-            or sorted(vertex_map.values()) != sorted(other.vertices)):
+    fails.  The vertex lists compare as multisets: labels need not order."""
+    # the Counters' item views compare in C, where Counter's == loops in Python
+    if (Counter(vertex_map.keys()).items() != Counter(c.vertices).items()
+            or Counter(vertex_map.values()).items() != Counter(other.vertices).items()):
         return False
     try:
         lines = {_sorted_pair(vertex_map[u], vertex_map[v]) for u, v, _, _ in c.lines}
@@ -674,61 +675,36 @@ def dot_line_pieces(c: PillowConfig) -> Iterator[str]:
     lines by endpoint pair.  The vertices come in ``line_degrees`` order:
     the vertex list, then any endpoint outside it.
 
-    When the complex is in vertex order, as ``build_pillow`` gives, each
-    line's record is held only from its first endpoint to its second and
-    the names at a vertex are rendered as the vertex is walked; any other
-    complex has the names of all its lines rendered first."""
+    The degrees give each vertex a run of one flat list, and each line is
+    placed in the runs of both its endpoints, walked in endpoint-pair
+    order, so a run holds its vertex's lines by pair.  The list holds the
+    records; the names of a run are rendered only when its edges are
+    written, so no list of every line's name is built."""
+    degrees = c.line_degrees()
+    # each vertex's offset moves from the start of its run to its end
+    ends = dict(zip(degrees, accumulate(degrees.values(), initial=0)))
+    del degrees
     lines = c.lines
-    if _in_vertex_order(c.vertices, lines):
-        at_vertices = _names_at_sorted_vertices(c.vertices, lines)
-    else:
-        incident: dict[int, list[str]] = {v: [] for v in c.line_degrees()}
-        # sorted by endpoint pair, stably: a line's name is a function of its
-        # pair, so the order of lines sharing a pair does not show
-        for u, v, _, _ in sorted(lines, key=itemgetter(0, 1)):
-            name = f'"L{u}_{v}"'
-            incident[u].append(name)
-            incident[v].append(name)
-        at_vertices = incident.values()
+    if not _increasing(map(itemgetter(0, 1), lines)):
+        # stably: a line's name is a function of its pair, so the order of
+        # lines sharing a pair does not show
+        lines = sorted(lines, key=itemgetter(0, 1))
+    at: list = [None] * (2 * len(lines))
+    for ln in lines:
+        u, v = ln[0], ln[1]
+        i = ends[u]
+        at[i] = ln
+        ends[u] = i + 1
+        i = ends[v]
+        at[i] = ln
+        ends[v] = i + 1
+    at_vertices = ([f'"L{ln[0]}_{ln[1]}"' for ln in at[start:end]]
+                   for start, end in pairwise(chain((0,), ends.values())))
     return _pieces(chain(
         ("graph line_intersection {",),
-        (f'\n  "L{u}_{v}";' for u, v, _, _ in lines),
+        (f'\n  "L{u}_{v}";' for u, v, _, _ in c.lines),
         # the edges from each line to the later lines at the vertex, one text
         (f"\n  {first} -- " + f";\n  {first} -- ".join(at_v[idx:]) + ";"
          for at_v in at_vertices for idx, first in enumerate(at_v[:-1], 1)),
         ("\n}\n",),
     ))
-
-
-def _in_vertex_order(vertices: Sequence, lines: Sequence[tuple]) -> bool:
-    """Whether the vertices and the endpoint pairs both strictly increase,
-    every line has u < v and every endpoint is a vertex.  Then the lines at
-    a vertex, by endpoint pair, are those ending there and then those
-    starting there.  Labels that do not compare or hash fail."""
-    try:
-        if not (_increasing(vertices) and _increasing(map(itemgetter(0, 1), lines))
-                and all(map(lt, map(itemgetter(0), lines), map(itemgetter(1), lines)))):
-            return False
-        labels = set(vertices)
-        return (labels.issuperset(map(itemgetter(0), lines))
-                and labels.issuperset(map(itemgetter(1), lines)))
-    except TypeError:
-        return False
-
-
-def _names_at_sorted_vertices(vertices: Iterable, lines: Iterable[tuple]) -> Iterator[list[str]]:
-    """The names of the lines at each of ``vertices`` by endpoint pair, for
-    a complex in vertex order (``_in_vertex_order``): the lines ending at a
-    vertex, then the lines starting there.  A line's record is held from
-    its first endpoint to its second, and a vertex's names are rendered
-    only when they are yielded."""
-    ending: defaultdict[object, list[tuple]] = defaultdict(list)
-    lines = iter(lines)
-    line = next(lines, None)
-    for w in vertices:
-        at_w = ending.pop(w, [])
-        while line is not None and line[0] == w:
-            at_w.append(line)
-            ending[line[1]].append(line)
-            line = next(lines, None)
-        yield [f'"L{u}_{v}"' for u, v, _, _ in at_w]

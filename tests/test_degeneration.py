@@ -7,6 +7,7 @@ from pillowdeg import (
     Report,
     DegenerationTable,
     InvalidParameter,
+    Line,
     MalformedComplex,
     PillowConfig,
     TableRow,
@@ -267,6 +268,18 @@ class TestVerifyConfiguration:
         ]
         # the missing rhs is a JSON null, not the string "None"
         assert report["line_degrees_in_local_models"].as_dict()["rhs"] is None
+
+    def test_labels_that_do_not_compare_are_listed_in_degree_order(self):
+        # the int and str labels cannot be sorted together, so the message
+        # lists them as line_degrees() counts them: the vertices first
+        c = build_pillow(2, 2)
+        c = c._replace(lines=c.lines[1:] + (Line("p", "q", "x", "y"),))
+        message = ("vertices with line-degree outside {3, 6}: "
+                   "[(1, 2), (2, 5), ('p', 1), ('q', 1)]")
+        with pytest.raises(MalformedComplex) as raised:
+            build_table(c)
+        assert str(raised.value) == message
+        assert verify_configuration(c)["line_degrees_in_local_models"].lhs == message
 
     def test_one_degree_count_and_one_degree_route(self, monkeypatch):
         # the sphere census, the pair check and the table's 2-points share

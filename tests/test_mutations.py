@@ -21,6 +21,7 @@ from pillowdeg import (
     Check,
     Line,
     MalformedComplex,
+    Report,
     Triangle,
     build_pillow,
     build_table,
@@ -263,8 +264,8 @@ def face_components(c):
 
 # The two DOT exports as they were written while the face export read the
 # line index, copied verbatim: the oracles for the face export, which builds
-# no index, and for the line graph, which names the lines of a complex in
-# vertex order as it walks the vertices.
+# no index, and for the line graph, which lists each line's record at both
+# its endpoints and renders no name before its vertex's edges are written.
 def _reference_dot_face_pieces(c) -> Iterator[str]:
     """The DOT face-adjacency graph in pieces: one node per triangle, named
     ``<side>_r<row>_c<col>_<half>``, one edge per line shared by two."""
@@ -334,6 +335,9 @@ def odd_complexes():
     return {
         "str labels after int ones": c._replace(lines=c.lines + (Line("p", "q", "x", "y"),)),
         "str labels before int ones": c._replace(lines=(Line("p", "q", "x", "y"),) + c.lines),
+        "str labels in place of an int line": c._replace(
+            lines=c.lines[1:] + (Line("p", "q", "x", "y"),)),
+        "a str vertex after int ones": c._replace(vertices=c.vertices + ("x",)),
         "unhashable labels": c._replace(lines=c.lines + (([1], [2], "x", "y"),)),
         "a float label": c._replace(lines=c.lines + (Line(1.5, 2, "x", "y"),)),
         "a label equal to a vertex of another type": c._replace(
@@ -416,6 +420,19 @@ class TestMutatedPillows:
             assert not report.checks[len(head)].passed
         else:
             assert report.checks[len(head):-1] == verify_conservation(table).checks
+
+    @pytest.mark.parametrize("name", sorted(
+        name for name, c in odd_complexes().items()
+        if all(type(ln) is Line for ln in c.lines) and all(len(t) == 7 for t in c.triangles)))
+    def test_verify_configuration_reports_every_odd_complex_of_records(self, name):
+        # labels that do not compare with each other, among the vertices or
+        # on degrees outside {3, 6}, fail checks instead of raising
+        c = odd_complexes()[name]
+        assert isinstance(verify_configuration(c), Report)
+        try:
+            build_table(c)
+        except MalformedComplex:
+            pass
 
     @settings(max_examples=150, deadline=None)
     @given(mutant=mutants())

@@ -605,8 +605,8 @@ class TestExports:
         assert traced_peak(lambda: all(dot_face_pieces(c))) < index
 
     def test_dot_line_names_are_held_from_end_to_end(self):
-        # the lines of a built pillow are in vertex order, so each name is
-        # held only from its line's first endpoint to its second
+        # the line graph holds no list of every line's name: a vertex's
+        # names are rendered only when its edges are written
         c = build_pillow(64, 64)
         names = traced_peak(lambda: [f'"L{u}_{v}"' for u, v, _, _ in c.lines])
         assert traced_peak(lambda: all(dot_line_pieces(c))) < names
