@@ -14,14 +14,14 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
 parameters or usage, 3 file I/O failure.  Every package error ends with
 ``error: ...`` on stderr and exits 2.
 
-Size limits (exit 2 with ``error: ...``): ``pillow`` and ``table`` accept
-a*b up to ``pillow.MAX_PILLOW_CELLS`` = 16384 cells, and every export is
-written in pieces, to ``--out``, to text stdout or inside a ``--format
-json`` document alike.  ``pillow --verify`` and each ``verify``
-configuration accept a*b up to ``pillow.MAX_VERIFY_CELLS`` = 1024: their
-brute-force pair oracle is O(E^2) in time and memory.  ``verify`` checks
-its largest corner before it starts.  README gives the measured times and
-peaks at these limits.
+Size limits (exit 2 with ``error: ...``): every subcommand, ``pillow
+--verify`` and each ``verify`` configuration included, accepts a*b up to
+``pillow.MAX_PILLOW_CELLS`` = 16384 cells, and every export is written in
+pieces, to ``--out``, to text stdout or inside a ``--format json``
+document alike.  Before it starts, ``verify`` checks its largest corner
+against that limit and the total cells of its box, sum(a) * sum(b), against
+``_MAX_BOX_CELLS``, so that no box runs for hours.  README gives the
+measured times and peaks at these limits.
 """
 from __future__ import annotations
 
@@ -38,6 +38,9 @@ EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
 EXIT_USAGE = 2
 EXIT_IO = 3
+
+# the most cells of one verify box, sum(a) * sum(b); 2..256 x 2..4 takes 296,055
+_MAX_BOX_CELLS = 1 << 19
 
 
 # stands in for the export in a rendered document: no argument can hold a
@@ -213,11 +216,13 @@ def cmd_verify(args) -> int:
             raise InvalidParameter(
                 f"{flag} range {lo}..{hi} outside [2, {limit}] (raise --limit to widen)"
             )
-    if a_hi * b_hi > pillow.MAX_VERIFY_CELLS:
-        raise InvalidParameter(
-            f"--a {args.a} --b {args.b} reaches a*b = {a_hi * b_hi}, "
-            f"above the verify limit {pillow.MAX_VERIFY_CELLS}"
-        )
+    if a_hi * b_hi > pillow.MAX_PILLOW_CELLS:
+        raise InvalidParameter(f"--a {args.a} --b {args.b} reaches a*b = {a_hi * b_hi}, "
+                               f"above the limit {pillow.MAX_PILLOW_CELLS}")
+    cells = (a_lo + a_hi) * (a_hi - a_lo + 1) * (b_lo + b_hi) * (b_hi - b_lo + 1) // 4
+    if cells > _MAX_BOX_CELLS:
+        raise InvalidParameter(f"--a {args.a} --b {args.b} spans {cells} cells in all, "
+                               f"above the box limit {_MAX_BOX_CELLS}")
 
     sections = [surfaces.verify_families(),
                 *degeneration.verify_box(range(a_lo, a_hi + 1), range(b_lo, b_hi + 1))]

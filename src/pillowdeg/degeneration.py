@@ -158,6 +158,7 @@ def verify_configuration(c: pillow.PillowConfig,
     pillow_report, two_points = pillow._verify_pillow(c, incidence, degrees)
     report.extend(pillow_report)
     report.extend(pillow.verify_stages(c, incidence))
+    del incidence  # freed before the transpose side is built
     try:
         report.extend(verify_conservation(_table(c, degrees, two_points)))
     except MalformedComplex as exc:

@@ -43,12 +43,11 @@ HORIZONTAL = "horizontal"
 VERTICAL = "vertical"
 DIAGONAL = "diagonal"
 
-# Size guards on the cell count a*b.  The build and each export are linear
-# and must stay under 80 MB of RSS at the build limit; verify_pillow runs
-# the brute-force pair oracle, whose time and memory grow as E^2.  README
-# gives the measured times and peaks at both limits.
+# Size guard on the cell count a*b.  The build, each export and each
+# verifier must stay under 80 MB of RSS at this limit; the brute-force pair
+# oracle's time grows as E^2, its memory as V times its block.  README
+# gives the measured times and peaks at the limit.
 MAX_PILLOW_CELLS = 16384
-MAX_VERIFY_CELLS = 1024
 
 
 def _check_bidegree(a: int, b: int) -> None:
@@ -245,9 +244,9 @@ def build_pillow(a: int, b: int) -> PillowConfig:
 def incidence_index(c: PillowConfig) -> dict[tuple[int, int], list[int]]:
     """One pass over the triangles: each line's endpoint pair to the indices
     of the triangles on that line, built once per verified configuration."""
-    incidence: dict[tuple[int, int], list[int]] = {(u, v): [] for u, v, _, _ in c.lines}
+    incidence = {pair: [] for pair in map(itemgetter(0, 1), c.lines)}
     on_pair = incidence.get
-    for idx, (p, q, r, _, _, _, _) in enumerate(c.triangles):
+    for idx, (p, q, r) in enumerate(map(itemgetter(0, 1, 2), c.triangles)):
         for pair in ((p, q), (p, r), (q, r)):
             tris = on_pair(pair)
             if tris is not None:
@@ -347,7 +346,7 @@ def _sphere_report(c: PillowConfig, incidence: dict | None, line_deg: Counter[in
 def count_disjoint_line_pairs(c: PillowConfig) -> int:
     """Unordered pairs of lines sharing no vertex, by exhaustive O(E^2)
     enumeration: the oracle the other two routes are checked against."""
-    return pairs.count_disjoint_pairs([ln.pair for ln in c.lines])
+    return pairs.count_disjoint_pairs(list(map(itemgetter(0, 1), c.lines)))
 
 
 def disjoint_pairs_via_degrees(c: PillowConfig) -> int:
@@ -397,8 +396,8 @@ def verify_pillow(c: PillowConfig, incidence: dict | None = None) -> Report:
     """The sphere checks, passed ``incidence`` when given, then the
     brute-force disjoint-pair count against the closed form and against
     the degree route.  The brute force tests every line pair, bit-parallel
-    but still O(E^2), and assumes nothing of the lines it is given; a*b
-    above MAX_VERIFY_CELLS raises InvalidParameter."""
+    but still O(E^2) in time, and assumes nothing of the lines it is given;
+    it takes any complex the build takes and raises nothing."""
     return _verify_pillow(c, incidence, c.line_degrees())[0]
 
 
@@ -407,11 +406,6 @@ def _verify_pillow(c: PillowConfig, incidence: dict | None,
     """``verify_pillow`` on ``degrees``, the ``line_degrees()`` of ``c``, and
     the degree route's count, which the table reuses: one census and one
     route per verified configuration."""
-    if c.a * c.b > MAX_VERIFY_CELLS:
-        raise InvalidParameter(
-            f"verifying bidegree ({c.a}, {c.b}) runs the O(E^2) pair oracle; "
-            f"a*b = {c.a * c.b} is above the limit {MAX_VERIFY_CELLS}"
-        )
     report = Report(f"pillow ({c.a}, {c.b})")
     report.extend(_sphere_report(c, incidence, degrees))
     brute = count_disjoint_line_pairs(c)
@@ -439,7 +433,7 @@ def verify_stages(c: PillowConfig, incidence: dict | None = None) -> Report:
     quadric = list(map(itemgetter(3, 4, 5), c.triangles))
     incidence = incidence_index(c) if incidence is None else incidence
     # the triangles of each quadric line, a line of c not inside one quadric
-    outer = [tris for tris in (incidence[ln.pair] for ln in c.lines)
+    outer = [tris for tris in map(incidence.__getitem__, map(itemgetter(0, 1), c.lines))
              if len(tris) != 2 or quadric[tris[0]] != quadric[tris[1]]]
     report.add("quadric_face_count", len(set(quadric)), 2 * a * b)
     report.add("quadric_line_count", len(outer), 4 * a * b)
@@ -477,24 +471,26 @@ def transpose_map(a: int, b: int) -> dict[int, int]:
 def is_complex_isomorphism(c: PillowConfig, other: PillowConfig,
                            vertex_map: dict[int, int]) -> bool:
     """True when the bijection carries lines onto lines and triangles onto
-    triangles one to one: the image sets equal ``other``'s sets, and both
-    complexes list each line and triangle once, so a repeat on either side
-    fails.  A line or triangle of ``c`` on a label outside ``vertex_map``
-    fails.  The vertex lists compare as multisets: labels need not order."""
-    # the Counters' item views compare in C, where Counter's == loops in Python
-    if (Counter(vertex_map.keys()).items() != Counter(c.vertices).items()
-            or Counter(vertex_map.values()).items() != Counter(other.vertices).items()):
+    triangles one to one: each image is struck out of the set of ``other``'s
+    pairs, then of its triples, and both complexes list each line and
+    triangle once, so a repeat on either side fails.  A line or triangle of
+    ``c`` on a label outside ``vertex_map`` fails.  The vertex lists compare
+    as multisets: labels need not order."""
+    # a dict's keys are distinct, so they need no Counter; item views compare in C
+    if (len(vertex_map) != len(c.vertices) or vertex_map.keys() != set(c.vertices)
+            or Counter(vertex_map.values()).items() != Counter(other.vertices).items()
+            or len(c.lines) != len(other.lines) or len(c.triangles) != len(other.triangles)):
         return False
     try:
-        lines = {_sorted_pair(vertex_map[u], vertex_map[v]) for u, v, _, _ in c.lines}
-        tris = {tuple(sorted((vertex_map[p], vertex_map[q], vertex_map[r])))
-                for p, q, r, _, _, _, _ in c.triangles}
-    except KeyError:
+        left = set(map(itemgetter(0, 1), other.lines))
+        for u, v in map(itemgetter(0, 1), c.lines):
+            left.remove(_sorted_pair(vertex_map[u], vertex_map[v]))
+        left = set(map(itemgetter(0, 1, 2), other.triangles))
+        for p, q, r in map(itemgetter(0, 1, 2), c.triangles):
+            left.remove(tuple(sorted((vertex_map[p], vertex_map[q], vertex_map[r]))))
+    except KeyError:  # a label outside the map, or an image not left to strike
         return False
-    return (len(c.lines) == len(other.lines) == len(lines)
-            and len(c.triangles) == len(other.triangles) == len(tris)
-            and lines == {ln.pair for ln in other.lines}
-            and tris == {(p, q, r) for p, q, r, _, _, _, _ in other.triangles})
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -362,8 +362,8 @@ class TestSizeLimits:
         ("pillow", "--a", "100000", "--b", "100000"),
         ("pillow", "--a", "128", "--b", "129", "--export", "json"),
         ("table", "--a", "3", "--b", str(10**20)),
-        ("pillow", "--a", "33", "--b", "32", "--verify"),
-        ("verify", "--a", "33", "--b", "32", "--limit", "40"),
+        ("pillow", "--a", "128", "--b", "129", "--verify"),
+        ("verify", "--a", "128", "--b", "129", "--limit", "200"),
         ("verify", "--a", "2..40", "--b", "2..40", "--limit", "40"),
     ], ids=["pillow", "pillow-export", "table", "pillow-verify", "verify", "verify-range"])
     def test_oversized_input_exits_2_fast(self, capsys, argv):
@@ -382,7 +382,7 @@ def mostly(common, rare):
 
 
 # Integers a user might pass: valid parameters, edge values, and values so
-# large that any product with a parameter >= 2 is above both size limits,
+# large that any product with a parameter >= 2 is above the cell limit,
 # so a generated input is either cheap to run or rejected at once.
 INTEGERS = mostly(
     st.integers(2, 6),

@@ -421,12 +421,13 @@ class TestMutatedPillows:
         else:
             assert report.checks[len(head):-1] == verify_conservation(table).checks
 
-    @pytest.mark.parametrize("name", sorted(
-        name for name, c in odd_complexes().items()
-        if all(type(ln) is Line for ln in c.lines) and all(len(t) == 7 for t in c.triangles)))
+    # unhashable labels are outside the verifiers' contract of hashable
+    # labels (pillowdeg.checks), so that complex alone is left out
+    @pytest.mark.parametrize("name", sorted(set(odd_complexes()) - {"unhashable labels"}))
     def test_verify_configuration_reports_every_odd_complex_of_records(self, name):
         # labels that do not compare with each other, among the vertices or
-        # on degrees outside {3, 6}, fail checks instead of raising
+        # on degrees outside {3, 6}, plain-tuple lines and short triangles
+        # fail checks instead of raising
         c = odd_complexes()[name]
         assert isinstance(verify_configuration(c), Report)
         try:

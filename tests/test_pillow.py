@@ -8,7 +8,7 @@ import pytest
 from reference import config_to_dict, edge_pairs
 from test_cli import EXPORT_DIGESTS, sha256, traced_peak
 
-from pillowdeg import pillow
+from pillowdeg import degeneration, pillow
 from pillowdeg import (
     InvalidParameter,
     Line,
@@ -30,7 +30,8 @@ from pillowdeg import (
     verify_pillow,
     verify_sphere_triangulation,
 )
-from pillowdeg.pillow import MAX_PILLOW_CELLS, MAX_VERIFY_CELLS, PIECE_CHARS, incidence_index
+from pillowdeg.cli import main
+from pillowdeg.pillow import MAX_PILLOW_CELLS, PIECE_CHARS, incidence_index
 
 
 def reference_json(c):
@@ -137,10 +138,24 @@ class TestSizeLimits:
         with pytest.raises(InvalidParameter, match="above the limit"):
             build_pillow(a, b)
 
-    def test_verify_rejects_above_its_limit(self):
-        assert MAX_VERIFY_CELLS == 1024
-        with pytest.raises(InvalidParameter, match="above the limit 1024"):
-            verify_pillow(build_pillow(25, 41))
+    def test_verify_rejects_above_its_limit(self, capsys, monkeypatch):
+        # verify checks its largest corner against the cell limit and its
+        # box's sum(a) * sum(b) cells against the box limit before it
+        # verifies anything, so a stub box shows which boxes get through
+        monkeypatch.setattr(degeneration, "verify_box", lambda a_range, b_range: [])
+        accepted = [("2", "8192"), ("8192", "2"), ("128", "128"),
+                    ("2..256", "2..4"), ("2..4", "2..256")]  # 296,055 cells
+        refused = {("2", "8193"): "a*b = 16386, above the limit 16384",
+                   ("128", "129"): "a*b = 16512, above the limit 16384",
+                   ("2..362", "2..4"): "591318 cells in all, above the box limit 524288",
+                   ("2..40", "2..40"): "670761 cells in all, above the box limit 524288"}
+        for a, b in [*accepted, *refused]:
+            code = main(["verify", "--a", a, "--b", b, "--limit", "10000"])
+            err = capsys.readouterr().err
+            if (a, b) in refused:
+                assert code == 2 and refused[(a, b)] in err, (a, b, err)
+            else:
+                assert (code, err) == (0, ""), (a, b)
 
     @pytest.mark.parametrize("a,b", [(64, 64), (2, 2048), (2048, 2)])
     def test_complex_is_flat_records_on_one_object_per_label(self, a, b):
