@@ -12,7 +12,9 @@ Subcommands:
 
 Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
 parameters or usage, 3 file I/O failure.  Every package error ends with
-``error: ...`` on stderr and exits 2.
+``error: ...`` on stderr and exits 2.  Every failed write to stdout, the
+last one of a buffered stdout included, and a closed stdout end with one
+``i/o error: ...`` line on stderr and exit 3.
 
 Size limits (exit 2 with ``error: ...``): every subcommand, ``pillow
 --verify`` and each ``verify`` configuration included, accepts a*b up to
@@ -27,6 +29,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import os
 import sys
 from collections.abc import Iterable
 
@@ -305,17 +308,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     # the records are tuples, which hold no reference cycle, so the cyclic
     # collector would only rescan tens of thousands of them to free nothing;
     # it stays off while the command runs and is then put back as it was
     collecting = gc.isenabled()
     gc.disable()
     try:
-        return args.func(args)
+        if sys.stdout is None:
+            raise OSError("stdout is closed")
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            # --help exits 0, a usage fault 2
+            code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        else:
+            code = args.func(args)
+        # a buffered stdout still holds the end of the output; written by
+        # the interpreter at exit, a failure would end in "Exception
+        # ignored" and exit 120, outside this guard
+        sys.stdout.flush()
+        return code
     except PillowDegError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
@@ -327,5 +339,28 @@ def main(argv=None) -> int:
             gc.enable()
 
 
+def run(argv=None):
+    """The process entry point, which ``python -m pillowdeg``, ``python -m
+    pillowdeg.cli`` and the ``pillowdeg`` script call: it runs ``main``
+    and exits with its code.
+
+    Before it exits it freezes the heap, so that the interpreter's
+    collections at shutdown skip every object alive then, the modules that
+    site preloads among them; atexit handlers, stream flushes and
+    finalisation warnings are kept.  ``main`` itself leaves the caller's
+    collector as it was, and importing this module freezes nothing."""
+    code = main(argv)
+    if sys.stdout is not None:
+        try:
+            sys.stdout.flush()
+        except OSError:
+            # main has reported the failed write; what the buffer still
+            # holds goes to the null device, so that the interpreter's own
+            # flush at exit cannot fail a second time
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+    gc.freeze()
+    sys.exit(code)
+
+
 if __name__ == "__main__":
-    sys.exit(main())
+    run()

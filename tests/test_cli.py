@@ -5,12 +5,14 @@ import gc
 import hashlib
 import io
 import json
+import os
 import re
 import subprocess
 import sys
 import time
 import tracemalloc
 from argparse import Namespace
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -25,6 +27,22 @@ def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def python_env():
+    """The environment users run the CLI in: this package on the path and
+    a buffered stdout, with no ``PYTHONUNBUFFERED``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(pillow.__file__).parents[1]))
+    env.pop("PYTHONUNBUFFERED", None)
+    return env
+
+
+def run_python(*args, **kwargs):
+    """Run ``python args`` in ``python_env()``; output is captured unless
+    ``kwargs`` route it elsewhere."""
+    kwargs.setdefault("stdout", subprocess.PIPE)
+    kwargs.setdefault("stderr", subprocess.PIPE)
+    return subprocess.run([sys.executable, *args], env=python_env(), timeout=120, **kwargs)
 
 
 class TestCharacters:
@@ -343,6 +361,21 @@ class TestCollector:
             set_collector(was_enabled)
         capsys.readouterr()
         assert (code, after) == (expected, enabled)
+        # only the process entry freezes the heap, and only as it exits
+        assert gc.get_freeze_count() == 0
+
+    def test_import_freezes_nothing(self):
+        result = run_python("-c", "import gc, pillowdeg.cli; print(gc.get_freeze_count())")
+        assert (result.returncode, result.stdout) == (0, b"0\n")
+
+    def test_entry_freezes_the_heap_and_keeps_atexit(self):
+        probe = ("import atexit, gc, sys\n"
+                 "atexit.register(lambda: print(gc.get_freeze_count() > 0, file=sys.stderr))\n"
+                 "from pillowdeg.cli import run\n"
+                 "run(['table', '--a', '2', '--b', '2'])\n")
+        result = run_python("-c", probe)
+        assert (result.returncode, result.stderr) == (0, b"True\n")
+        assert b"conservation checks:" in result.stdout
 
     def test_off_while_the_command_runs(self, capsys, monkeypatch):
         seen = []
@@ -541,6 +574,15 @@ class TestDeterminism:
         assert first.stdout == second.stdout
         assert first.stdout.endswith(b"\n")
 
+    def test_out_file_complete_when_the_process_ends(self, tmp_path):
+        # the process exits through the frozen heap, not through main's return
+        out_file = tmp_path / "export.dot"
+        result = run_python("-m", "pillowdeg", "pillow", "--a", "16", "--b", "16",
+                            *EXPORT_ARGS["lines"], "--out", str(out_file))
+        assert (result.returncode, result.stderr) == (0, b"")
+        assert hashlib.sha256(out_file.read_bytes()).hexdigest() == \
+            EXPORT_DIGESTS[(16, 16), "lines"]
+
     def test_pillow_json_export_byte_identical(self, capsys):
         code1, out1, _ = run_cli(capsys, "pillow", "--a", "3", "--b", "2",
                                  "--export", "json")
@@ -548,6 +590,73 @@ class TestDeterminism:
                                  "--export", "json")
         assert code1 == code2 == 0
         assert out1 == out2
+
+
+class FailingFlush(io.StringIO):
+    """A stdout whose writes are buffered and whose flush fails, as a full
+    disk fails a buffered stdout."""
+
+    def flush(self):
+        raise OSError(28, "No space left on device")
+
+
+class TestStdoutFailures:
+    """A failed write to stdout, the last one of a buffered stdout included,
+    and a closed stdout end with one ``i/o error:`` line and exit 3, never
+    with "Exception ignored", exit 120 or a traceback."""
+
+    def test_failed_flush_in_process_exit_3(self, capsys, monkeypatch):
+        monkeypatch.setattr(sys, "stdout", FailingFlush())
+        assert main(["table", "--a", "2", "--b", "2"]) == 3
+        assert capsys.readouterr().err == "i/o error: [Errno 28] No space left on device\n"
+
+    def test_closed_stdout_in_process_exit_3_before_building(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr("pillowdeg.pillow.build_pillow", built.append)
+        monkeypatch.setattr(sys, "stdout", None)
+        assert main(["pillow", "--a", "2", "--b", "2"]) == 3
+        assert built == []
+        assert capsys.readouterr().err == "i/o error: stdout is closed\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--a", "2..3", "--b", "2..3"),
+        ("characters", "--family", "k3", "--g", "9", "--format", "json"),
+        ("table", "--a", "2", "--b", "2", "--format", "json"),
+        ("--help",),
+    ])
+    @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+    def test_full_disk_exit_3(self, argv):
+        with open("/dev/full", "w") as full:
+            result = run_python("-m", "pillowdeg", *argv, stdout=full)
+        assert result.returncode == 3
+        assert result.stderr == b"i/o error: [Errno 28] No space left on device\n"
+
+    @pytest.mark.parametrize("argv,head", [
+        (("pillow", "--a", "64", "--b", "64", "--export", "dot"), b"graph face"),
+        (("verify", "--a", "2..3", "--b", "2..3"), b""),
+    ])
+    def test_closed_pipe_exit_3(self, argv, head):
+        # as `| head -c 10` does: the reader takes what it wants and leaves
+        with subprocess.Popen([sys.executable, "-m", "pillowdeg", *argv], env=python_env(),
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert os.read(proc.stdout.fileno(), len(head)) == head
+            proc.stdout.close()
+            _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 3
+        assert err == b"i/o error: [Errno 32] Broken pipe\n"
+
+    @pytest.mark.parametrize("argv", [
+        ("table", "--a", "2", "--b", "2", "--format", "json"),
+        ("pillow", "--a", "2", "--b", "2", "--export", "json"),
+        ("verify", "--a", "2..3", "--b", "2..3"),
+        ("pillow", "--a", "2", "--b", "2", "--export", "json", "--out", "p22.json"),
+    ])
+    def test_closed_stdout_exit_3_before_any_work(self, tmp_path, argv):
+        result = run_python("-m", "pillowdeg", *argv, stdout=None, cwd=tmp_path,
+                            preexec_fn=lambda: os.close(1))
+        assert result.returncode == 3
+        assert result.stderr == b"i/o error: stdout is closed\n"
+        assert list(tmp_path.iterdir()) == []
 
 
 # the 64 KiB of pillow.PIECE_CHARS, which a piece passes by less than one

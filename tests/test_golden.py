@@ -8,9 +8,12 @@ the size limits, an export embedded in the JSON document, a file export,
 an I/O failure, an empty ``--out`` and ``--out`` without ``--export``.
 Each argv is split as a shell would split it and runs in-process through
 ``cli.main`` from a fresh temporary working directory, so ``--out`` paths
-stay relative and the output never names the directory.  The digests were
-taken at commit 195b0bf and are the same on Python 3.10 and 3.11, except
-the rows of ``--out`` without ``--export`` and of an empty ``--out``, each
+stay relative and the output never names the directory.  One row of each
+subcommand, an exit-2 row and an exit-3 row also run as ``python -m
+pillowdeg`` processes with a buffered stdout, against the same digests.
+The digests were taken at commit 195b0bf and are the same on Python 3.10
+and 3.11, except the rows of ``--out`` without ``--export`` and of an
+empty ``--out``, each
 taken when that usage became an error, and of ``pillow --a 33 --b 32
 --verify`` (now passing) and ``verify --a 2..40 --b 2..40`` (now refused
 by the box limit), taken when the verifiers came to take every bidegree
@@ -24,6 +27,7 @@ import shlex
 import pytest
 
 from pillowdeg.cli import main
+from test_cli import run_python
 
 EMPTY = hashlib.sha256(b"").hexdigest()
 
@@ -190,3 +194,23 @@ def test_output_pinned(capsys, monkeypatch, tmp_path, argv, out_digest, err_dige
     captured = capsys.readouterr()
     assert hashlib.sha256(captured.out.encode()).hexdigest() == out_digest
     assert hashlib.sha256(captured.err.encode()).hexdigest() == err_digest
+
+
+ROWS = {row[0]: row for row in CORPUS}
+PROCESS_ROWS = [ROWS[argv] for argv in (
+    "verify --a 2..6 --b 2..6 --format json",
+    "pillow --a 4 --b 3 --verify --export dot --out p43.dot --format json",
+    "table --a 3 --b 5",
+    "characters --family k3 --g 9",
+    "verify --a 1..3 --b 2..2",
+    "pillow --a 4 --b 3 --export json --out missing/p43.json",
+)]
+
+
+@pytest.mark.parametrize("argv,out_digest,err_digest,code", PROCESS_ROWS,
+                         ids=[row[0] for row in PROCESS_ROWS])
+def test_process_output_pinned(tmp_path, argv, out_digest, err_digest, code):
+    result = run_python("-m", "pillowdeg", *shlex.split(argv), cwd=tmp_path)
+    assert result.returncode == code
+    assert hashlib.sha256(result.stdout).hexdigest() == out_digest
+    assert hashlib.sha256(result.stderr).hexdigest() == err_digest
