@@ -14,7 +14,8 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
 parameters or usage, 3 file I/O failure.  Every package error ends with
 ``error: ...`` on stderr and exits 2.  Every failed write to stdout, the
 last one of a buffered stdout included, and a closed stdout end with one
-``i/o error: ...`` line on stderr and exit 3.
+``i/o error: ...`` line on stderr and exit 3.  The arguments are parsed
+under Python's limit on int digits, and no integer computed from them is.
 
 Size limits (exit 2 with ``error: ...``): every subcommand, ``pillow
 --verify`` and each ``verify`` configuration included, accepts a*b up to
@@ -36,6 +37,9 @@ from collections.abc import Iterable
 from . import degeneration, pillow, surfaces
 from .checks import Check
 from .errors import InvalidParameter, PillowDegError
+
+# sets Python's limit on the digits of an int in str conversions, if it has one
+_set_digits = getattr(sys, "set_int_max_str_digits", lambda limit: None)
 
 EXIT_OK = 0
 EXIT_CHECK_FAILED = 1
@@ -197,14 +201,13 @@ def cmd_table(args) -> int:
 
 
 def _parse_range(text: str) -> tuple[int, int]:
+    _set_digits(getattr(sys.int_info, "default_max_str_digits", 0))  # CVE-2020-10735
     try:
-        if ".." in text:
-            lo_s, hi_s = text.split("..", 1)
-            lo, hi = int(lo_s), int(hi_s)
-        else:
-            lo = hi = int(text)
+        bounds = text.split("..", 1)
+        lo, hi = int(bounds[0]), int(bounds[-1])
     except ValueError as exc:
         raise InvalidParameter(f"cannot parse range {text!r}; expected N or N..M") from exc
+    _set_digits(0)  # main runs the command with no limit on int digits
     if lo > hi:
         raise InvalidParameter(f"empty range {text!r}")
     return lo, hi
@@ -274,7 +277,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_chars.add_argument("--kh", type=int, help="K.H (custom)")
     p_chars.add_argument("--k2", type=int, help="K^2 (custom)")
     p_chars.add_argument("--euler", type=int, help="Euler number e(S) (custom)")
-    p_chars.add_argument("--format", choices=["text", "json"], default="text")
     p_chars.set_defaults(func=cmd_characters)
 
     p_pillow = sub.add_parser("pillow", help="build (and verify/export) a pillow configuration")
@@ -287,13 +289,11 @@ def build_parser() -> argparse.ArgumentParser:
                           default="faces",
                           help="which graph --export dot writes (default: faces)")
     p_pillow.add_argument("--out", help="write the export here instead of stdout")
-    p_pillow.add_argument("--format", choices=["text", "json"], default="text")
     p_pillow.set_defaults(func=cmd_pillow)
 
     p_table = sub.add_parser("table", help="singularity-distribution table for (a, b)")
     p_table.add_argument("--a", type=int, required=True)
     p_table.add_argument("--b", type=int, required=True)
-    p_table.add_argument("--format", choices=["text", "json"], default="text")
     p_table.set_defaults(func=cmd_table)
 
     p_verify = sub.add_parser("verify", help="sweep all invariants over (a, b) ranges")
@@ -301,8 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--b", required=True, help="range, e.g. 2..4 or 3")
     p_verify.add_argument("--limit", type=int, default=6,
                           help="upper bound allowed for the ranges (default 6)")
-    p_verify.add_argument("--format", choices=["text", "json"], default="text")
     p_verify.set_defaults(func=cmd_verify)
+    for p in (p_chars, p_pillow, p_table, p_verify):
+        p.add_argument("--format", choices=["text", "json"], default="text")
     return parser
 
 
@@ -313,6 +314,7 @@ def main(argv=None) -> int:
     # it stays off while the command runs and is then put back as it was
     collecting = gc.isenabled()
     gc.disable()
+    digits = getattr(sys, "get_int_max_str_digits", lambda: 0)()
     try:
         if sys.stdout is None:
             raise OSError("stdout is closed")
@@ -322,6 +324,7 @@ def main(argv=None) -> int:
             # --help exits 0, a usage fault 2
             code = exc.code if isinstance(exc.code, int) else EXIT_USAGE
         else:
+            _set_digits(0)  # no digit limit on the integers the command writes
             code = args.func(args)
         # a buffered stdout still holds the end of the output; written by
         # the interpreter at exit, a failure would end in "Exception
@@ -335,6 +338,7 @@ def main(argv=None) -> int:
         print(f"i/o error: {exc}", file=sys.stderr)
         return EXIT_IO
     finally:
+        _set_digits(digits)
         if collecting:
             gc.enable()
 

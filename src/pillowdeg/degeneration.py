@@ -146,17 +146,17 @@ def verify_conservation(table: DegenerationTable) -> Report:
 def verify_configuration(c: pillow.PillowConfig,
                          transpose: pillow.PillowConfig | None = None) -> Report:
     """Every invariant of one configuration: the sphere, pair and stage
-    checks on one line incidence, ``incidence_index(c)``, conservation, and
-    the isomorphism with ``transpose``, the pillow (b, a), built here unless
-    it is given.  The line degrees are counted once and the degree route
-    runs once, its count both the pair check's and the table's 2-points.
-    Where the table raises, one failed check with its message as lhs,
-    ``line_degrees_in_local_models``, replaces conservation."""
+    checks, conservation, and the isomorphism with ``transpose``, the
+    pillow (b, a), built here unless it is given.  The inputs the sections
+    share are built here once each: the line incidence, the line degrees
+    and the degree route's count, both the pair check's and the table's
+    2-points.  Where the table raises, one failed check with its message as
+    lhs, ``line_degrees_in_local_models``, replaces conservation."""
     report = Report(f"configuration ({c.a}, {c.b})")
     incidence = pillow.incidence_index(c)
     degrees = c.line_degrees()
-    pillow_report, two_points = pillow._verify_pillow(c, incidence, degrees)
-    report.extend(pillow_report)
+    two_points = pillow._disjoint_pairs(c, degrees)
+    report.extend(pillow._verify_pillow(c, incidence, degrees, two_points))
     report.extend(pillow.verify_stages(c, incidence))
     del incidence  # freed before the transpose side is built
     try:

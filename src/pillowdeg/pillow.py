@@ -254,7 +254,7 @@ def incidence_index(c: PillowConfig) -> dict[tuple[int, int], list[int]]:
     return incidence
 
 
-def verify_sphere_triangulation(c: PillowConfig, incidence: dict | None = None) -> Report:
+def verify_sphere_triangulation(c: PillowConfig) -> Report:
     """Check that the configuration triangulates the 2-sphere.
 
     Reported checks: every line in exactly two triangles; every vertex
@@ -262,17 +262,16 @@ def verify_sphere_triangulation(c: PillowConfig, incidence: dict | None = None) 
     characteristic 2; and the vertex census (the four corners on exactly
     three lines and three triangles, every other vertex on six).
 
-    The line incidence is ``incidence``, else ``incidence_index(c)``; the
-    vertex stars take one more pass, so the check is linear in ``c``.
+    The line incidence is ``incidence_index(c)``; the vertex stars take one
+    more pass, so the check is linear in ``c``.
     """
-    return _sphere_report(c, incidence, c.line_degrees())
+    return _sphere_report(c, incidence_index(c), c.line_degrees())
 
 
-def _sphere_report(c: PillowConfig, incidence: dict | None, line_deg: Counter[int]) -> Report:
-    """``verify_sphere_triangulation`` on ``line_deg``, the ``line_degrees()``
-    of ``c``."""
+def _sphere_report(c: PillowConfig, incidence: dict, line_deg: Counter[int]) -> Report:
+    """``verify_sphere_triangulation`` on ``incidence`` and ``line_deg``, the
+    ``incidence_index(c)`` and the ``line_degrees()`` of ``c``."""
     report = Report(f"sphere triangulation, bidegree ({c.a}, {c.b})")
-    incidence = incidence_index(c) if incidence is None else incidence
     # the triangles' fields are read by index: unpacking a tuple subclass
     # takes CPython's generic path, slower than three subscripts
     star: dict[int, list[Triangle]] = {v: [] for v in c.vertices}
@@ -392,27 +391,27 @@ def formula_disjoint_pairs(g: int) -> int:
     return (9 * g * g - 51 * g + 78) // 2
 
 
-def verify_pillow(c: PillowConfig, incidence: dict | None = None) -> Report:
-    """The sphere checks, passed ``incidence`` when given, then the
-    brute-force disjoint-pair count against the closed form and against
-    the degree route.  The brute force tests every line pair, bit-parallel
-    but still O(E^2) in time, and assumes nothing of the lines it is given;
-    it takes any complex the build takes and raises nothing."""
-    return _verify_pillow(c, incidence, c.line_degrees())[0]
+def verify_pillow(c: PillowConfig) -> Report:
+    """The sphere checks, then the brute-force disjoint-pair count against
+    the closed form and against the degree route.  The brute force tests
+    every line pair, bit-parallel but still O(E^2) in time, and assumes
+    nothing of the lines it is given; it takes any complex the build takes
+    and raises nothing."""
+    degrees = c.line_degrees()
+    return _verify_pillow(c, incidence_index(c), degrees, _disjoint_pairs(c, degrees))
 
 
-def _verify_pillow(c: PillowConfig, incidence: dict | None,
-                   degrees: Counter[int]) -> tuple[Report, int]:
-    """``verify_pillow`` on ``degrees``, the ``line_degrees()`` of ``c``, and
-    the degree route's count, which the table reuses: one census and one
-    route per verified configuration."""
+def _verify_pillow(c: PillowConfig, incidence: dict, degrees: Counter[int],
+                   via_degrees: int) -> Report:
+    """``verify_pillow`` on ``incidence``, ``degrees`` and ``via_degrees``,
+    the ``incidence_index``, ``line_degrees()`` and degree route of ``c``."""
     report = Report(f"pillow ({c.a}, {c.b})")
     report.extend(_sphere_report(c, incidence, degrees))
+    del incidence  # freed before the brute force if no caller holds it
     brute = count_disjoint_line_pairs(c)
-    via_degrees = _disjoint_pairs(c, degrees)
     report.add("disjoint_pairs_brute_vs_formula", brute, formula_disjoint_pairs(c.g))
     report.add("disjoint_pairs_brute_vs_degree_method", brute, via_degrees)
-    return report, via_degrees
+    return report
 
 
 # ---------------------------------------------------------------------------

@@ -149,14 +149,13 @@ def k3(g: int) -> SurfaceClasses:
     return SurfaceClasses(2 * g - 2, 0, 0, 24, label=f"k3 g={g}")
 
 
-# Closed-form character polynomials for each family.  These are evaluated
-# directly, independent of branch_characters, so the two routes cross-check
-# each other in the verification sweeps.
+# Closed-form character polynomials for each family, each behind the domain
+# check of the family's constructor.  They are evaluated independently of
+# branch_characters, so the two routes cross-check each other in the sweeps.
 
 
 def veronese_characters(r: int) -> BranchCharacters:
-    if r < 1:
-        raise InvalidParameter(f"veronese parameter must be >= 1, got {r}")
+    veronese(r)
     return BranchCharacters(
         3 * r * (r - 1),
         3 * (r - 1) * (r - 2) * (3 * r * r + 3 * r - 8) // 2,
@@ -166,20 +165,17 @@ def veronese_characters(r: int) -> BranchCharacters:
 
 
 def scroll_characters(r: int) -> BranchCharacters:
-    if r < 1:
-        raise InvalidParameter(f"scroll parameter must be >= 1, got {r}")
+    scroll_p1p1(r)
     return BranchCharacters(4 * r - 2, 4 * (r - 1) * (2 * r - 3), 6 * r - 6, 2 * r)
 
 
 def del_pezzo_characters(deg: int) -> BranchCharacters:
-    if not 3 <= deg <= 9:
-        raise InvalidParameter(f"del Pezzo degree must be in [3, 9], got {deg}")
+    del_pezzo(deg)
     return BranchCharacters(2 * deg, 2 * (deg - 2) * (deg - 3), 6 * (deg - 2), 12)
 
 
 def k3_characters(g: int) -> BranchCharacters:
-    if g < 3:
-        raise InvalidParameter(f"k3 genus must be >= 3, got {g}")
+    k3(g)
     return BranchCharacters(
         6 * g - 6,
         18 * g * g - 78 * g + 84,

@@ -17,7 +17,7 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from pillowdeg import pillow
+from pillowdeg import pillow, surfaces
 from pillowdeg.checks import Report
 from pillowdeg.cli import _finish, main
 from pillowdeg.errors import MalformedComplex, PillowDegError
@@ -408,6 +408,110 @@ class TestSizeLimits:
         assert err.startswith("error: ") and "limit" in err
 
 
+@contextlib.contextmanager
+def int_digits(limit):
+    """Python's limit on the digits of an int converted to or from str set
+    to ``limit``, 0 for none, and put back; Pythons without it have none."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    previous = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(limit)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
+
+
+NINES = "9" * 4299
+
+# every argument parses under the default limit of 4,300 digits, but a
+# product or character past it must still be written in full: the
+# characters whole, and the cell products in their error line
+HUGE_INTEGERS = [
+    (("characters", "--family", "k3", "--g", "9" * 4000), 0),
+    (("characters", "--family", "k3", "--g", "9" * 4000, "--format", "json"), 0),
+    (("characters", "--family", "veronese", "--r", "9" * 1200), 0),
+    (("characters", "--family", "custom", "--d", "2" + "0" * 2200, "--kh", "0",
+      "--k2", "0", "--euler", "24", "--format", "json"), 0),
+    (("table", "--a", "99", "--b", NINES), 2),
+    (("verify", "--a", "99", "--b", NINES, "--limit", NINES), 2),
+]
+HUGE_IDS = ["k3", "k3-json", "veronese", "custom-json", "table", "verify"]
+
+
+def expected_characters(argv):
+    """The characters of a ``characters`` argv, computed in full."""
+    family = argv[argv.index("--family") + 1]
+    with int_digits(0):
+        if family == "custom":
+            d, kh, k2, euler = (int(argv[argv.index(flag) + 1])
+                                for flag in ("--d", "--kh", "--k2", "--euler"))
+            surface = surfaces.SurfaceClasses(d, kh, k2, euler)
+        else:
+            name, _, member, _ = surfaces.FAMILIES[family]
+            surface = member(int(argv[argv.index(f"--{name}") + 1]))
+        return surfaces.branch_characters(surface)
+
+
+class TestHugeIntegers:
+    """An integer past Python's limit on int digits ends in exit 0 with the
+    exact result or in exit 2 with one ``error:`` line, never in a
+    traceback, and the caller's limit is left as it was."""
+
+    @pytest.mark.parametrize("argv,expected", HUGE_INTEGERS, ids=HUGE_IDS)
+    def test_in_process(self, capsys, argv, expected):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, *argv)
+        assert time.perf_counter() - start < 5.0
+        assert code == expected
+        if code == 2:
+            assert out == ""
+            assert err.startswith("error: ") and err.count("\n") == 1
+            assert "above the limit 16384" in err
+            return
+        assert err == ""
+        chars = expected_characters(argv)
+        with int_digits(0):
+            if "json" in argv:
+                assert json.loads(out)["characters"] == chars._asdict()
+            else:
+                assert f"characters: {chars}\n" in out
+
+    @pytest.mark.parametrize("argv,expected", HUGE_INTEGERS, ids=HUGE_IDS)
+    def test_subprocess(self, argv, expected):
+        result = run_python("-m", "pillowdeg", *argv)
+        assert result.returncode == expected
+        assert b"Traceback" not in result.stderr
+        if expected == 2:
+            assert result.stderr.startswith(b"error: ") and result.stderr.count(b"\n") == 1
+        else:
+            assert result.stderr == b""
+
+    @pytest.mark.parametrize("limit", [640, 4300, 0])
+    @pytest.mark.parametrize("argv", [
+        HUGE_INTEGERS[0][0],
+        HUGE_INTEGERS[-1][0],
+        ("verify", "--a", "2..x", "--b", "2"),
+        ("table", "--a", "2", "--b", "2"),
+        ("table", "--a", "2", "--b", "2", "--nope"),
+    ], ids=["huge", "huge-error", "bad-range", "ok", "usage"])
+    def test_caller_limit_restored(self, capsys, argv, limit):
+        if not hasattr(sys, "get_int_max_str_digits"):
+            pytest.skip("this Python has no limit on int digits")
+        with int_digits(limit):
+            main(list(argv))
+            assert sys.get_int_max_str_digits() == limit
+        capsys.readouterr()
+
+    @pytest.mark.parametrize("text", ["2.." + "9" * 4301, "9" * 4301])
+    def test_ranges_parsed_under_the_default_limit(self, capsys, text):
+        # the command runs with no limit, but its ranges are arguments
+        code, out, err = run_cli(capsys, "verify", "--a", text, "--b", "2")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot parse range ")
+
+
 def mostly(common, rare):
     """Draw from ``common`` three times in four, so that most generated
     argv get past argparse and the limits and actually run."""
@@ -499,6 +603,8 @@ class TestCustomCharacterProperties:
                    "--k2", "9", "--euler", "3"])
     @example(argv=["characters", "--family", "custom", "--d", str(10**40), "--kh", "1",
                    "--k2", str(-10**40), "--euler", "0", "--format", "json"])
+    @example(argv=["characters", "--family", "custom", "--d", "2" + "0" * 2200, "--kh", "0",
+                   "--k2", "0", "--euler", "24", "--format", "json"])
     def test_every_custom_surface_exits_0_or_2(self, argv):
         with contextlib.redirect_stdout(io.StringIO()) as out, \
                 contextlib.redirect_stderr(io.StringIO()) as err:
@@ -507,7 +613,9 @@ class TestCustomCharacterProperties:
         if code == 2:
             assert err.getvalue().startswith("error: "), (argv, err.getvalue())
         elif "json" in argv:
-            json.loads(out.getvalue())
+            # the characters may pass the default limit on int digits
+            with int_digits(0):
+                json.loads(out.getvalue())
 
 
 def sha256(text):

@@ -1,7 +1,9 @@
 """Pillow complex construction, labeling, verification, and exports."""
 
+import gc
 import json
 import re
+import sys
 import tracemalloc
 
 import pytest
@@ -451,6 +453,24 @@ class TestDisjointPairs:
         ]
         assert report["disjoint_pairs_brute_vs_formula"].lhs == 468
         assert report.all_passed, str(report)
+
+    @pytest.mark.skipif(sys.version_info < (3, 11),
+                        reason="3.10 keeps a call's arguments on the caller's stack until it returns")
+    def test_verify_pillow_frees_its_index_before_the_brute_force(self, monkeypatch):
+        # the brute force's peak adds to the complex's, so the index, which
+        # only the sphere checks read, is not alive beside it
+        c = build_pillow(3, 4)
+        index = incidence_index(c)
+        brute = pillow.count_disjoint_line_pairs
+        alive = []
+
+        def watched(c):
+            alive.append(sum(1 for o in gc.get_objects() if type(o) is dict and o == index))
+            return brute(c)
+
+        monkeypatch.setattr(pillow, "count_disjoint_line_pairs", watched)
+        assert verify_pillow(c).all_passed
+        assert alive == [1]  # this test's own copy
 
     def test_formula_rejects_bad_g(self):
         with pytest.raises(InvalidParameter):

@@ -141,6 +141,26 @@ class TestClosedForms:
         assert k3_characters(9) == BranchCharacters(48, 840, 168, 72)
         assert k3_characters(13) == BranchCharacters(72, 2112, 264, 96)
 
+    # at each edge of each domain and beyond it
+    @pytest.mark.parametrize("family,p,message", [
+        ("veronese", 0, "veronese parameter must be >= 1, got 0"),
+        ("veronese", -7, "veronese parameter must be >= 1, got -7"),
+        ("scroll", 0, "scroll parameter must be >= 1, got 0"),
+        ("scroll", -7, "scroll parameter must be >= 1, got -7"),
+        ("delpezzo", 2, "del Pezzo degree must be in [3, 9], got 2"),
+        ("delpezzo", -7, "del Pezzo degree must be in [3, 9], got -7"),
+        ("delpezzo", 10, "del Pezzo degree must be in [3, 9], got 10"),
+        ("delpezzo", 17, "del Pezzo degree must be in [3, 9], got 17"),
+        ("k3", 2, "k3 genus must be >= 3, got 2"),
+        ("k3", -7, "k3 genus must be >= 3, got -7"),
+    ])
+    def test_closed_form_raises_its_constructors_message(self, family, p, message):
+        _, _, constructor, closed_form = FAMILIES[family]
+        for call in (constructor, closed_form):
+            with pytest.raises(InvalidParameter) as raised:
+                call(p)
+            assert str(raised.value) == message
+
 
 class TestVerifyFamilies:
     def test_every_family_passes(self):
