@@ -28,9 +28,9 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import accumulate, chain, islice, pairwise, repeat, starmap
+from itertools import accumulate, chain, islice, pairwise, starmap
 from math import comb
-from operator import iadd, itemgetter, lt
+from operator import itemgetter, lt
 
 from . import pairs
 from .checks import Report
@@ -145,7 +145,8 @@ def grid_rows(a: int, b: int, side: str) -> list[list[int]]:
     is the label at row i = 0..b (top to bottom), column j = 0..a (left to
     right).  The boundary rows and columns are the same on both sides,
     and the interior is numbered row-major from 2a+2b+1 (top) or ab+a+b+2
-    (bottom)."""
+    (bottom).  It raises where ``build_pillow`` raises."""
+    _check_bidegree(a, b)
     if side not in SIDES:
         raise InvalidParameter(f"side must be one of {SIDES}, got {side!r}")
     return _grid_rows(range(1, 2 * a * b + 3), a, b, side)
@@ -174,19 +175,6 @@ def _line_keys(ends: Iterable[tuple[int, int]], kind: str, side: str) -> list[tu
     return [(u, v, kind, side) if u < v else (v, u, kind, side) for u, v in ends]
 
 
-def _triangles(corners: Iterable[tuple[int, int, int]], side: str, half: str,
-               a: int, b: int) -> Iterator[Triangle]:
-    """The ``half`` triangle of each of the a*b cells of one side, from
-    their corners in row-major order.  ``Triangle`` validates nothing, so
-    one ``map`` makes every flat record by ``tuple.__new__`` from the
-    sorted corners extended by (side, row, col, half), with no Python-level
-    call per triangle, no iterator per row and no tuple of vertices."""
-    rows = chain.from_iterable(map(repeat, range(1, b + 1), repeat(a)))
-    cols = chain.from_iterable(repeat(range(1, a + 1), b))
-    return map(tuple.__new__, repeat(Triangle),
-               map(iadd, map(sorted, corners), zip(repeat(side), rows, cols, repeat(half))))
-
-
 def build_pillow(a: int, b: int) -> PillowConfig:
     """Construct the pillow configuration of bidegree (a, b), for
     2 <= a, b and a*b <= MAX_PILLOW_CELLS."""
@@ -199,34 +187,30 @@ def build_pillow(a: int, b: int) -> PillowConfig:
     cycle = vertices[:2 * a + 2 * b]
     keys = _line_keys(zip(cycle, cycle[1:] + cycle[:1]), BOUNDARY, "shared")
 
-    # each side row by row, one comprehension per kind of record over all
-    # its rows: the cells of row i = 1..b lie between position rows i-1
-    # (north) and i (south), cell j between columns j-1 and j.  Every line
-    # off the boundary cycle is a horizontal inside an inner position row, a
-    # vertical between two cells of a row or the diagonal of one cell.  The
+    # each side row by row: the cells of row i = 1..b lie between position
+    # rows i-1 (north) and i (south), cell j between columns j-1 and j.
+    # Every line off the boundary cycle is a horizontal inside an inner
+    # position row, a vertical between two cells of a row or the diagonal
+    # of one cell; each kind comes from one comprehension per row.  The
     # triangles come in (side, row, col) order, each cell's lower half first
     triangles: list[Triangle] = []
     for side in SIDES:
         rows = _grid_rows(vertices, a, b, side)
-        cells = list(zip(rows, rows[1:]))
-        keys += _line_keys(chain.from_iterable(zip(r, r[1:]) for r in rows[1:-1]),
-                           HORIZONTAL, side)
-        keys += _line_keys(chain.from_iterable(zip(n[1:-1], s[1:-1]) for n, s in cells),
-                           VERTICAL, side)
-        if side == "top":
-            # rising diagonals sw-ne; lower (sw, se, ne), upper (sw, nw, ne)
-            keys += _line_keys(chain.from_iterable(zip(s, n[1:]) for n, s in cells),
+        for i, (n, s) in enumerate(zip(rows, rows[1:]), 1):
+            if i < b:
+                keys += _line_keys(zip(s, s[1:]), HORIZONTAL, side)
+            keys += _line_keys(zip(n[1:-1], s[1:-1]), VERTICAL, side)
+            keys += _line_keys(zip(s, n[1:]) if side == "top" else zip(n, s[1:]),
                                DIAGONAL, side)
-            lower = chain.from_iterable(zip(s, s[1:], n[1:]) for n, s in cells)
-            upper = chain.from_iterable(zip(s, n, n[1:]) for n, s in cells)
-        else:
-            # falling diagonals nw-se; lower (nw, sw, se), upper (nw, ne, se)
-            keys += _line_keys(chain.from_iterable(zip(n, s[1:]) for n, s in cells),
-                               DIAGONAL, side)
-            lower = chain.from_iterable(zip(n, s, s[1:]) for n, s in cells)
-            upper = chain.from_iterable(zip(n, n[1:], s[1:]) for n, s in cells)
-        triangles += chain.from_iterable(zip(_triangles(lower, side, "lower", a, b),
-                                             _triangles(upper, side, "upper", a, b)))
+            for j, nw, ne, sw, se in zip(range(1, a + 1), n, n[1:], s, s[1:]):
+                if side == "top":
+                    # rising diagonal sw-ne
+                    lower, upper = (sw, se, ne), (sw, nw, ne)
+                else:
+                    # falling diagonal nw-se
+                    lower, upper = (nw, sw, se), (nw, ne, se)
+                triangles.append(tuple.__new__(Triangle, (*sorted(lower), side, i, j, "lower")))
+                triangles.append(tuple.__new__(Triangle, (*sorted(upper), side, i, j, "upper")))
 
     # endpoint pairs are unique, so the keys sort by (u, v) alone and no Line
     # is ever compared; each key then gives way to its validated Line in
@@ -456,12 +440,11 @@ def verify_stages(c: PillowConfig, incidence: dict | None = None) -> Report:
 def transpose_map(a: int, b: int) -> dict[int, int]:
     """Vertex bijection sending grid position (side, i, j) of the pillow of
     bidegree (a, b) to (side, j, i) of the pillow of bidegree (b, a), read
-    off ``grid_rows`` alone; it raises where ``build_pillow`` raises."""
-    _check_bidegree(a, b)
+    off ``grid_rows`` alone, which raises where ``build_pillow`` raises."""
     mapping: dict[int, int] = {}
     for side in SIDES:
-        rows_t = grid_rows(b, a, side)
-        for i, row in enumerate(grid_rows(a, b, side)):
+        rows, rows_t = grid_rows(a, b, side), grid_rows(b, a, side)
+        for i, row in enumerate(rows):
             for j, vid in enumerate(row):
                 mapping[vid] = rows_t[j][i]
     return mapping

@@ -119,43 +119,65 @@ def verify_character_identities(s: SurfaceClasses, c: BranchCharacters) -> Repor
 # ---------------------------------------------------------------------------
 # The four surface families.
 
+# each family's parameter domain, stated once for its constructor and its
+# closed form: the rule as its message states it, then the least parameter
+# and the greatest, None where there is none
+_DOMAINS = {
+    "veronese": ("veronese parameter must be >= 1", 1, None),
+    "scroll": ("scroll parameter must be >= 1", 1, None),
+    "delpezzo": ("del Pezzo degree must be in [3, 9]", 3, 9),
+    "k3": ("k3 genus must be >= 3", 3, None),
+}
+
+
+def _text(p: int) -> str:
+    """``str(p)``; where Python's limit on the digits of an int's ``str``
+    refuses p, InvalidParameter rather than ValueError."""
+    try:
+        return str(p)
+    except ValueError as err:
+        raise InvalidParameter(f"a {p.bit_length()}-bit parameter: {err}") from None
+
+
+def _check_domain(family: str, p: int) -> None:
+    rule, low, high = _DOMAINS[family]
+    if p < low or high is not None and p > high:
+        raise InvalidParameter(f"{rule}, got {_text(p)}")
+
 
 def veronese(r: int) -> SurfaceClasses:
     """r-th Veronese image of the plane: K^2 = 9, K.H = -3r, d = r^2, e = 3."""
-    if r < 1:
-        raise InvalidParameter(f"veronese parameter must be >= 1, got {r}")
-    return SurfaceClasses(r * r, -3 * r, 9, 3, label=f"veronese r={r}")
+    _check_domain("veronese", r)
+    return SurfaceClasses(r * r, -3 * r, 9, 3, label=f"veronese r={_text(r)}")
 
 
 def scroll_p1p1(r: int) -> SurfaceClasses:
     """P^1 x P^1 embedded by the (1, r) system: K^2 = 8, K.H = -2r-2, d = 2r."""
-    if r < 1:
-        raise InvalidParameter(f"scroll parameter must be >= 1, got {r}")
-    return SurfaceClasses(2 * r, -2 * r - 2, 8, 4, label=f"scroll r={r}")
+    _check_domain("scroll", r)
+    return SurfaceClasses(2 * r, -2 * r - 2, 8, 4, label=f"scroll r={_text(r)}")
 
 
 def del_pezzo(deg: int) -> SurfaceClasses:
     """Del Pezzo surface of degree deg in P^deg, 3 <= deg <= 9:
     K^2 = H^2 = deg, K.H = -deg, e = 12 - deg."""
-    if not 3 <= deg <= 9:
-        raise InvalidParameter(f"del Pezzo degree must be in [3, 9], got {deg}")
+    _check_domain("delpezzo", deg)
     return SurfaceClasses(deg, -deg, deg, 12 - deg, label=f"del pezzo deg={deg}")
 
 
 def k3(g: int) -> SurfaceClasses:
     """K3 surface of degree 2g-2 in P^g (trivial canonical class, e = 24)."""
-    if g < 3:
-        raise InvalidParameter(f"k3 genus must be >= 3, got {g}")
-    return SurfaceClasses(2 * g - 2, 0, 0, 24, label=f"k3 g={g}")
+    _check_domain("k3", g)
+    return SurfaceClasses(2 * g - 2, 0, 0, 24, label=f"k3 g={_text(g)}")
 
 
 # Closed-form character polynomials for each family, each behind the domain
-# check of the family's constructor.  They are evaluated independently of
+# check of the family's constructor.  They render no label, so a parameter
+# of any size has its characters, and they are evaluated independently of
 # branch_characters, so the two routes cross-check each other in the sweeps.
 
 
 def veronese_characters(r: int) -> BranchCharacters:
-    veronese(r)
+    _check_domain("veronese", r)
     return BranchCharacters(
         3 * r * (r - 1),
         3 * (r - 1) * (r - 2) * (3 * r * r + 3 * r - 8) // 2,
@@ -165,17 +187,17 @@ def veronese_characters(r: int) -> BranchCharacters:
 
 
 def scroll_characters(r: int) -> BranchCharacters:
-    scroll_p1p1(r)
+    _check_domain("scroll", r)
     return BranchCharacters(4 * r - 2, 4 * (r - 1) * (2 * r - 3), 6 * r - 6, 2 * r)
 
 
 def del_pezzo_characters(deg: int) -> BranchCharacters:
-    del_pezzo(deg)
+    _check_domain("delpezzo", deg)
     return BranchCharacters(2 * deg, 2 * (deg - 2) * (deg - 3), 6 * (deg - 2), 12)
 
 
 def k3_characters(g: int) -> BranchCharacters:
-    k3(g)
+    _check_domain("k3", g)
     return BranchCharacters(
         6 * g - 6,
         18 * g * g - 78 * g + 84,

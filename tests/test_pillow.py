@@ -161,7 +161,7 @@ class TestSizeLimits:
 
     @pytest.mark.parametrize("a,b", [(64, 64), (2, 2048), (2048, 2)])
     def test_complex_is_flat_records_on_one_object_per_label(self, a, b):
-        # traced on Python 3.10-3.13: 1,083-1,166 B a cell at these shapes,
+        # traced on Python 3.11.7: 1,089-1,138 B a cell at these shapes,
         # against 1,329-1,449 B with a vertex tuple in each triangle and up
         # to three int objects for each label
         tracemalloc.start()
@@ -329,6 +329,17 @@ class TestSphereTriangulation:
     @pytest.mark.parametrize("a,b", [(2, 8192), (8192, 2), (128, 128)])
     def test_build_invariants_at_the_cell_limit(self, a, b):
         assert_build_invariants(build_pillow(a, b))
+
+    # SHA-256 of the JSON export at the cell limit, where row and column
+    # numbers pass CPython's cached small ints (up to 256) and a or b falls
+    # to 2
+    @pytest.mark.parametrize("a,b,digest", [
+        (128, 128, "585404289cac4f050684273aa664938e963ef74ae05b5e354af3f79b80430cd1"),
+        (2, 8192, "a970c7d1babebeff4f8565c79eb5cdf6fd5ba0f087fe8e13f9b740648d43ee60"),
+        (8192, 2, "795ee20e9656d8b1a36b3f47e69a609f091555f5707f3da2418bbb3009268ccd"),
+    ])
+    def test_build_bytes_pinned_at_the_cell_limit(self, a, b, digest):
+        assert sha256("".join(config_json_pieces(build_pillow(a, b)))) == digest
 
     def test_sides_share_exactly_the_boundary(self):
         c = build_pillow(3, 2)
@@ -510,10 +521,12 @@ class TestTransposeIsomorphism:
         mapping = transpose_map(a, b)
         assert is_complex_isomorphism(c, ct, mapping)
 
-    @pytest.mark.parametrize("a,b", [(3, 0), (1, 2), (129, 128), (2, 8193)])
+    @pytest.mark.parametrize("a,b", [(3, 0), (1, 2), (129, 128), (2, 8193),
+                                     (1, 3), (0, 0), (-2, 3)])
     def test_transpose_rejects_a_bidegree_below_two(self, a, b):
         # or above the cell limit, before any label is laid out: the one
-        # bidegree rule, with the message build_pillow and the record give
+        # bidegree rule, with the message build_pillow and the record give;
+        # grid_rows, which the map reads, gives it for either side
         message = "must both be >= 2" if min(a, b) < 2 else "cells, above the limit"
         with pytest.raises(InvalidParameter, match=message) as raised:
             transpose_map(a, b)
@@ -522,6 +535,9 @@ class TestTransposeIsomorphism:
             build_pillow(a, b)
         with pytest.raises(InvalidParameter, match=exact):
             build_pillow(2, 2)._replace(a=a, b=b)
+        for side in ("top", "bottom", "left"):
+            with pytest.raises(InvalidParameter, match=exact):
+                grid_rows(a, b, side)
 
     @pytest.mark.parametrize("a", range(2, 7))
     @pytest.mark.parametrize("b", range(2, 7))

@@ -1,7 +1,10 @@
 """Branch-curve characters: family constructors, closed forms, identities."""
 
+import sys
+
 import pytest
 from hypothesis import given, strategies as st
+from test_cli import int_digits
 
 from pillowdeg import (
     InvalidParameter,
@@ -160,6 +163,38 @@ class TestClosedForms:
             with pytest.raises(InvalidParameter) as raised:
                 call(p)
             assert str(raised.value) == message
+
+
+# 4,301 digits, one past Python's default limit on the digits of an int's str
+HUGE = 10 ** 4300
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"),
+                    reason="this Python has no limit on int digits")
+class TestHugeParameters:
+    """Under Python's default limit a closed form gives the exact characters
+    of a parameter too long to print, and a constructor, which prints it
+    into its label, raises InvalidParameter; with no limit, as in the CLI,
+    the constructor labels the member in full."""
+
+    @pytest.mark.parametrize("family", ["veronese", "scroll", "k3"])
+    def test_closed_form_is_exact(self, family):
+        _, _, constructor, closed_form = FAMILIES[family]
+        with int_digits(4300):
+            chars = closed_form(HUGE)
+        with int_digits(0):
+            assert chars == branch_characters(constructor(HUGE))
+            assert constructor(HUGE).label.endswith(f"={HUGE}")
+
+    @pytest.mark.parametrize("p", [HUGE, -HUGE], ids=["positive", "negative"])
+    @pytest.mark.parametrize("family", sorted(FAMILIES))
+    def test_constructor_raises_invalid_parameter(self, family, p):
+        # and so does the closed form, where p lies outside the domain
+        _, _, constructor, closed_form = FAMILIES[family]
+        outside = p < 0 or family == "delpezzo"
+        for call in [constructor, closed_form] if outside else [constructor]:
+            with int_digits(4300), pytest.raises(InvalidParameter, match="^a 14285-bit parameter"):
+                call(p)
 
 
 class TestVerifyFamilies:
