@@ -7,7 +7,7 @@ and triangles, so a malformed complex fails checks; the verifiers take
 any hashable labels, whether or not they compare with each other.  Only
 the table raises MalformedComplex, on a line-degree outside {3, 6}, and
 ``verify_configuration`` reports that as a failed check, so no verifier
-raises.  A PillowConfig rejects a bidegree below (2, 2) on construction.
+raises.  A PillowConfig's a and b are ints >= 2, by the rule of ``errors``.
 
 The package's records (``Check`` here, the lines, triangles and tables
 elsewhere) are immutable named tuples: read their fields by name, and use

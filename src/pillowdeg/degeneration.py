@@ -21,7 +21,7 @@ from collections import Counter, namedtuple
 
 from . import pillow
 from .checks import Report
-from .errors import InvalidParameter, MalformedComplex
+from .errors import MalformedComplex, _integer
 from .surfaces import branch_characters, del_pezzo_characters, k3
 
 _ROW_LABELS = {
@@ -42,10 +42,9 @@ class NPointBudget(namedtuple("NPointBudget", "n branch_points nodes cusps")):
 def npoint_budget(n: int) -> NPointBudget:
     """Per-point budget for an n-point of the limit branch curve; for n >= 3
     the local Del Pezzo characters, less the n branch points on the lines."""
+    _integer(n, "n-point multiplicity must be in {2, 3, 4, 5, 6}", 2, 6)
     if n == 2:
         return NPointBudget(2, 0, 4, 0)
-    if not 3 <= n <= 6:
-        raise InvalidParameter(f"n-point multiplicity must be in {{2, 3, 4, 5, 6}}, got {n}")
     local = del_pezzo_characters(n)
     return NPointBudget(n, local.turning_points - n, local.nodes, local.cusps)
 

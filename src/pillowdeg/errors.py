@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and its one integer rule,
+``_integer``, which every public function that takes a number applies."""
 
 
 class PillowDegError(Exception):
@@ -22,9 +23,29 @@ class NegativeCharacter(PillowDegError):
     def __init__(self, which: str, value: int):
         self.which = which
         self.value = value
-        super().__init__(f"{which} = {value} < 0")
+        super().__init__(f"{which} = {_text(value, strict=False)} < 0")
 
 
 class MalformedComplex(PillowDegError):
     """A configuration violates the structural assumptions of the operation
     (for the pillow: every vertex lies on exactly 3 or 6 lines)."""
+
+
+def _text(value: int, strict: bool = True) -> str:
+    """``repr(value)``, an int's digits, or past Python's limit on them its
+    size in bits: as InvalidParameter, or as the text if not ``strict``."""
+    try:
+        return repr(value)
+    except ValueError as err:
+        if strict:
+            raise InvalidParameter(f"a {value.bit_length()}-bit parameter: {err}") from None
+        return f"a {value.bit_length()}-bit int"
+
+
+def _integer(value: object, rule: str, low: int | None = None, high: int | None = None) -> None:
+    """InvalidParameter ``f"{rule}, got {value}"`` unless ``value`` is an int,
+    not a bool, in [low, high] (None: no bound); a non-int shows type and repr."""
+    if type(value) is not int:
+        raise InvalidParameter(f"{rule}, got {type(value).__name__} {_text(value)}")
+    if low is not None and value < low or high is not None and value > high:
+        raise InvalidParameter(f"{rule}, got {_text(value)}")

@@ -34,7 +34,7 @@ from operator import itemgetter, lt
 
 from . import pairs
 from .checks import Report
-from .errors import InvalidParameter
+from .errors import InvalidParameter, _integer, _text
 
 SIDES = ("top", "bottom")
 
@@ -51,11 +51,14 @@ MAX_PILLOW_CELLS = 16384
 
 
 def _check_bidegree(a: int, b: int) -> None:
-    if a < 2 or b < 2:
-        raise InvalidParameter(f"bidegree parameters must both be >= 2, got ({a}, {b})")
+    rule = "bidegree parameters must both be >= 2"
+    for p in (a, b):
+        _integer(p, rule)
+    if a < 2 or b < 2:  # both messages name the pair, so it is tested here
+        raise InvalidParameter(f"{rule}, got ({_text(a)}, {_text(b)})")
     if a * b > MAX_PILLOW_CELLS:
-        raise InvalidParameter(f"bidegree ({a}, {b}) has a*b = {a * b} cells, "
-                               f"above the limit {MAX_PILLOW_CELLS}")
+        raise InvalidParameter(f"bidegree ({_text(a)}, {_text(b)}) has a*b = {_text(a * b)} "
+                               f"cells, above the limit {MAX_PILLOW_CELLS}")
 
 
 class Line(namedtuple("Line", "u v kind side")):
@@ -368,8 +371,10 @@ def _increasing(items: Iterable) -> bool:
 def formula_disjoint_pairs(g: int) -> int:
     """Closed form (9g^2 - 51g + 78) / 2 for the number of disjoint line
     pairs in the pillow with g = 2ab + 1."""
-    if g % 2 == 0 or g < 9:
-        raise InvalidParameter(f"g must be odd and >= 9, got {g}")
+    rule = "g must be odd and >= 9"
+    _integer(g, rule, 9)
+    if g % 2 == 0:
+        raise InvalidParameter(f"{rule}, got {_text(g)}")
     # 9g^2 - 51g = 3g(3g - 17) multiplies factors of opposite parity, so
     # the numerator is even for every integer g
     return (9 * g * g - 51 * g + 78) // 2

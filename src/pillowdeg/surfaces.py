@@ -15,7 +15,7 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .checks import Report
-from .errors import InvalidParameter, NegativeCharacter, NonIntegralNodeCount
+from .errors import InvalidParameter, NegativeCharacter, NonIntegralNodeCount, _integer, _text
 
 
 class SurfaceClasses(namedtuple("SurfaceClasses", "d kh k2 euler label")):
@@ -27,20 +27,19 @@ class SurfaceClasses(namedtuple("SurfaceClasses", "d kh k2 euler label")):
     euler: topological Euler number e(S)
     label: free-text tag, e.g. a family name plus its parameter
 
-    An immutable tuple; construction and ``_replace`` both reject d < 1
-    and d + kh < -2.
+    An immutable tuple; construction and ``_replace`` both reject a number
+    that is not an int, d < 1 and d + kh < -2.
     """
 
     __slots__ = ()
 
     def __new__(cls, d: int, kh: int, k2: int, euler: int, label: str = "") -> SurfaceClasses:
-        if d < 1:
-            raise InvalidParameter(f"surface degree must be >= 1, got {d}")
+        _integer(d, "surface degree must be >= 1", 1)
+        for number in (kh, k2, euler):
+            _integer(number, "kh, k2 and euler must be ints")
         # 2 g(H) - 2 = H^2 + K.H; a negative sectional genus is nonsense
         if d + kh < -2:
-            raise InvalidParameter(
-                f"sectional genus would be negative (d + kh = {d + kh} < -2)"
-            )
+            raise InvalidParameter(f"sectional genus would be negative (d + kh = {_text(d + kh)} < -2)")
         return tuple.__new__(cls, (d, kh, k2, euler, label))
 
     @classmethod
@@ -78,9 +77,8 @@ def branch_characters(s: SurfaceClasses) -> BranchCharacters:
     """
     b = 3 * s.d + s.kh
     if b % 2 != 0:
-        raise NonIntegralNodeCount(
-            f"branch degree b = {b} is odd; node count b^2/2 - ... is not an integer"
-        )
+        raise NonIntegralNodeCount(f"branch degree b = {_text(b, strict=False)} is odd; "
+                                   "node count b^2/2 - ... is not an integer")
     n = -3 * s.k2 + s.euler + 24 * s.d + b * b // 2 - 15 * b
     k = 2 * s.k2 - s.euler - 15 * s.d + 9 * b
     t = s.euler - 3 * s.d + 2 * b
@@ -97,7 +95,10 @@ def verify_character_identities(s: SurfaceClasses, c: BranchCharacters) -> Repor
     deliberately corrupted set of characters shows up as failed checks.
     """
     b, n, k = c.degree, c.nodes, c.cusps
-    report = Report(f"character identities for {s.label or s}")
+    try:
+        report = Report(f"character identities for {s.label or s}")
+    except ValueError:  # an unlabelled surface too long to print
+        report = Report("character identities for an unlabelled surface")
     report.add(
         "node_cusp_sum_2n3k",
         2 * n + 3 * k,
@@ -119,9 +120,8 @@ def verify_character_identities(s: SurfaceClasses, c: BranchCharacters) -> Repor
 # ---------------------------------------------------------------------------
 # The four surface families.
 
-# each family's parameter domain, stated once for its constructor and its
-# closed form: the rule as its message states it, then the least parameter
-# and the greatest, None where there is none
+# each family's domain, for its constructor and its closed form: _integer's
+# rule, least parameter and greatest
 _DOMAINS = {
     "veronese": ("veronese parameter must be >= 1", 1, None),
     "scroll": ("scroll parameter must be >= 1", 1, None),
@@ -130,43 +130,28 @@ _DOMAINS = {
 }
 
 
-def _text(p: int) -> str:
-    """``str(p)``; where Python's limit on the digits of an int's ``str``
-    refuses p, InvalidParameter rather than ValueError."""
-    try:
-        return str(p)
-    except ValueError as err:
-        raise InvalidParameter(f"a {p.bit_length()}-bit parameter: {err}") from None
-
-
-def _check_domain(family: str, p: int) -> None:
-    rule, low, high = _DOMAINS[family]
-    if p < low or high is not None and p > high:
-        raise InvalidParameter(f"{rule}, got {_text(p)}")
-
-
 def veronese(r: int) -> SurfaceClasses:
     """r-th Veronese image of the plane: K^2 = 9, K.H = -3r, d = r^2, e = 3."""
-    _check_domain("veronese", r)
+    _integer(r, *_DOMAINS["veronese"])
     return SurfaceClasses(r * r, -3 * r, 9, 3, label=f"veronese r={_text(r)}")
 
 
 def scroll_p1p1(r: int) -> SurfaceClasses:
     """P^1 x P^1 embedded by the (1, r) system: K^2 = 8, K.H = -2r-2, d = 2r."""
-    _check_domain("scroll", r)
+    _integer(r, *_DOMAINS["scroll"])
     return SurfaceClasses(2 * r, -2 * r - 2, 8, 4, label=f"scroll r={_text(r)}")
 
 
 def del_pezzo(deg: int) -> SurfaceClasses:
     """Del Pezzo surface of degree deg in P^deg, 3 <= deg <= 9:
     K^2 = H^2 = deg, K.H = -deg, e = 12 - deg."""
-    _check_domain("delpezzo", deg)
+    _integer(deg, *_DOMAINS["delpezzo"])
     return SurfaceClasses(deg, -deg, deg, 12 - deg, label=f"del pezzo deg={deg}")
 
 
 def k3(g: int) -> SurfaceClasses:
     """K3 surface of degree 2g-2 in P^g (trivial canonical class, e = 24)."""
-    _check_domain("k3", g)
+    _integer(g, *_DOMAINS["k3"])
     return SurfaceClasses(2 * g - 2, 0, 0, 24, label=f"k3 g={_text(g)}")
 
 
@@ -177,7 +162,7 @@ def k3(g: int) -> SurfaceClasses:
 
 
 def veronese_characters(r: int) -> BranchCharacters:
-    _check_domain("veronese", r)
+    _integer(r, *_DOMAINS["veronese"])
     return BranchCharacters(
         3 * r * (r - 1),
         3 * (r - 1) * (r - 2) * (3 * r * r + 3 * r - 8) // 2,
@@ -187,17 +172,17 @@ def veronese_characters(r: int) -> BranchCharacters:
 
 
 def scroll_characters(r: int) -> BranchCharacters:
-    _check_domain("scroll", r)
+    _integer(r, *_DOMAINS["scroll"])
     return BranchCharacters(4 * r - 2, 4 * (r - 1) * (2 * r - 3), 6 * r - 6, 2 * r)
 
 
 def del_pezzo_characters(deg: int) -> BranchCharacters:
-    _check_domain("delpezzo", deg)
+    _integer(deg, *_DOMAINS["delpezzo"])
     return BranchCharacters(2 * deg, 2 * (deg - 2) * (deg - 3), 6 * (deg - 2), 12)
 
 
 def k3_characters(g: int) -> BranchCharacters:
-    _check_domain("k3", g)
+    _integer(g, *_DOMAINS["k3"])
     return BranchCharacters(
         6 * g - 6,
         18 * g * g - 78 * g + 84,

@@ -10,14 +10,20 @@ from pillowdeg import (
     InvalidParameter,
     NegativeCharacter,
     NonIntegralNodeCount,
+    PillowConfig,
     SurfaceClasses,
     branch_characters,
+    build_pillow,
     del_pezzo,
     del_pezzo_characters,
+    formula_disjoint_pairs,
+    grid_rows,
     k3,
     k3_characters,
+    npoint_budget,
     scroll_characters,
     scroll_p1p1,
+    transpose_map,
     veronese,
     veronese_characters,
     verify_character_identities,
@@ -175,7 +181,10 @@ class TestHugeParameters:
     """Under Python's default limit a closed form gives the exact characters
     of a parameter too long to print, and a constructor, which prints it
     into its label, raises InvalidParameter; with no limit, as in the CLI,
-    the constructor labels the member in full."""
+    the constructor labels the member in full.  Every other number that is
+    too long to print raises InvalidParameter where it is a parameter out
+    of its domain, and keeps its error's class where it is a computed
+    character."""
 
     @pytest.mark.parametrize("family", ["veronese", "scroll", "k3"])
     def test_closed_form_is_exact(self, family):
@@ -195,6 +204,56 @@ class TestHugeParameters:
         for call in [constructor, closed_form] if outside else [constructor]:
             with int_digits(4300), pytest.raises(InvalidParameter, match="^a 14285-bit parameter"):
                 call(p)
+
+    @pytest.mark.parametrize("p", [HUGE, -HUGE], ids=["positive", "negative"])
+    @pytest.mark.parametrize("call", [
+        lambda p: build_pillow(p, 2),
+        lambda p: build_pillow(3, p),
+        lambda p: grid_rows(p, 3, "top"),
+        lambda p: transpose_map(2, p),
+        lambda p: PillowConfig(p, 2, (), (), ()),
+        npoint_budget,
+        formula_disjoint_pairs,
+    ], ids=["build_pillow-a", "build_pillow-b", "grid_rows", "transpose_map",
+            "PillowConfig", "npoint_budget", "formula_disjoint_pairs"])
+    def test_pillow_parameter_raises_invalid_parameter(self, call, p):
+        # outside every domain, and too long to print into the message
+        with int_digits(4300), pytest.raises(InvalidParameter, match="^a 14285-bit parameter"):
+            call(p)
+
+    def test_cell_product_too_long_to_print(self):
+        # a and b print, a*b = 10**4400 does not
+        with int_digits(4300), pytest.raises(InvalidParameter, match="^a 14617-bit parameter"):
+            build_pillow(10 ** 2200, 10 ** 2200)
+
+    def test_int_subclass_is_refused_by_its_size(self):
+        class Int(int):
+            pass
+
+        with int_digits(4300), pytest.raises(InvalidParameter, match="^a 14285-bit parameter"):
+            k3(Int(HUGE))
+
+    @pytest.mark.parametrize("surface,error", [
+        ((HUGE + 1, 0, 0, 24), NonIntegralNodeCount),  # b = 3d is odd
+        ((2, 0, HUGE, 24), NegativeCharacter),  # nodes = -3 K^2 + ...
+    ], ids=["odd-degree", "negative-nodes"])
+    def test_character_errors_keep_their_class(self, surface, error):
+        s = SurfaceClasses(*surface)
+        with int_digits(4300), pytest.raises(error, match="-bit int"):
+            branch_characters(s)
+
+    def test_unlabelled_surface_gets_its_identities(self):
+        s = SurfaceClasses(2 * HUGE, 0, 0, 24)
+        with int_digits(4300):
+            report = verify_character_identities(s, k3_characters(HUGE + 1))
+        assert report.title == "character identities for an unlabelled surface"
+        assert report.all_passed
+
+    @pytest.mark.parametrize("surface", [(-HUGE, 0, 0, 24), (5, -10 * HUGE, 0, 24)],
+                             ids=["degree", "sectional-genus"])
+    def test_surface_numbers_raise_invalid_parameter(self, surface):
+        with int_digits(4300), pytest.raises(InvalidParameter, match="-bit parameter"):
+            SurfaceClasses(*surface)
 
 
 class TestVerifyFamilies:
