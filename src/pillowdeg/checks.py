@@ -7,7 +7,10 @@ and triangles, so a malformed complex fails checks; the verifiers take
 any hashable labels, whether or not they compare with each other.  Only
 the table raises MalformedComplex, on a line-degree outside {3, 6}, and
 ``verify_configuration`` reports that as a failed check, so no verifier
-raises.  A PillowConfig's a and b are ints >= 2, by the rule of ``errors``.
+raises.  A public verifier takes only its complex: ``verify_configuration``
+shares its inputs through private sections.  A PillowConfig's a and b are
+ints >= 2, by the rule of ``errors``.  A check prints an int too long to
+print by its size.
 
 The package's records (``Check`` here, the lines, triangles and tables
 elsewhere) are immutable named tuples: read their fields by name, and use
@@ -17,6 +20,8 @@ mutable record, a title and the list of checks it collects.
 from __future__ import annotations
 
 from collections import namedtuple
+
+from .errors import _text
 
 
 def _jsonable(value: object) -> object:
@@ -49,7 +54,7 @@ class Check(namedtuple("Check", "name lhs rhs")):
 
     def __str__(self) -> str:
         status = "PASS" if self.passed else "FAIL"
-        return f"{status}  {self.name}: {self.lhs} == {self.rhs}"
+        return f"{status}  {self.name}: {_text(self.lhs, False)} == {_text(self.rhs, False)}"
 
 
 class Report:

@@ -21,7 +21,7 @@ from collections import Counter, namedtuple
 
 from . import pillow
 from .checks import Report
-from .errors import MalformedComplex, _integer
+from .errors import MalformedComplex, _integer, _text
 from .surfaces import branch_characters, del_pezzo_characters, k3
 
 _ROW_LABELS = {
@@ -106,7 +106,8 @@ def _table(c: pillow.PillowConfig, degrees: Counter[int], two_points: int) -> De
             bad = sorted(bad)
         except TypeError:
             pass  # labels that do not compare stay in line_degrees order
-        raise MalformedComplex(f"vertices with line-degree outside {{3, 6}}: {bad[:5]}")
+        shown = ", ".join(f"({_text(v, False, repr)}, {d})" for v, d in bad[:5])
+        raise MalformedComplex(f"vertices with line-degree outside {{3, 6}}: [{shown}]")
     three_points = sum(1 for d in degrees.values() if d == 3)
     six_points = sum(1 for d in degrees.values() if d == 6)
 
@@ -142,21 +143,25 @@ def verify_conservation(table: DegenerationTable) -> Report:
     return report
 
 
-def verify_configuration(c: pillow.PillowConfig,
-                         transpose: pillow.PillowConfig | None = None) -> Report:
+def verify_configuration(c: pillow.PillowConfig) -> Report:
     """Every invariant of one configuration: the sphere, pair and stage
-    checks, conservation, and the isomorphism with ``transpose``, the
-    pillow (b, a), built here unless it is given.  The inputs the sections
-    share are built here once each: the line incidence, the line degrees
-    and the degree route's count, both the pair check's and the table's
-    2-points.  Where the table raises, one failed check with its message as
-    lhs, ``line_degrees_in_local_models``, replaces conservation."""
+    checks, conservation, and the isomorphism with the pillow (b, a).  The
+    inputs the sections share are built once each: the line incidence, the
+    line degrees and the degree route's count, both the pair check's and
+    the table's 2-points.  Where the table raises, one failed check with
+    its message as lhs, ``line_degrees_in_local_models``, replaces
+    conservation."""
+    return _configuration(c, None)
+
+
+def _configuration(c: pillow.PillowConfig, transpose: pillow.PillowConfig | None) -> Report:
+    """``verify_configuration`` with ``transpose``, the pillow (b, a) or None."""
     report = Report(f"configuration ({c.a}, {c.b})")
     incidence = pillow.incidence_index(c)
     degrees = c.line_degrees()
     two_points = pillow._disjoint_pairs(c, degrees)
     report.extend(pillow._verify_pillow(c, incidence, degrees, two_points))
-    report.extend(pillow.verify_stages(c, incidence))
+    report.extend(pillow._stages(c, incidence))
     del incidence  # freed before the transpose side is built
     try:
         report.extend(verify_conservation(_table(c, degrees, two_points)))
@@ -180,8 +185,8 @@ def verify_box(a_range: range, b_range: range) -> list[Report]:
                 ct = c if a == b else None
                 if a != b and b in a_range and a in b_range:
                     ct = pillow.build_pillow(b, a)
-                    reports[(b, a)] = verify_configuration(ct, c)
-                reports[(a, b)] = verify_configuration(c, ct)
+                    reports[(b, a)] = _configuration(ct, c)
+                reports[(a, b)] = _configuration(c, ct)
     return [reports[(a, b)] for a in a_range for b in b_range]
 
 
@@ -215,18 +220,8 @@ def render_table(table: DegenerationTable) -> str:
     """Aligned text table in the row order Lines, 3-points, 6-points,
     2-points, Totals."""
     header = ("Object", "Number", "Branch", "Nodes", "Cusps")
-    body = [
-        (
-            _ROW_LABELS[r.object_type],
-            str(r.count),
-            str(r.branch_points),
-            str(r.nodes),
-            str(r.cusps),
-        )
-        for r in table.rows
-    ]
-    totals = table.totals
-    totals_row = ("Totals:", "", str(totals.branch_points), str(totals.nodes), str(totals.cusps))
+    body = [(_ROW_LABELS[r.object_type], *(_text(n, False) for n in r[1:])) for r in table.rows]
+    totals_row = ("Totals:", "", *(_text(n, False) for n in table.totals))
     all_rows = [header] + body + [totals_row]
     widths = [max(len(row[i]) for row in all_rows) for i in range(len(header))]
     out = []

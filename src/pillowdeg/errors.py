@@ -31,11 +31,11 @@ class MalformedComplex(PillowDegError):
     (for the pillow: every vertex lies on exactly 3 or 6 lines)."""
 
 
-def _text(value: int, strict: bool = True) -> str:
-    """``repr(value)``, an int's digits, or past Python's limit on them its
+def _text(value: object, strict: bool = True, form=str) -> str:
+    """``form(value)``, or for an int past Python's limit on its digits its
     size in bits: as InvalidParameter, or as the text if not ``strict``."""
     try:
-        return repr(value)
+        return form(value)
     except ValueError as err:
         if strict:
             raise InvalidParameter(f"a {value.bit_length()}-bit parameter: {err}") from None
@@ -46,6 +46,6 @@ def _integer(value: object, rule: str, low: int | None = None, high: int | None 
     """InvalidParameter ``f"{rule}, got {value}"`` unless ``value`` is an int,
     not a bool, in [low, high] (None: no bound); a non-int shows type and repr."""
     if type(value) is not int:
-        raise InvalidParameter(f"{rule}, got {type(value).__name__} {_text(value)}")
+        raise InvalidParameter(f"{rule}, got {type(value).__name__} {_text(value, form=repr)}")
     if low is not None and value < low or high is not None and value > high:
         raise InvalidParameter(f"{rule}, got {_text(value)}")

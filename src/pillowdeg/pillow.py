@@ -76,7 +76,7 @@ class Line(namedtuple("Line", "u v kind side")):
 
     def __new__(cls, u: int, v: int, kind: str, side: str) -> Line:
         if not u < v:
-            raise InvalidParameter(f"line endpoints must satisfy u < v, got ({u}, {v})")
+            raise InvalidParameter(f"line endpoints must satisfy u < v, got ({_text(u)}, {_text(v)})")
         return tuple.__new__(cls, (u, v, kind, side))
 
     @classmethod
@@ -151,7 +151,7 @@ def grid_rows(a: int, b: int, side: str) -> list[list[int]]:
     (bottom).  It raises where ``build_pillow`` raises."""
     _check_bidegree(a, b)
     if side not in SIDES:
-        raise InvalidParameter(f"side must be one of {SIDES}, got {side!r}")
+        raise InvalidParameter(f"side must be one of {SIDES}, got {_text(side, form=repr)}")
     return _grid_rows(range(1, 2 * a * b + 3), a, b, side)
 
 
@@ -407,19 +407,23 @@ def _verify_pillow(c: PillowConfig, incidence: dict, degrees: Counter[int],
 # Intermediate degeneration stages.
 
 
-def verify_stages(c: PillowConfig, incidence: dict | None = None) -> Report:
+def verify_stages(c: PillowConfig) -> Report:
     """Contracts of the intermediate stages, each a grouping of the
     triangles of ``c``.  The 2ab quadrics group them by (side, row, col):
-    a line on exactly two triangles of one quadric, by ``incidence`` if given,
+    a line on exactly two triangles of one quadric, by the line incidence,
     is its diagonal, and each of the other lines of ``c``, 4ab of them, must
     lie on triangles of exactly two quadrics.  The two surfaces are the
     vertices of the triangles on each side: they must have the expected
     spans, meet in the 2a + 2b boundary points, and together be the
     vertices of ``c``.  A malformed complex fails checks; nothing raises."""
+    return _stages(c, incidence_index(c))
+
+
+def _stages(c: PillowConfig, incidence: dict) -> Report:
+    """``verify_stages`` on ``incidence``, the ``incidence_index`` of ``c``."""
     a, b = c.a, c.b
     report = Report(f"stages, bidegree ({a}, {b})")
     quadric = list(map(itemgetter(3, 4, 5), c.triangles))
-    incidence = incidence_index(c) if incidence is None else incidence
     # the triangles of each quadric line, a line of c not inside one quadric
     outer = [tris for tris in map(incidence.__getitem__, map(itemgetter(0, 1), c.lines))
              if len(tris) != 2 or quadric[tris[0]] != quadric[tris[1]]]

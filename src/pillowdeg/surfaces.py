@@ -54,9 +54,7 @@ class BranchCharacters(namedtuple("BranchCharacters", "degree nodes cusps turnin
     __slots__ = ()
 
     def __str__(self) -> str:
-        return (
-            f"b={self.degree} n={self.nodes} k={self.cusps} t={self.turning_points}"
-        )
+        return " ".join(f"{k}={_text(n, False)}" for k, n in zip("bnkt", self))
 
 
 def _class_product(c1: tuple[int, int], c2: tuple[int, int], s: SurfaceClasses) -> int:

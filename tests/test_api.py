@@ -2,6 +2,7 @@
 exports, so a re-export cannot outlive the name it points to, and every
 public callable that takes a number takes it only as an int."""
 
+import inspect
 import math
 from decimal import Decimal
 from fractions import Fraction
@@ -100,6 +101,21 @@ def test_every_public_name_is_numeric_or_says_why_not():
     # so a new entry point that takes a number joins the property test
     assert NUMERIC.keys().isdisjoint(NOT_NUMERIC)
     assert sorted([*NUMERIC, *NOT_NUMERIC]) == pillowdeg.__all__
+
+
+def test_the_one_optional_parameter_is_a_surfaces_label():
+    # a verifier takes only its complex: the inputs verify_configuration
+    # shares between its sections go through private twins, so an option
+    # with no caller cannot be given a wrong value
+    optional = {}
+    for name in pillowdeg.__all__:
+        try:
+            parameters = inspect.signature(getattr(pillowdeg, name)).parameters.values()
+        except ValueError:  # the exception types have no signature
+            continue
+        if names := tuple(p.name for p in parameters if p.default is not p.empty):
+            optional[name] = names
+    assert optional == {"SurfaceClasses": ("label",)}
 
 
 def exact(value):

@@ -4,6 +4,7 @@ import pytest
 
 from pillowdeg import pillow
 from pillowdeg import (
+    Check,
     Report,
     DegenerationTable,
     InvalidParameter,
@@ -25,6 +26,7 @@ from pillowdeg import (
     verify_configuration,
     verify_conservation,
 )
+from pillowdeg.degeneration import _configuration
 
 
 class TestNPointBudget:
@@ -245,6 +247,11 @@ class TestVerifyConfiguration:
         report = verify_configuration(build_pillow(2, 2))
         assert [ch.name for ch in report.failures] == ["forced"]
 
+    def test_a_check_prints_a_str_side_as_it_is(self):
+        check = Check("line_degrees_in_local_models", "outside {3, 6}: [('p', 1)]", None)
+        assert str(check) == "FAIL  line_degrees_in_local_models: outside {3, 6}: [('p', 1)] == None"
+        assert str(Check("transpose_isomorphism", True, True)) == "PASS  transpose_isomorphism: True == True"
+
     def test_line_degree_outside_local_models_is_reported(self):
         # the last line of (3, 2) replaced by a copy of its first: the table
         # raises, and the report keeps every other section around its fault
@@ -298,7 +305,7 @@ class TestVerifyConfiguration:
         c, ct = build_pillow(3, 4), build_pillow(4, 3)
         monkeypatch.setattr(PillowConfig, "line_degrees", counting_degrees)
         monkeypatch.setattr(pillow, "_disjoint_pairs", counting_route)
-        report = verify_configuration(c, ct)
+        report = _configuration(c, ct)
         assert counted == {"line_degrees": 1, "route": 1}
         assert report.all_passed, str(report)
         assert report["disjoint_pairs_brute_vs_degree_method"].rhs == formula_disjoint_pairs(c.g)
@@ -307,7 +314,7 @@ class TestVerifyConfiguration:
     def test_reused_transpose_gives_the_same_checks(self, a):
         for b in range(2, 7):
             c = build_pillow(a, b)
-            reused = verify_configuration(c, c if a == b else build_pillow(b, a))
+            reused = _configuration(c, c if a == b else build_pillow(b, a))
             assert reused.checks == verify_configuration(c).checks
 
 

@@ -37,7 +37,7 @@ from pillowdeg import (
     verify_sphere_triangulation,
     verify_stages,
 )
-from pillowdeg.pillow import _pieces, _sphere_report, incidence_index
+from pillowdeg.pillow import _pieces, _sphere_report, _stages, incidence_index
 
 
 def _sorted_pair(u, v):
@@ -410,7 +410,7 @@ class TestMutatedPillows:
             [*CONSERVATION_CHECKS, "transpose_isomorphism"],
             ["line_degrees_in_local_models", "transpose_isomorphism"],
         )
-        sections = verify_pillow(c).checks + verify_stages(c, incidence_index(c)).checks
+        sections = verify_pillow(c).checks + _stages(c, incidence_index(c)).checks
         assert report.checks[:len(head)] == sections
         try:
             table = build_table(c)
@@ -504,4 +504,4 @@ class TestMutatedPillows:
         assert report["vertex_link_single_cycle"].lhs == bad_links(c)
         assert report["face_adjacency_connected"].lhs == face_components(c)
         assert report.checks == verify_sphere_triangulation(c).checks
-        assert verify_stages(c).checks == verify_stages(c, incidence).checks
+        assert verify_stages(c).checks == _stages(c, incidence).checks

@@ -111,6 +111,10 @@ class TestLineRecord:
         with pytest.raises(InvalidParameter, match=message):
             Line(1, 4, "horizontal", "top")._replace(u=u, v=v)
 
+    def test_str_labels_print_as_they_are(self):
+        with pytest.raises(InvalidParameter, match=r"got \(b, a\)$"):
+            Line("b", "a", "horizontal", "top")
+
     def test_build_validates_every_line(self, monkeypatch):
         fields = []
         new = Line.__new__
@@ -243,6 +247,11 @@ class TestLabeling:
     def test_unknown_side_rejected(self):
         with pytest.raises(InvalidParameter, match="side must be one of"):
             grid_rows(3, 2, "left")
+
+    def test_unknown_side_is_named_by_its_repr(self):
+        with pytest.raises(InvalidParameter) as raised:
+            grid_rows(3, 2, "left")
+        assert str(raised.value) == "side must be one of ('top', 'bottom'), got 'left'"
 
 
 class TestSphereTriangulation:

@@ -7,13 +7,18 @@ from hypothesis import given, strategies as st
 from test_cli import int_digits
 
 from pillowdeg import (
+    DegenerationTable,
     InvalidParameter,
+    Line,
+    MalformedComplex,
     NegativeCharacter,
     NonIntegralNodeCount,
     PillowConfig,
     SurfaceClasses,
+    TableRow,
     branch_characters,
     build_pillow,
+    build_table,
     del_pezzo,
     del_pezzo_characters,
     formula_disjoint_pairs,
@@ -21,12 +26,14 @@ from pillowdeg import (
     k3,
     k3_characters,
     npoint_budget,
+    render_table,
     scroll_characters,
     scroll_p1p1,
     transpose_map,
     veronese,
     veronese_characters,
     verify_character_identities,
+    verify_configuration,
     verify_families,
 )
 from pillowdeg.surfaces import FAMILIES, BranchCharacters
@@ -214,8 +221,10 @@ class TestHugeParameters:
         lambda p: PillowConfig(p, 2, (), (), ()),
         npoint_budget,
         formula_disjoint_pairs,
+        lambda p: Line(p + 1, p, "boundary", "shared"),
+        lambda p: grid_rows(2, 2, p),
     ], ids=["build_pillow-a", "build_pillow-b", "grid_rows", "transpose_map",
-            "PillowConfig", "npoint_budget", "formula_disjoint_pairs"])
+            "PillowConfig", "npoint_budget", "formula_disjoint_pairs", "Line", "grid_rows-side"])
     def test_pillow_parameter_raises_invalid_parameter(self, call, p):
         # outside every domain, and too long to print into the message
         with int_digits(4300), pytest.raises(InvalidParameter, match="^a 14285-bit parameter"):
@@ -248,6 +257,47 @@ class TestHugeParameters:
             report = verify_character_identities(s, k3_characters(HUGE + 1))
         assert report.title == "character identities for an unlabelled surface"
         assert report.all_passed
+
+    def test_report_prints_a_huge_side_by_its_size(self):
+        with int_digits(4300):
+            text = str(verify_character_identities(k3(3), k3_characters(HUGE)))
+        assert text.splitlines() == [
+            "character identities for k3 g=3",
+            "  FAIL  node_cusp_sum_2n3k: a 28574-bit int == a 28574-bit int",
+            "  FAIL  node_cusp_sum_2n2k: a 28574-bit int == a 14291-bit int",
+            "  FAIL  ramification_product: a 14291-bit int == a 28574-bit int",
+            "  FAIL  hurwitz: 4 == a 14287-bit int",
+            "  => 4 check(s) FAILED",
+        ]
+        with int_digits(0):  # with no limit, as in the CLI, every digit prints
+            text = str(verify_character_identities(k3(3), k3_characters(HUGE)))
+            assert f"  FAIL  hurwitz: 4 == {6 * HUGE - 14}\n" in text
+
+    def test_characters_print_a_huge_one_by_its_size(self):
+        with int_digits(4300):
+            text = str(k3_characters(HUGE))
+        assert text == "b=a 14287-bit int n=a 28573-bit int k=a 14289-bit int t=a 14287-bit int"
+
+    def test_table_prints_a_huge_count_by_its_size(self):
+        with int_digits(4300):
+            text = render_table(DegenerationTable(HUGE, (TableRow("lines", HUGE, 0, 0, 0),)))
+        assert text == (
+            "Object            Number  Branch  Nodes  Cusps\n"
+            "Lines    a 14285-bit int       0      0      0\n"
+            "Totals:                        0      0      0\n"
+        )
+
+    def test_huge_vertex_label_fails_the_table_check(self):
+        c = build_pillow(2, 2)
+        c = c._replace(vertices=c.vertices + (HUGE,))
+        message = "vertices with line-degree outside {3, 6}: [(a 14285-bit int, 0)]"
+        with int_digits(4300):
+            with pytest.raises(MalformedComplex) as raised:
+                build_table(c)
+            report = verify_configuration(c)
+        assert str(raised.value) == message
+        check = report["line_degrees_in_local_models"]
+        assert (check.lhs, check.rhs, check.passed) == (message, None, False)
 
     @pytest.mark.parametrize("surface", [(-HUGE, 0, 0, 24), (5, -10 * HUGE, 0, 24)],
                              ids=["degree", "sectional-genus"])
