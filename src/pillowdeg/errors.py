@@ -32,14 +32,15 @@ class MalformedComplex(PillowDegError):
 
 
 def _text(value: object, strict: bool = True, form=str) -> str:
-    """``form(value)``, or for an int past Python's limit on its digits its
-    size in bits: as InvalidParameter, or as the text if not ``strict``."""
+    """``form(value)``, or for a value too long to print an int's size in bits
+    or another value's type: as InvalidParameter, or text if not ``strict``."""
     try:
         return form(value)
     except ValueError as err:
+        kind = f"{value.bit_length()}-bit" if isinstance(value, int) else type(value).__name__
         if strict:
-            raise InvalidParameter(f"a {value.bit_length()}-bit parameter: {err}") from None
-        return f"a {value.bit_length()}-bit int"
+            raise InvalidParameter(f"a {kind} parameter: {err}") from None
+        return f"a {kind} int" if isinstance(value, int) else f"a {kind} too long to print"
 
 
 def _integer(value: object, rule: str, low: int | None = None, high: int | None = None) -> None:

@@ -515,36 +515,39 @@ def _pieces(texts: Iterable[str]) -> Iterator[str]:
 
     The texts come in runs of _RUN, and a piece holds each run joined into
     one string.  Only a run that reaches PIECE_CHARS is walked text by
-    text, to cut the piece just after the text that reaches it."""
+    text, to cut the piece just after the text that reaches it.  A record
+    that does not render raises InvalidParameter here, as its text is drawn."""
     texts = iter(texts)
     block: list[str] = []
     size = 0
-    while run := list(islice(texts, _RUN)):
-        joined = "".join(run)
-        if size + len(joined) < PIECE_CHARS:
-            block.append(joined)
-            size += len(joined)
-            continue
-        start = 0
-        for end, text in enumerate(run, 1):
-            size += len(text)
-            if size >= PIECE_CHARS:
-                block.append("".join(run[start:end]))
-                yield "".join(block)
-                block, size, start = [], 0, end
-        if start < len(run):
-            block.append("".join(run[start:]))
+    try:
+        while run := list(islice(texts, _RUN)):
+            joined = "".join(run)
+            if size + len(joined) < PIECE_CHARS:
+                block.append(joined)
+                size += len(joined)
+                continue
+            start = 0
+            for end, text in enumerate(run, 1):
+                size += len(text)
+                if size >= PIECE_CHARS:
+                    block.append("".join(run[start:end]))
+                    yield "".join(block)
+                    block, size, start = [], 0, end
+            if start < len(run):
+                block.append("".join(run[start:]))
+    except ValueError as err:  # such as a label too long to print
+        raise InvalidParameter(f"a record the export cannot render: {err}") from None
     if block:
         yield "".join(block)
 
 
-def _json_array(items: Iterator[str]) -> Iterable[str]:
-    """An indent=2 JSON array one level deep, as texts, from its rendered
-    items, each of which starts with the separator ",\\n"."""
-    first = next(items, None)
-    if first is None:
+def _json_array(n: int, items: Iterator[str]) -> Iterable[str]:
+    """An indent=2 JSON array one level deep, as texts drawn lazily, from
+    its ``n`` rendered items, each starting with the separator ",\\n"."""
+    if not n:
         return ("[]",)
-    return chain(("[\n" + first[2:],), items, ("\n  ]",))
+    return chain(("[",), (first[1:] for first in islice(items, 1)), items, ("\n  ]",))
 
 
 def config_json_pieces(c: PillowConfig) -> Iterator[str]:
@@ -555,20 +558,20 @@ def config_json_pieces(c: PillowConfig) -> Iterator[str]:
     q = _JSONStrings()
     return _pieces(chain(
         (f'{{\n  "a": {c.a},\n  "b": {c.b},\n  "g": {c.g},\n  "vertices": ',),
-        _json_array(f",\n    {v}" for v in c.vertices),
+        _json_array(len(c.vertices), (f",\n    {v}" for v in c.vertices)),
         (',\n  "lines": ',),
-        _json_array(
+        _json_array(len(c.lines), (
             f',\n    {{\n      "u": {u},\n      "v": {v},\n'
             f'      "kind": {q[kind]},\n      "side": {q[side]}\n    }}'
             for u, v, kind, side in c.lines
-        ),
+        )),
         (',\n  "triangles": ',),
-        _json_array(
+        _json_array(len(c.triangles), (
             f',\n    {{\n      "v1": {v1},\n      "v2": {v2},\n'
             f'      "v3": {v3},\n      "side": {q[side]},\n'
             f'      "row": {row},\n      "col": {col},\n      "half": {q[half]}\n    }}'
             for v1, v2, v3, side, row, col, half in c.triangles
-        ),
+        )),
         ("\n}\n",),
     ))
 

@@ -57,13 +57,6 @@ class BranchCharacters(namedtuple("BranchCharacters", "degree nodes cusps turnin
         return " ".join(f"{k}={_text(n, False)}" for k, n in zip("bnkt", self))
 
 
-def _class_product(c1: tuple[int, int], c2: tuple[int, int], s: SurfaceClasses) -> int:
-    """Intersection product of p*K + q*H classes against the surface's numbers."""
-    p1, q1 = c1
-    p2, q2 = c2
-    return p1 * p2 * s.k2 + (p1 * q2 + q1 * p2) * s.kh + q1 * q2 * s.d
-
-
 def branch_characters(s: SurfaceClasses) -> BranchCharacters:
     """Characters (degree, nodes, cusps, turning points) of the branch curve
     of a general projection of the surface to the plane.
@@ -87,9 +80,9 @@ def branch_characters(s: SurfaceClasses) -> BranchCharacters:
 
 
 def verify_character_identities(s: SurfaceClasses, c: BranchCharacters) -> Report:
-    """Check the four exact identities tying the characters to the surface.
+    """Check the three exact identities tying the characters to the surface.
 
-    All four are reported with both sides' values; nothing is raised, so a
+    All three are reported with both sides' values; nothing is raised, so a
     deliberately corrupted set of characters shows up as failed checks.
     """
     b, n, k = c.degree, c.nodes, c.cusps
@@ -102,15 +95,15 @@ def verify_character_identities(s: SurfaceClasses, c: BranchCharacters) -> Repor
         2 * n + 3 * k,
         3 * s.d + b * b - 3 * b - s.euler,
     )
+    # in the (K, H) basis: the ramification curve R = K + 3H meets the
+    # residual curve R0 = bH - 2R = -2K + (b - 6)H in 2(n + k) points, and
+    # R.R0 expands to the right-hand side
     report.add(
         "node_cusp_sum_2n2k",
         2 * n + 2 * k,
         -2 * s.k2 + (b - 12) * s.kh + (3 * b - 18) * s.d,
     )
-    # in the (K, H) basis: the ramification curve R = K + 3H meets the
-    # residual curve R0 = bH - 2R = -2K + (b - 6)H in 2(n + k) points, and
     # Hurwitz reads the sectional genus as 2g(H) - 2 = H^2 + K.H
-    report.add("ramification_product", _class_product((1, 3), (-2, b - 6), s), 2 * (n + k))
     report.add("hurwitz", s.d + s.kh, -2 * s.d + b)
     return report
 
@@ -200,7 +193,7 @@ FAMILIES = {
 
 
 def verify_families() -> Report:
-    """Closed forms versus the general formulas, plus the four identities,
+    """Closed forms versus the general formulas, plus the three identities,
     over the parameter sweep of every family in FAMILIES."""
     report = Report("families")
     for name, (_, params, constructor, closed_form) in FAMILIES.items():

@@ -150,10 +150,22 @@ def every_listed_value(test):
     return test
 
 
+@pytest.fixture
+def no_digit_limit():
+    """No limit on the digits of an int while Hypothesis reprs its examples:
+    a Fraction too long to print has no repr under the default limit."""
+    with int_digits(0):
+        yield
+
+
 @pytest.mark.parametrize("name,position", [
     (name, i) for name, args in NUMERIC.items() for i, arg in enumerate(args) if type(arg) is int
 ])
+@pytest.mark.usefixtures("no_digit_limit")
 @every_listed_value
+# values that hold an int too long to print, named by their type
+@example(value=Fraction(10 ** 4300, 3))
+@example(value=(10 ** 4300,))
 @settings(max_examples=60, deadline=None)
 @given(value=NUMBERS)
 def test_every_number_is_an_int_or_refused(name, position, value):

@@ -50,7 +50,7 @@ class TestCharacters:
         code, out, _ = run_cli(capsys, "characters", "--family", "k3", "--g", "9")
         assert code == 0
         assert "b=48 n=840 k=168 t=72" in out
-        assert out.count("PASS") == 4
+        assert out.count("PASS") == 3
 
     def test_veronese_r1_all_zero(self, capsys):
         code, out, _ = run_cli(capsys, "characters", "--family", "veronese", "--r", "1")

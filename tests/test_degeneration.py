@@ -210,6 +210,22 @@ class TestConservation:
             assert check.passed
             assert check.lhs == 6 * c.g - 6
 
+    def test_a_table_without_a_lines_row_is_reported(self):
+        # the two checks of the lines row fail with lhs None, where the
+        # row lookup raised KeyError; the lookup itself still raises
+        table = DegenerationTable(9, ())
+        report = verify_conservation(table)
+        assert [ch.name for ch in report.failures] == [
+            "branch_point_total", "node_total", "cusp_total",
+            "lines_row_contributes_nothing", "doubled_lines_give_branch_degree",
+        ]
+        assert report["lines_row_contributes_nothing"] == Check(
+            "lines_row_contributes_nothing", None, (0, 0, 0))
+        assert report["doubled_lines_give_branch_degree"] == Check(
+            "doubled_lines_give_branch_degree", None, 48)
+        with pytest.raises(KeyError):
+            table.row("lines")
+
 
 class TestVerifyConfiguration:
     def test_check_order(self):
