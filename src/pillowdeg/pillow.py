@@ -69,15 +69,19 @@ class Line(namedtuple("Line", "u v kind side")):
     Within a complex a line's identity is its endpoint ``pair``: the
     verifiers and the exports key lines by it, never by the whole record.
     A Line is an immutable tuple, so it compares and hashes by all four
-    fields.  Construction and ``_replace`` both reject u >= v.
+    fields.  Construction and ``_replace`` both reject endpoints that do not
+    satisfy u < v, such as u >= v or a pair that does not compare.
     """
 
     __slots__ = ()
 
     def __new__(cls, u: int, v: int, kind: str, side: str) -> Line:
-        if not u < v:
-            raise InvalidParameter(f"line endpoints must satisfy u < v, got ({_text(u)}, {_text(v)})")
-        return tuple.__new__(cls, (u, v, kind, side))
+        try:
+            if u < v:
+                return tuple.__new__(cls, (u, v, kind, side))
+        except TypeError:  # endpoints that do not compare
+            pass
+        raise InvalidParameter(f"line endpoints must satisfy u < v, got ({_text(u)}, {_text(v)})")
 
     @classmethod
     def _make(cls, fields) -> Line:
@@ -411,11 +415,10 @@ def verify_stages(c: PillowConfig) -> Report:
     """Contracts of the intermediate stages, each a grouping of the
     triangles of ``c``.  The 2ab quadrics group them by (side, row, col):
     a line on exactly two triangles of one quadric, by the line incidence,
-    is its diagonal, and each of the other lines of ``c``, 4ab of them, must
-    lie on triangles of exactly two quadrics.  The two surfaces are the
-    vertices of the triangles on each side: they must have the expected
-    spans, meet in the 2a + 2b boundary points, and together be the
-    vertices of ``c``.  A malformed complex fails checks; nothing raises."""
+    is its diagonal, and the other lines of ``c`` must number 4ab.  The two
+    surfaces are the vertices of the triangles on each side: they must have
+    the expected spans, meet in the 2a + 2b boundary points, and together be
+    the vertices of ``c``.  A malformed complex fails checks; nothing raises."""
     return _stages(c, incidence_index(c))
 
 
@@ -424,13 +427,11 @@ def _stages(c: PillowConfig, incidence: dict) -> Report:
     a, b = c.a, c.b
     report = Report(f"stages, bidegree ({a}, {b})")
     quadric = list(map(itemgetter(3, 4, 5), c.triangles))
-    # the triangles of each quadric line, a line of c not inside one quadric
-    outer = [tris for tris in map(incidence.__getitem__, map(itemgetter(0, 1), c.lines))
-             if len(tris) != 2 or quadric[tris[0]] != quadric[tris[1]]]
     report.add("quadric_face_count", len(set(quadric)), 2 * a * b)
-    report.add("quadric_line_count", len(outer), 4 * a * b)
-    report.add("quadric_lines_shared_by_two_faces",
-               sum(1 for tris in outer if len({quadric[i] for i in tris}) != 2), 0)
+    # a quadric line is a line of c not inside one quadric
+    report.add("quadric_line_count",
+               sum(1 for tris in map(incidence.__getitem__, map(itemgetter(0, 1), c.lines))
+                   if len(tris) != 2 or quadric[tris[0]] != quadric[tris[1]]), 4 * a * b)
 
     # a surface spans the coordinate points of its vertices: their count less one
     top, bottom = ({v for tri in c.triangles if tri[3] == side for v in (tri[0], tri[1], tri[2])}
@@ -581,22 +582,21 @@ def dot_face_pieces(c: PillowConfig) -> Iterator[str]:
     ``<side>_r<row>_c<col>_<half>``, one edge per line on exactly two
     triangles, in endpoint-pair order.
 
-    No line index and no list of names is built: the triangles are listed
-    at the first endpoints of their pairs (``_first_endpoint_listing``).
-    The node lines are rendered from the records as they are written.
-    The line pairs are then walked one first endpoint at a time, in
-    ``c.lines`` order when they strictly increase, as ``build_pillow``
-    sorts them, and else sorted without repeats; each triangle listed at
-    that endpoint has its name rendered once there."""
+    No line index and no list of names is built: the node lines are
+    rendered from the records as they are written, and the triangles are
+    then listed at the first endpoints of their pairs
+    (``_first_endpoint_listing``).  The line pairs are walked one first
+    endpoint at a time, in ``c.lines`` order when they strictly increase,
+    as ``build_pillow`` sorts them, and else sorted without repeats; each
+    triangle listed at that endpoint has its name rendered once there."""
     triangles = c.triangles
-    listed, ends = _first_endpoint_listing(triangles)
     pairs = map(itemgetter(0, 1), c.lines)
     if not _increasing(map(itemgetter(0, 1), c.lines)):
         pairs = sorted(dict.fromkeys(pairs))
     return _pieces(chain(
         ("graph face_adjacency {",),
         (f'\n  "{side}_r{row}_c{col}_{half}";' for _, _, _, side, row, col, half in triangles),
-        _shared_line_edges(listed, ends, pairs),
+        _shared_line_edges(triangles, pairs),
         ("\n}\n",),
     ))
 
@@ -633,13 +633,13 @@ def _first_endpoint_listing(triangles: Sequence[Triangle]) -> tuple[list, dict[o
     return listed, ends
 
 
-def _shared_line_edges(listed: list, ends: dict[object, int],
-                       pairs: Iterable[tuple]) -> Iterator[str]:
-    """The DOT edge of each of ``pairs`` that lies on exactly two triangles,
-    read from the ``_first_endpoint_listing`` of the triangles.  The pairs
-    come grouped by first endpoint, and each group renders the names of
-    the triangles listed there and reads their other vertices once, in
-    listing order."""
+def _shared_line_edges(triangles: Sequence[Triangle], pairs: Iterable[tuple]) -> Iterator[str]:
+    """The DOT edge of each of ``pairs`` that lies on exactly two
+    ``triangles``, read from their ``_first_endpoint_listing``, which is
+    built when the first edge is drawn.  The pairs come grouped by first
+    endpoint, and each group renders the names of the triangles listed
+    there and reads their other vertices once, in listing order."""
+    listed, ends = _first_endpoint_listing(triangles)
     here, on = object(), defaultdict(list)
     for u, v in pairs:
         if u != here:

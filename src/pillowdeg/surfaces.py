@@ -193,21 +193,14 @@ FAMILIES = {
 
 
 def verify_families() -> Report:
-    """Closed forms versus the general formulas, plus the three identities,
-    over the parameter sweep of every family in FAMILIES."""
+    """Closed forms versus the general formulas over the parameter sweep of
+    every family in FAMILIES, and veronese(3) against del_pezzo(9), the one
+    surface two families share.  The identities hold for every output of
+    ``branch_characters``, so they are left to ``verify_character_identities``."""
     report = Report("families")
     for name, (_, params, constructor, closed_form) in FAMILIES.items():
-        mismatches = 0
-        identity_failures = 0
-        for p in params:
-            s = constructor(p)
-            chars = branch_characters(s)
-            if chars != closed_form(p):
-                mismatches += 1
-            if not verify_character_identities(s, chars).all_passed:
-                identity_failures += 1
-        report.add(f"{name}_closed_forms", mismatches, 0)
-        report.add(f"{name}_identities", identity_failures, 0)
+        report.add(f"{name}_closed_forms",
+                   sum(1 for p in params if branch_characters(constructor(p)) != closed_form(p)), 0)
     report.add(
         "veronese3_equals_delpezzo9",
         branch_characters(veronese(3)),

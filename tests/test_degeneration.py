@@ -243,7 +243,6 @@ class TestVerifyConfiguration:
             "disjoint_pairs_brute_vs_degree_method",
             "quadric_face_count",
             "quadric_line_count",
-            "quadric_lines_shared_by_two_faces",
             "two_surface_spans",
             "two_surface_point_inclusion_exclusion",
             "branch_point_total",

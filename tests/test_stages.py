@@ -126,7 +126,6 @@ class TestVerifyStages:
         assert [ch.name for ch in report.checks] == [
             "quadric_face_count",
             "quadric_line_count",
-            "quadric_lines_shared_by_two_faces",
             "two_surface_spans",
             "two_surface_point_inclusion_exclusion",
         ]
@@ -144,14 +143,12 @@ class TestVerifyStages:
 
     def test_two_surface_checks_read_the_triangles(self):
         # every check reads the triangles: a side without triangles fails
-        # all five, while a relabelled side still covers every vertex and
-        # every quadric line still lies in two quadrics
+        # all four, while a relabelled side still covers every vertex
         c = build_pillow(3, 2)
         no_top = c._replace(triangles=tuple(t for t in c.triangles if t.side != "top"))
         all_bottom = c._replace(triangles=tuple(t._replace(side="bottom") for t in c.triangles))
         for mutant, expected in (
             (no_top, {"quadric_face_count": (6, 12), "quadric_line_count": (30, 24),
-                      "quadric_lines_shared_by_two_faces": (23, 0),
                       "two_surface_spans": ((-1, 11, -1), (11, 11, 9)),
                       "two_surface_point_inclusion_exclusion": (12, 14)}),
             (all_bottom, {"quadric_face_count": (6, 12), "quadric_line_count": (14, 24),
@@ -186,19 +183,16 @@ class TestVerifyStages:
         c = build_pillow(3, 2)
         c = c._replace(lines=c.lines + (Line(1, 999, "horizontal", "top"),))
         report = verify_stages(c)
-        assert [ch.name for ch in report.failures] == [
-            "quadric_line_count", "quadric_lines_shared_by_two_faces"]
+        assert [ch.name for ch in report.failures] == ["quadric_line_count"]
         assert (report["quadric_line_count"].lhs, report["quadric_line_count"].rhs) == (25, 24)
-        check = report["quadric_lines_shared_by_two_faces"]
-        assert (check.lhs, check.rhs) == (1, 0)
         assert report["quadric_face_count"].passed
 
     def test_shared_lines_count_quadrics_not_triangles(self):
         # a doubled triangle puts its cell's diagonal on three triangles of
-        # one quadric, so it is a quadric line in one quadric; its two
-        # other lines still lie in exactly two quadrics, on three triangles
+        # one quadric, so it counts as a quadric line, though it lies in one
+        # quadric; its two other lines were quadric lines already
         c = build_pillow(3, 2)
         c = c._replace(triangles=c.triangles + (c.triangles[0],))
         report = verify_stages(c)
         assert {ch.name: (ch.lhs, ch.rhs) for ch in report.failures} == {
-            "quadric_line_count": (25, 24), "quadric_lines_shared_by_two_faces": (1, 0)}
+            "quadric_line_count": (25, 24)}
