@@ -35,7 +35,6 @@ from .pillow import (
     Triangle,
     build_pillow,
     config_json_pieces,
-    count_disjoint_line_pairs,
     disjoint_pairs_via_degrees,
     dot_face_pieces,
     dot_line_pieces,
@@ -86,7 +85,6 @@ __all__ = [
     "build_pillow",
     "build_table",
     "config_json_pieces",
-    "count_disjoint_line_pairs",
     "del_pezzo",
     "del_pezzo_characters",
     "disjoint_pairs_via_degrees",

@@ -1,11 +1,12 @@
 """Named pass/fail checks and the reports the verifiers return.
 
 A report is a list of checks, each recording both sides of the
-comparison so a failure is diagnosable from the report alone.  The sphere
-and stage checks, both disjoint-pair routes and the exports take any lines
-and triangles, so a malformed complex fails checks; the verifiers take
-any hashable labels, whether or not they compare with each other.  Only
-the table raises MalformedComplex, on a line-degree outside {3, 6}, and
+comparison so a failure is diagnosable from the report alone.  A
+PillowConfig refuses a record of the wrong shape; the sphere and stage
+checks, the disjoint-pair route and the exports take any other lines and
+triangles, so a malformed complex fails checks.  The verifiers take any
+hashable labels, whether or not they compare with each other.  Only the
+table raises MalformedComplex, on a line-degree outside {3, 6}, and
 ``verify_configuration`` reports that as a failed check, so no verifier
 raises.  A public verifier takes only its complex: ``verify_configuration``
 shares its inputs through private sections.  A PillowConfig's a and b are

@@ -89,9 +89,8 @@ def build_table(c: pillow.PillowConfig) -> DegenerationTable:
 
     Object counts come from the configuration itself: the line count, the
     census of vertices on three and on six lines, and the disjoint-pair
-    count by the O(V + E) degree route on that same census.  The
-    brute-force enumeration and the closed form check that count in the
-    verification paths, not here.
+    count by the O(V + E) degree route on that same census.  The closed
+    form checks that count in the verification paths, not here.
     """
     degrees = c.line_degrees()
     return _table(c, degrees, pillow._disjoint_pairs(c, degrees))

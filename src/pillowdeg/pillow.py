@@ -32,7 +32,6 @@ from itertools import accumulate, chain, islice, pairwise, starmap
 from math import comb
 from operator import itemgetter, lt
 
-from . import pairs
 from .checks import Report
 from .errors import InvalidParameter, _integer, _text
 
@@ -44,9 +43,9 @@ VERTICAL = "vertical"
 DIAGONAL = "diagonal"
 
 # Size guard on the cell count a*b.  The build, each export and each
-# verifier must stay under 80 MB of RSS at this limit; the brute-force pair
-# oracle's time grows as E^2, its memory as V times its block.  README
-# gives the measured times and peaks at the limit.
+# verifier must stay under 80 MB of RSS at this limit; every verifier is
+# linear in E = 6ab.  README gives the measured times and peaks at the
+# limit.
 MAX_PILLOW_CELLS = 16384
 
 
@@ -96,9 +95,9 @@ class Line(namedtuple("Line", "u v kind side")):
 class Triangle(namedtuple("Triangle", "v1 v2 v3 side row col half")):
     """One plane of the configuration: half of a grid cell, its vertices
     v1 < v2 < v3 as the build sorts them.  The fields are the keys of
-    the JSON export's triangle records, in their order.  Nothing is
-    validated, so the build makes each record straight from its field
-    tuple."""
+    the JSON export's triangle records, in their order.  No field is
+    validated (a PillowConfig checks only that there are seven), so the
+    build makes each record straight from its field tuple."""
 
     __slots__ = ()
 
@@ -115,13 +114,26 @@ class PillowConfig(namedtuple("PillowConfig", "a b vertices lines triangles")):
     ``c._replace(lines=...)``.  The label of each grid position is not
     stored: ``grid_rows(a, b, side)`` derives it from the bidegree.
     Construction and ``_replace`` reject what ``build_pillow`` rejects, so
-    ``g`` is always defined; nothing checks the other fields together.
+    ``g`` is always defined, and a line not of 4 fields with u < v, as in
+    ``Line``, or a triangle not of 7; nothing checks the fields together.
     """
 
     __slots__ = ()
 
     def __new__(cls, a: int, b: int, vertices, lines, triangles) -> PillowConfig:
         _check_bidegree(a, b)
+        for what, rule, records, fields in (
+                ("line", "4 fields (u, v, kind, side) with u < v", lines, 4),
+                ("triangle", "7 fields", triangles, 7)):
+            for record in records:
+                try:
+                    if len(record) == fields and (fields == 7 or record[0] < record[1]):
+                        continue
+                except TypeError:  # no length, or endpoints that do not compare
+                    pass
+                # as a plain tuple: a named tuple's repr fails on the wrong length
+                shown = tuple(record) if isinstance(record, tuple) else record
+                raise InvalidParameter(f"a {what} must be {rule}, got {_text(shown, False, repr)}")
         return tuple.__new__(cls, (a, b, vertices, lines, triangles))
 
     @classmethod
@@ -221,11 +233,12 @@ def build_pillow(a: int, b: int) -> PillowConfig:
 
     # endpoint pairs are unique, so the keys sort by (u, v) alone and no Line
     # is ever compared; each key then gives way to its validated Line in
-    # place, so the Line can reuse the memory the key frees
+    # place, reusing the memory the key frees.  Its records are of the right
+    # shape, so the config, like each triangle, is made by tuple.__new__
     keys.sort()
     for k, key in enumerate(keys):
         keys[k] = Line(*key)
-    return PillowConfig(a, b, vertices, tuple(keys), tuple(triangles))
+    return tuple.__new__(PillowConfig, (a, b, vertices, tuple(keys), tuple(triangles)))
 
 
 # ---------------------------------------------------------------------------
@@ -330,23 +343,18 @@ def _sphere_report(c: PillowConfig, incidence: dict, line_deg: Counter[int]) -> 
 
 
 # ---------------------------------------------------------------------------
-# Disjoint line pairs: three independent routes.
-
-
-def count_disjoint_line_pairs(c: PillowConfig) -> int:
-    """Unordered pairs of lines sharing no vertex, by exhaustive O(E^2)
-    enumeration: the oracle the other two routes are checked against."""
-    return pairs.count_disjoint_pairs(list(map(itemgetter(0, 1), c.lines)))
+# Disjoint line pairs: the degree route on the complex, the closed form in g.
 
 
 def disjoint_pairs_via_degrees(c: PillowConfig) -> int:
-    """Same count through the vertex degrees in O(V + E): all pairs minus
-    the meeting pairs.  Those number sum over vertices of C(degree, 2), less
-    C(m, 2) for each endpoint pair on m lines, since two lines on one pair
-    meet at both its ends.  ``Line`` rules out loops, so the count is exact
-    for any line list, whatever the vertex list.  When the endpoint pairs
-    strictly increase, as ``build_pillow`` sorts them, none repeats and the
-    repeated pairs are not counted."""
+    """Unordered pairs of lines sharing no vertex, through the vertex
+    degrees in O(V + E): all pairs minus the meeting pairs.  Those number
+    sum over vertices of C(degree, 2), less C(m, 2) for each endpoint pair
+    on m lines, since two lines on one pair meet at both its ends.  A
+    PillowConfig's lines have u < v, so no line is a loop and the count is
+    exact on every PillowConfig, whatever its vertex list.  When the
+    endpoint pairs strictly increase, as ``build_pillow`` sorts them, none
+    repeats and the repeated pairs are not counted."""
     return _disjoint_pairs(c, c.line_degrees())
 
 
@@ -385,11 +393,10 @@ def formula_disjoint_pairs(g: int) -> int:
 
 
 def verify_pillow(c: PillowConfig) -> Report:
-    """The sphere checks, then the brute-force disjoint-pair count against
-    the closed form and against the degree route.  The brute force tests
-    every line pair, bit-parallel but still O(E^2) in time, and assumes
-    nothing of the lines it is given; it takes any complex the build takes
-    and raises nothing."""
+    """The sphere checks, then the degree route's disjoint-pair count
+    against the closed form in g: two routes that share no code, one read
+    off the complex and one off its bidegree.  Linear in ``c``; it takes
+    any complex the build takes and raises nothing."""
     degrees = c.line_degrees()
     return _verify_pillow(c, incidence_index(c), degrees, _disjoint_pairs(c, degrees))
 
@@ -400,10 +407,7 @@ def _verify_pillow(c: PillowConfig, incidence: dict, degrees: Counter[int],
     the ``incidence_index``, ``line_degrees()`` and degree route of ``c``."""
     report = Report(f"pillow ({c.a}, {c.b})")
     report.extend(_sphere_report(c, incidence, degrees))
-    del incidence  # freed before the brute force if no caller holds it
-    brute = count_disjoint_line_pairs(c)
-    report.add("disjoint_pairs_brute_vs_formula", brute, formula_disjoint_pairs(c.g))
-    report.add("disjoint_pairs_brute_vs_degree_method", brute, via_degrees)
+    report.add("disjoint_pairs_degree_method_vs_formula", via_degrees, formula_disjoint_pairs(c.g))
     return report
 
 

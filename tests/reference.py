@@ -2,6 +2,8 @@
 library's own routes are compared with.  Not collected; the test modules
 import it by name."""
 
+from itertools import combinations
+
 from pillowdeg import PillowConfig, Triangle
 
 
@@ -37,3 +39,12 @@ def edge_pairs(tri: Triangle) -> tuple[tuple[int, int], tuple[int, int], tuple[i
     vertices are."""
     a, b, c = tri.vertices
     return ((a, b), (a, c), (b, c))
+
+
+def reference_count(lines) -> int:
+    """Unordered pairs of lines, or of endpoint pairs, that share no
+    endpoint, by testing every pair of them: O(E^2), and it reads only
+    the first two fields of each record.  The oracle for the degree route
+    and the closed form."""
+    ends = [{ln[0], ln[1]} for ln in lines]
+    return sum(1 for s, t in combinations(ends, 2) if not s & t)

@@ -80,7 +80,6 @@ NOT_NUMERIC = {
     "branch_characters": "takes a SurfaceClasses, whose numbers are checked",
     "build_table": COMPLEX,
     "config_json_pieces": COMPLEX,
-    "count_disjoint_line_pairs": COMPLEX,
     "disjoint_pairs_via_degrees": COMPLEX,
     "dot_face_pieces": COMPLEX,
     "dot_line_pieces": COMPLEX,

@@ -106,7 +106,7 @@ class TestPillow:
         code, out, _ = run_cli(capsys, "pillow", "--a", "2", "--b", "2", "--verify")
         assert code == 0
         assert "V=10 E=24 F=16 g=9" in out
-        assert "disjoint_pairs_brute_vs_formula: 174 == 174" in out
+        assert "disjoint_pairs_degree_method_vs_formula: 174 == 174" in out
         assert "all checks passed" in out
 
     def test_invalid_parameters_exit_2(self, capsys):

@@ -239,8 +239,7 @@ class TestVerifyConfiguration:
             "degree3_vertices_are_corners",
             "triangle_degree_census",
             "line_degrees_match_triangle_degrees",
-            "disjoint_pairs_brute_vs_formula",
-            "disjoint_pairs_brute_vs_degree_method",
+            "disjoint_pairs_degree_method_vs_formula",
             "quadric_face_count",
             "quadric_line_count",
             "two_surface_spans",
@@ -280,7 +279,7 @@ class TestVerifyConfiguration:
         assert {ch.name: (ch.lhs, ch.rhs) for ch in report.failures} == {
             "vertex_link_single_cycle": (2, 0),
             "line_degrees_match_triangle_degrees": (4, 0),
-            "disjoint_pairs_brute_vs_formula": (470, 468),
+            "disjoint_pairs_degree_method_vs_formula": (470, 468),
             "line_degrees_in_local_models": (message, None),
             "transpose_isomorphism": (False, True),
         }
@@ -323,7 +322,7 @@ class TestVerifyConfiguration:
         report = _configuration(c, ct)
         assert counted == {"line_degrees": 1, "route": 1}
         assert report.all_passed, str(report)
-        assert report["disjoint_pairs_brute_vs_degree_method"].rhs == formula_disjoint_pairs(c.g)
+        assert report["disjoint_pairs_degree_method_vs_formula"].lhs == formula_disjoint_pairs(c.g)
 
     @pytest.mark.parametrize("a", range(2, 7))
     def test_reused_transpose_gives_the_same_checks(self, a):

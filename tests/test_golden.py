@@ -22,8 +22,12 @@ the ``ramification_product`` check, a restatement of
 ``node_cusp_sum_2n2k``, was removed, and of the four exit-0 ``verify``
 rows, taken when ``quadric_lines_shared_by_two_faces`` and the four
 ``{family}_identities`` checks, each failing only with one other check,
-were removed; a refactor that keeps every output byte and exit code
-keeps this table green.
+were removed, and of the fourteen exit-0 ``verify`` and ``pillow
+--verify`` rows, taken when ``disjoint_pairs_brute_vs_degree_method``, the
+comparison of the degree route with an O(E^2) count, was removed and
+``disjoint_pairs_brute_vs_formula`` became
+``disjoint_pairs_degree_method_vs_formula``; a refactor that keeps every
+output byte and exit code keeps this table green.
 """
 
 import hashlib
@@ -39,16 +43,16 @@ EMPTY = hashlib.sha256(b"").hexdigest()
 # (argv, sha256 of stdout, sha256 of stderr, exit code)
 CORPUS = [
     ("verify --a 2..6 --b 2..6",
-     "6eb5517683b83d91467ee992da1e03f9ff7d91bc14c8a4cb9c809c4bacec08ea",
+     "3eb67b9b58c785e82b765112d9475a63314c30d4842195daf326c5361c2fb119",
      EMPTY, 0),
     ("verify --a 2..6 --b 2..6 --format json",
-     "77eecbde6af7ab1dfa85362a8ac1f9db9599e0388adf873e49f16c374dcc675f",
+     "5ecb5b291771af6a462f0de3f54436a5b2a13a9d2e1620c2bf832a8f762f989e",
      EMPTY, 0),
     ("verify --a 2..12 --b 2..12 --limit 12",
-     "9ff216914170133d2b29eb39dc5bbe9129599b2c3ed677b6bf331122914158de",
+     "e96f01c616995094d0a24cc4fb06ec0437c9e3d09ae4979dc2e5c3fd382dc473",
      EMPTY, 0),
     ("verify --a 2..12 --b 2..12 --limit 12 --format json",
-     "beb8827f221001f1e49d6e92ff7b6b403cfc23a2322822b31c51626573cbefd0",
+     "a40cd2ee1cc9cccee48337fe4d9db3ec6947f50c384d086b14fb6fe871e91e6c",
      EMPTY, 0),
     ("verify --a 1..3 --b 2..2",
      EMPTY,
@@ -57,31 +61,31 @@ CORPUS = [
      EMPTY,
      "b00a826f7f7c313daf164c500874b24f2e349efd072a55ef2aa3bdd55aaede20", 2),
     ("pillow --a 2 --b 2 --verify",
-     "c8a26ff07c1557d31aac261e717a587874a3c1a839321ef45ba0c076ff44b346",
+     "0fcba18a4a7cc76c1a69cec14ca25465c5f9d173b48fcd1fb5652573ceca8bcd",
      EMPTY, 0),
     ("pillow --a 2 --b 2 --verify --format json",
-     "6fda718d058efabb67e33d5ccbd73e69286b6f1743bb45f74b5bf55e629ff568",
+     "c5f8b2f981c53ad68682974ef824e84f4aa709463ec26c6bc6b9a31aabea946d",
      EMPTY, 0),
     ("pillow --a 4 --b 3 --verify",
-     "68da4bab0bd7701cd430b252ff7b2f4acc9d7cb3b2f09bf8890264ccb4e53aa4",
+     "3f205818ab399d6bf4241bad36e07e0443f851f66c75d353bb1fd4a383614cd9",
      EMPTY, 0),
     ("pillow --a 4 --b 3 --verify --format json",
-     "203fbb4e7a2512c6cdb7dff4776a55707e61a36d73666d70db6b1815764b61ed",
+     "ae9635ebb4739b4d41d90c301e41b3bf12195cc688ff3403c0878a36f5fde0e7",
      EMPTY, 0),
     ("pillow --a 24 --b 24 --verify",
-     "8b985b956d5141b4fb7de4ca92029d21dba4f3dfa135bcf8c7980b13be57a872",
+     "21c00d0189f5a63941a1e382f7ee5a0c95d5d31e0e0ab68c661f9a7c16bd981e",
      EMPTY, 0),
     ("pillow --a 24 --b 24 --verify --format json",
-     "b35418d776a64b05b01f4b20e6dbb68ffb5d93c9ea7e98a96aa74b684a249373",
+     "0ea6da3e360ba36c29df8c4a95b6520e0b3196b54c6ef3a24d69ec9895cc1a55",
      EMPTY, 0),
     ("pillow --a 32 --b 32 --verify",
-     "0bbe9b1e62c981287b8f693927b2a710ce74a800745d98799b598e5b887e5123",
+     "aa3b14e7a4aeed787b64ddcd6afbe3bf274132c9ef641af4f48ef7886e71c47a",
      EMPTY, 0),
     ("pillow --a 32 --b 32 --verify --format json",
-     "349cb3752cffc2ad4c20df1d04d38feb6b46bcbebd66749a168774266a075872",
+     "5f751bb6863ca6f497e07aa2bb3cf485ee98747017e91b7060fcc31210af2cf0",
      EMPTY, 0),
     ("pillow --a 33 --b 32 --verify",
-     "545ad61a856b1279cfeac88e04e25b67a9a66754e563906d2f451b44f229b0a0",
+     "1789ad575594d5a68e5807cec409a23ff6094644be6758b7e7889a539737fe52",
      EMPTY, 0),
     ("pillow --a 4 --b 3",
      "f477a4150054460e35dce72d25d7394fa91e7d4298fd440b19fb04e150ee9fbb",
@@ -93,7 +97,7 @@ CORPUS = [
      "83a23f2e007cdee8a6ccf20658b75d3a3c4ec2b8246a26b8a9e933368c855c39",
      EMPTY, 0),
     ("pillow --a 4 --b 3 --verify --export dot --out p43.dot --format json",
-     "6ea67b9fba5171dac205f606ede7df73f67a14f651c37374aff287eecebdb733",
+     "7c35e6e5868422d863b053d1db321e95d42ef1495853328a5b593d08f3821806",
      EMPTY, 0),
     ("pillow --a 4 --b 3 --export json --out missing/p43.json",
      EMPTY,

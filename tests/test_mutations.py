@@ -1,7 +1,7 @@
 """Mutated pillows: every operation on a complex that is no longer the
 pillow returns, and only the table raises MalformedComplex; the sphere and
 stage checks, verify_pillow and verify_configuration always return their
-reports, the degree route equals the brute force, the DOT line graph
+reports, the degree route equals the reference count, the DOT line graph
 renders every mutant, and both DOT exports write what their copies kept
 from before the face export stopped reading the line index;
 every mutation but an edge flip or a changed bidegree breaks one of the
@@ -15,11 +15,10 @@ from operator import itemgetter
 
 import pytest
 from hypothesis import given, settings, strategies as st
-from reference import edge_pairs
+from reference import edge_pairs, reference_count
 
 from pillowdeg import (
     Check,
-    InvalidParameter,
     Line,
     MalformedComplex,
     Report,
@@ -191,7 +190,7 @@ CENSUS_CHECKS = (
     "degree3_vertices_are_corners", "triangle_degree_census",
     "line_degrees_match_triangle_degrees",
 )
-PAIR_CHECKS = ("disjoint_pairs_brute_vs_formula", "disjoint_pairs_brute_vs_degree_method")
+PAIR_CHECKS = ("disjoint_pairs_degree_method_vs_formula",)
 STAGE_CHECKS = (
     "quadric_face_count", "quadric_line_count", "two_surface_spans",
     "two_surface_point_inclusion_exclusion",
@@ -328,9 +327,7 @@ def odd_complexes():
     c = build_pillow(2, 2)
 
     def extra_triangle(vertices):
-        # made as the build makes its records, by tuple.__new__, so that a
-        # triangle on two vertices is a record one field short
-        extra = tuple.__new__(Triangle, (*vertices, "top", 9, 9, "lower"))
+        extra = Triangle(*vertices, "top", 9, 9, "lower")
         return c._replace(triangles=c.triangles + (extra,))
 
     return {
@@ -343,16 +340,12 @@ def odd_complexes():
         "a float label": c._replace(lines=c.lines + (Line(1.5, 2, "x", "y"),)),
         "a label equal to a vertex of another type": c._replace(
             lines=(c.lines[0]._replace(u=True),) + c.lines[1:]),
-        "a loop": c._replace(lines=c.lines + ((3, 3, "x", "y"),)),
-        "a line with u > v": c._replace(
-            lines=c.lines[:1] + ((c.lines[1].v, c.lines[1].u, "x", "y"),) + c.lines[2:]),
         "a repeated line, sorted": c._replace(lines=tuple(sorted(c.lines + (c.lines[3],)))),
         "a repeated pair of two kinds, sorted": c._replace(
             lines=tuple(sorted(c.lines + (c.lines[3]._replace(kind="zz"),)))),
         "a repeated vertex in a triangle": extra_triangle((1, 1, 2)),
         "a repeated last vertex in a triangle": extra_triangle((1, 2, 2)),
         "an unsorted triangle": extra_triangle((3, 1, 2)),
-        "a triangle on two vertices": extra_triangle((1, 2)),
         "vertices in reverse": c._replace(vertices=c.vertices[::-1]),
         "a repeated vertex": c._replace(vertices=c.vertices + (1,)),
         "no lines": c._replace(lines=()),
@@ -372,15 +365,7 @@ class TestExportOracles:
     def test_dot_exports_match_the_copies_on_odd_complexes(self, name):
         c = odd_complexes()[name]
         for pieces, reference in EXPORT_ORACLES:
-            expected = export_outcome(reference, c)
-            if pieces is dot_face_pieces and name == "a triangle on two vertices":
-                # the copy unpacks the short record when it is called, with a
-                # bare ValueError; the face graph raises while it is drained,
-                # as every export does on a record it cannot render
-                assert expected[:2] == ("call", ValueError)
-                expected = ("drain", InvalidParameter,
-                            f"a record the export cannot render: {expected[2]}")
-            assert export_outcome(pieces, c) == expected
+            assert export_outcome(pieces, c) == export_outcome(reference, c)
 
     @pytest.mark.parametrize("a,b", [(a, b) for a in range(2, 9) for b in range(2, 9)]
                              + [(64, 64), (2, 2048), (2048, 2)])
@@ -434,8 +419,8 @@ class TestMutatedPillows:
     @pytest.mark.parametrize("name", sorted(set(odd_complexes()) - {"unhashable labels"}))
     def test_verify_configuration_reports_every_odd_complex_of_records(self, name):
         # labels that do not compare with each other, among the vertices or
-        # on degrees outside {3, 6}, plain-tuple lines and short triangles
-        # fail checks instead of raising
+        # on degrees outside {3, 6}, and repeated or unsorted records fail
+        # checks instead of raising
         c = odd_complexes()[name]
         assert isinstance(verify_configuration(c), Report)
         try:
@@ -466,7 +451,7 @@ class TestMutatedPillows:
         c = mutant[1]
         report = verify_pillow(c)
         assert [ch.name for ch in report.checks] == [*SPHERE_CHECKS, *CENSUS_CHECKS, *PAIR_CHECKS]
-        assert report["disjoint_pairs_brute_vs_degree_method"].passed
+        assert report["disjoint_pairs_degree_method_vs_formula"].lhs == reference_count(c.lines)
         # the DOT line graph renders it too: one edge per pair of lines at
         # each vertex, a foreign endpoint included
         text = "".join(dot_line_pieces(c))
@@ -481,10 +466,11 @@ class TestMutatedPillows:
         assert [ch.name for ch in report.failures] == [
             "line_in_two_triangles", "vertex_link_single_cycle",
             "degree3_vertices_are_corners", "triangle_degree_census",
-            "disjoint_pairs_brute_vs_formula",
+            "disjoint_pairs_degree_method_vs_formula",
         ]
-        check = report["disjoint_pairs_brute_vs_degree_method"]
-        assert (check.lhs, check.rhs) == (166, 166)
+        check = report["disjoint_pairs_degree_method_vs_formula"]
+        assert (check.lhs, check.rhs) == (166, 174)
+        assert reference_count(c.lines) == 166
 
     @settings(max_examples=150, deadline=None)
     @given(mutant=mutants())

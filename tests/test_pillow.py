@@ -1,13 +1,11 @@
 """Pillow complex construction, labeling, verification, and exports."""
 
-import gc
 import json
 import re
-import sys
 import tracemalloc
 
 import pytest
-from reference import config_to_dict, edge_pairs
+from reference import config_to_dict, edge_pairs, reference_count
 from test_cli import EXPORT_DIGESTS, sha256, traced_peak
 
 from pillowdeg import degeneration, pillow
@@ -20,7 +18,6 @@ from pillowdeg import (
     build_pillow,
     build_table,
     config_json_pieces,
-    count_disjoint_line_pairs,
     disjoint_pairs_via_degrees,
     dot_face_pieces,
     dot_line_pieces,
@@ -132,6 +129,33 @@ class TestLineRecord:
         line = Line(1, 4, "horizontal", "top")._replace(kind="vertical")
         assert type(line) is Line
         assert (line.pair, line.kind, line.side) == ((1, 4), "vertical", "top")
+
+
+class TestRecordShape:
+    """A PillowConfig holds lines of 4 fields with u < v and triangles of
+    7 fields: construction and _replace refuse any other record, so no
+    operation is given one."""
+
+    C = build_pillow(2, 2)
+
+    @pytest.mark.parametrize("field,record,message", [
+        ("lines", (5,), r"a line must be 4 fields \(u, v, kind, side\) with u < v, got \(5,\)$"),
+        ("lines", 5, "a line must be .*, got 5$"),
+        ("lines", (3, 3, "x", "y"), r"a line must be .*, got \(3, 3, 'x', 'y'\)$"),
+        ("lines", (C.lines[1].v, C.lines[1].u, "x", "y"), "a line must be "),
+        ("lines", ("p", 1, "x", "y"), "a line must be "),
+        ("triangles", (1, 2), r"a triangle must be 7 fields, got \(1, 2\)$"),
+        ("triangles", tuple.__new__(Triangle, (1, 2, "top", 9, 9, "lower")),
+         r"a triangle must be 7 fields, got \(1, 2, 'top', 9, 9, 'lower'\)$"),
+    ], ids=["short line", "line with no length", "loop", "line with u > v",
+            "endpoints that do not compare", "short triangle", "6-field triangle"])
+    def test_record_of_the_wrong_shape_is_refused(self, field, record, message):
+        c = self.C
+        fields = {field: getattr(c, field) + (record,)}
+        with pytest.raises(InvalidParameter, match=message):
+            c._replace(**fields)
+        with pytest.raises(InvalidParameter, match=message):
+            PillowConfig(**{**c._asdict(), **fields})
 
 
 class TestSizeLimits:
@@ -366,18 +390,19 @@ class TestSphereTriangulation:
 class TestDisjointPairs:
     def test_g9_frozen(self):
         c = build_pillow(2, 2)
-        assert count_disjoint_line_pairs(c) == 174
+        assert reference_count(c.lines) == 174
         assert disjoint_pairs_via_degrees(c) == 174
         assert formula_disjoint_pairs(9) == 174
 
     def test_g13_frozen(self):
-        assert count_disjoint_line_pairs(build_pillow(2, 3)) == 468
+        assert reference_count(build_pillow(2, 3).lines) == 468
         assert formula_disjoint_pairs(13) == 468
 
     @pytest.mark.parametrize("a,b", [(2, 2), (2, 3), (3, 3), (2, 4), (4, 3)])
     def test_three_routes_agree(self, a, b):
+        # the degree route and the closed form, against the reference
         c = build_pillow(a, b)
-        brute = count_disjoint_line_pairs(c)
+        brute = reference_count(c.lines)
         assert brute == formula_disjoint_pairs(c.g)
         assert brute == disjoint_pairs_via_degrees(c)
 
@@ -387,22 +412,22 @@ class TestDisjointPairs:
         # the same line twice meets itself at both ends: C(2, 2) - 2 C(2, 2)
         # would give -1 without the C(m, 2) term of the repeated pair
         doubled = PillowConfig(c.a, c.b, c.vertices, (line, line), c.triangles)
-        assert disjoint_pairs_via_degrees(doubled) == count_disjoint_line_pairs(doubled) == 0
+        assert disjoint_pairs_via_degrees(doubled) == reference_count(doubled.lines) == 0
         # the corner line 1-2 tripled in the pillow: 174 plus the pairs of
         # its two copies with the 16 lines that miss both of its ends
         tripled = c._replace(lines=c.lines + (line, line))
-        assert disjoint_pairs_via_degrees(tripled) == count_disjoint_line_pairs(tripled) == 206
+        assert disjoint_pairs_via_degrees(tripled) == reference_count(tripled.lines) == 206
         # the lines reversed: no pair repeats, though the pairs fall
         reversed_ = c._replace(lines=c.lines[::-1])
-        assert disjoint_pairs_via_degrees(reversed_) == count_disjoint_line_pairs(reversed_) == 174
+        assert disjoint_pairs_via_degrees(reversed_) == reference_count(reversed_.lines) == 174
         # a copy of a middle line at the end, not next to its twin: 174 plus
         # the 16 lines that miss both of its ends
         copied = c._replace(lines=c.lines + (c.lines[9],))
-        assert disjoint_pairs_via_degrees(copied) == count_disjoint_line_pairs(copied) == 190
+        assert disjoint_pairs_via_degrees(copied) == reference_count(copied.lines) == 190
         # int and str labels do not compare, so the repeated str line is
         # found without the order: 174 plus each copy against the 24 lines
         mixed = c._replace(lines=c.lines + (Line("p", "q", "horizontal", "top"),) * 2)
-        assert disjoint_pairs_via_degrees(mixed) == count_disjoint_line_pairs(mixed) == 222
+        assert disjoint_pairs_via_degrees(mixed) == reference_count(mixed.lines) == 222
 
     def test_degree_route_holds_no_pair_per_line(self):
         # on strictly increasing endpoint pairs the route holds the degree
@@ -417,7 +442,7 @@ class TestDisjointPairs:
     ])
     def test_foreign_endpoint_is_malformed(self, operation):
         # the degree route counts the endpoint 999 as it stands, and agrees
-        # with the brute force, so verify_pillow reports the complex;
+        # with the reference count, so verify_pillow reports the complex;
         # dot_line_pieces renders the line and its edges at vertex 1; the
         # table sees the line as a degree outside {3, 6}, which
         # verify_configuration reports in place of conservation
@@ -425,7 +450,7 @@ class TestDisjointPairs:
         c = c._replace(lines=c.lines + (Line(1, 999, "horizontal", "top"),))
         if operation is disjoint_pairs_via_degrees:
             assert c.line_degrees()[999] == 1
-            assert operation(c) == count_disjoint_line_pairs(c) == 501
+            assert operation(c) == reference_count(c.lines) == 501
             return
         if operation is verify_pillow:
             report = operation(c)
@@ -433,7 +458,7 @@ class TestDisjointPairs:
                 "line_in_two_triangles": (1, 0),
                 "euler_characteristic": (1, 2),
                 "line_degrees_match_triangle_degrees": (1, 0),
-                "disjoint_pairs_brute_vs_formula": (501, 468),
+                "disjoint_pairs_degree_method_vs_formula": (501, 468),
             }
             return
         if operation is dot_line_pieces:
@@ -453,7 +478,7 @@ class TestDisjointPairs:
                 "line_in_two_triangles": (1, 0),
                 "euler_characteristic": (1, 2),
                 "line_degrees_match_triangle_degrees": (1, 0),
-                "disjoint_pairs_brute_vs_formula": (501, 468),
+                "disjoint_pairs_degree_method_vs_formula": (501, 468),
                 "quadric_line_count": (25, 24),
                 "line_degrees_in_local_models": (message, None),
                 "transpose_isomorphism": (False, True),
@@ -468,29 +493,10 @@ class TestDisjointPairs:
         report = verify_pillow(c)
         sphere = [ch.name for ch in verify_sphere_triangulation(c).checks]
         assert [ch.name for ch in report.checks] == sphere + [
-            "disjoint_pairs_brute_vs_formula",
-            "disjoint_pairs_brute_vs_degree_method",
+            "disjoint_pairs_degree_method_vs_formula",
         ]
-        assert report["disjoint_pairs_brute_vs_formula"].lhs == 468
+        assert report["disjoint_pairs_degree_method_vs_formula"].lhs == 468
         assert report.all_passed, str(report)
-
-    @pytest.mark.skipif(sys.version_info < (3, 11),
-                        reason="3.10 keeps a call's arguments on the caller's stack until it returns")
-    def test_verify_pillow_frees_its_index_before_the_brute_force(self, monkeypatch):
-        # the brute force's peak adds to the complex's, so the index, which
-        # only the sphere checks read, is not alive beside it
-        c = build_pillow(3, 4)
-        index = incidence_index(c)
-        brute = pillow.count_disjoint_line_pairs
-        alive = []
-
-        def watched(c):
-            alive.append(sum(1 for o in gc.get_objects() if type(o) is dict and o == index))
-            return brute(c)
-
-        monkeypatch.setattr(pillow, "count_disjoint_line_pairs", watched)
-        assert verify_pillow(c).all_passed
-        assert alive == [1]  # this test's own copy
 
     def test_formula_rejects_bad_g(self):
         with pytest.raises(InvalidParameter):
