@@ -149,13 +149,15 @@ class TestRecordShape:
          r"a triangle must be 7 fields, got \(1, 2, 'top', 9, 9, 'lower'\)$"),
     ], ids=["short line", "line with no length", "loop", "line with u > v",
             "endpoints that do not compare", "short triangle", "6-field triangle"])
-    def test_record_of_the_wrong_shape_is_refused(self, field, record, message):
+    @pytest.mark.parametrize("make", [
+        lambda c, fields: c._replace(**fields),
+        lambda c, fields: PillowConfig(**{**c._asdict(), **fields}),
+        lambda c, fields: PillowConfig._make({**c._asdict(), **fields}.values()),
+    ], ids=["_replace", "PillowConfig", "_make"])
+    def test_record_of_the_wrong_shape_is_refused(self, make, field, record, message):
         c = self.C
-        fields = {field: getattr(c, field) + (record,)}
         with pytest.raises(InvalidParameter, match=message):
-            c._replace(**fields)
-        with pytest.raises(InvalidParameter, match=message):
-            PillowConfig(**{**c._asdict(), **fields})
+            make(c, {field: getattr(c, field) + (record,)})
 
 
 class TestSizeLimits:
