@@ -145,49 +145,39 @@ def verify_conservation(table: DegenerationTable) -> Report:
 
 def verify_configuration(c: pillow.PillowConfig) -> Report:
     """Every invariant of one configuration: the sphere, pair and stage
-    checks, conservation, and the isomorphism with the pillow (b, a).  The
-    inputs the sections share are built once each: the line incidence, the
-    line degrees and the degree route's count, both the pair check's and
-    the table's 2-points.  Where the table raises, one failed check with
-    its message as lhs, ``line_degrees_in_local_models``, replaces
-    conservation."""
-    return _configuration(c, None)
-
-
-def _configuration(c: pillow.PillowConfig, transpose: pillow.PillowConfig | None) -> Report:
-    """``verify_configuration`` with ``transpose``, the pillow (b, a) or None."""
+    checks, conservation, and ``triangles_at_grid_positions``, the count of
+    triangles whose labels are not those the build places at the grid
+    position their fields name.  The inputs the sections share are built
+    once each: the line incidence, the line degrees and the degree route's
+    count, both the pair check's and the table's 2-points.  Where the table
+    raises, one failed check with its message as lhs,
+    ``line_degrees_in_local_models``, replaces conservation."""
     report = Report(f"configuration ({c.a}, {c.b})")
     incidence = pillow.incidence_index(c)
     degrees = c.line_degrees()
     two_points = pillow._disjoint_pairs(c, degrees)
     report.extend(pillow._verify_pillow(c, incidence, degrees, two_points))
     report.extend(pillow._stages(c, incidence))
-    del incidence  # freed before the transpose side is built
+    del incidence  # freed before the grid-position check builds its triangles
     try:
         report.extend(verify_conservation(_table(c, degrees, two_points)))
     except MalformedComplex as exc:
         report.add("line_degrees_in_local_models", str(exc), None)
-    ct = transpose if transpose is not None else pillow.build_pillow(c.b, c.a)
-    report.add("transpose_isomorphism",
-               pillow.is_complex_isomorphism(c, ct, pillow.transpose_map(c.a, c.b)), True)
+    # the build's triangles, by its one rule; each triangle is looked up
+    # whole among them, so one at a position off the grid matches none
+    placed = set()
+    for side in pillow.SIDES:
+        rows = pillow.grid_rows(c.a, c.b, side)
+        for i, (n, s) in enumerate(zip(rows, rows[1:]), 1):
+            placed.update(pillow._row_triangles(side, i, n, s))
+    report.add("triangles_at_grid_positions", sum(1 for t in c.triangles if t not in placed), 0)
     return report
 
 
 def verify_box(a_range: range, b_range: range) -> list[Report]:
     """``verify_configuration`` of each (a, b) in the box, a-major, each
-    bidegree built once: the pillows of (a, b) and (b, a) in the box are
-    each other's transpose side, a square one its own, one pair at a time."""
-    reports: dict[tuple[int, int], Report] = {}
-    for a in a_range:
-        for b in b_range:
-            if (a, b) not in reports:
-                c = pillow.build_pillow(a, b)
-                ct = c if a == b else None
-                if a != b and b in a_range and a in b_range:
-                    ct = pillow.build_pillow(b, a)
-                    reports[(b, a)] = _configuration(ct, c)
-                reports[(a, b)] = _configuration(c, ct)
-    return [reports[(a, b)] for a in a_range for b in b_range]
+    bidegree built once."""
+    return [verify_configuration(pillow.build_pillow(a, b)) for a in a_range for b in b_range]
 
 
 # ---------------------------------------------------------------------------

@@ -96,8 +96,8 @@ class Triangle(namedtuple("Triangle", "v1 v2 v3 side row col half")):
     """One plane of the configuration: half of a grid cell, its vertices
     v1 < v2 < v3 as the build sorts them.  The fields are the keys of
     the JSON export's triangle records, in their order.  No field is
-    validated (a PillowConfig checks only that there are seven), so the
-    build makes each record straight from its field tuple."""
+    validated (a PillowConfig checks only that there are seven, all
+    hashable), so the build makes each record from its field tuple."""
 
     __slots__ = ()
 
@@ -114,26 +114,32 @@ class PillowConfig(namedtuple("PillowConfig", "a b vertices lines triangles")):
     ``c._replace(lines=...)``.  The label of each grid position is not
     stored: ``grid_rows(a, b, side)`` derives it from the bidegree.
     Construction and ``_replace`` reject what ``build_pillow`` rejects, so
-    ``g`` is always defined, and a line not of 4 fields with u < v, as in
-    ``Line``, or a triangle not of 7; nothing checks the fields together.
+    ``g`` is always defined, a vertices, lines or triangles not a tuple, a
+    vertex not hashable, a line not of 4 fields with u < v, as in ``Line``,
+    and a triangle not of 7 hashable fields; nothing checks them together.
     """
 
     __slots__ = ()
 
     def __new__(cls, a: int, b: int, vertices, lines, triangles) -> PillowConfig:
         _check_bidegree(a, b)
-        for what, rule, records, fields in (
-                ("line", "4 fields (u, v, kind, side) with u < v", lines, 4),
-                ("triangle", "7 fields", triangles, 7)):
+        for field, records, what, rule, fields in (
+                ("vertices", vertices, "a vertex", "hashable", 0),
+                ("lines", lines, "a line", "4 fields (u, v, kind, side) with u < v", 4),
+                ("triangles", triangles, "a triangle", "7 hashable fields", 7)):
+            if not isinstance(records, tuple):  # the field is refused, shown by its type
+                records, what, rule, fields = (type(records),), f"the {field}", "a tuple", -1
             for record in records:
                 try:
-                    if len(record) == fields and (fields == 7 or record[0] < record[1]):
+                    if fields != 4:
+                        hash(record)  # an unhashable vertex or triangle field raises
+                    if fields == 0 or len(record) == fields and (fields == 7 or record[0] < record[1]):
                         continue
-                except TypeError:  # no length, or endpoints that do not compare
+                except TypeError:  # unhashable, no length (a type), or endpoints not comparable
                     pass
                 # as a plain tuple: a named tuple's repr fails on the wrong length
                 shown = tuple(record) if isinstance(record, tuple) else record
-                raise InvalidParameter(f"a {what} must be {rule}, got {_text(shown, False, repr)}")
+                raise InvalidParameter(f"{what} must be {rule}, got {_text(shown, False, repr)}")
         return tuple.__new__(cls, (a, b, vertices, lines, triangles))
 
     @classmethod
@@ -194,9 +200,27 @@ def _line_keys(ends: Iterable[tuple[int, int]], kind: str, side: str) -> list[tu
     return [(u, v, kind, side) if u < v else (v, u, kind, side) for u, v in ends]
 
 
+def _row_triangles(side: str, i: int, n: Sequence[int], s: Sequence[int]) -> list[Triangle]:
+    """The triangles of row i on ``side``, between the position rows ``n``
+    (north) and ``s`` (south), cell j between columns j-1 and j, each
+    cell's lower half first: the one rule for the corners of each half."""
+    triangles = []
+    for j, nw, ne, sw, se in zip(range(1, len(n)), n, n[1:], s, s[1:]):
+        if side == "top":
+            # rising diagonal sw-ne
+            lower, upper = (sw, se, ne), (sw, nw, ne)
+        else:
+            # falling diagonal nw-se
+            lower, upper = (nw, sw, se), (nw, ne, se)
+        triangles.append(tuple.__new__(Triangle, (*sorted(lower), side, i, j, "lower")))
+        triangles.append(tuple.__new__(Triangle, (*sorted(upper), side, i, j, "upper")))
+    return triangles
+
+
 def build_pillow(a: int, b: int) -> PillowConfig:
     """Construct the pillow configuration of bidegree (a, b), for
-    2 <= a, b and a*b <= MAX_PILLOW_CELLS."""
+    2 <= a, b and a*b <= MAX_PILLOW_CELLS.  Each row's triangles come from
+    ``_row_triangles``, which ``verify_configuration`` reads back."""
     _check_bidegree(a, b)
     # every label below is an object of this tuple, so the vertices, the
     # lines and the triangles share one int per label
@@ -207,11 +231,10 @@ def build_pillow(a: int, b: int) -> PillowConfig:
     keys = _line_keys(zip(cycle, cycle[1:] + cycle[:1]), BOUNDARY, "shared")
 
     # each side row by row: the cells of row i = 1..b lie between position
-    # rows i-1 (north) and i (south), cell j between columns j-1 and j.
-    # Every line off the boundary cycle is a horizontal inside an inner
-    # position row, a vertical between two cells of a row or the diagonal
-    # of one cell; each kind comes from one comprehension per row.  The
-    # triangles come in (side, row, col) order, each cell's lower half first
+    # rows i-1 (north) and i (south).  Every line off the boundary cycle is
+    # a horizontal inside an inner position row, a vertical between two
+    # cells of a row or the diagonal of one cell; each kind comes from one
+    # comprehension per row.  The triangles come in (side, row, col) order
     triangles: list[Triangle] = []
     for side in SIDES:
         rows = _grid_rows(vertices, a, b, side)
@@ -221,15 +244,7 @@ def build_pillow(a: int, b: int) -> PillowConfig:
             keys += _line_keys(zip(n[1:-1], s[1:-1]), VERTICAL, side)
             keys += _line_keys(zip(s, n[1:]) if side == "top" else zip(n, s[1:]),
                                DIAGONAL, side)
-            for j, nw, ne, sw, se in zip(range(1, a + 1), n, n[1:], s, s[1:]):
-                if side == "top":
-                    # rising diagonal sw-ne
-                    lower, upper = (sw, se, ne), (sw, nw, ne)
-                else:
-                    # falling diagonal nw-se
-                    lower, upper = (nw, sw, se), (nw, ne, se)
-                triangles.append(tuple.__new__(Triangle, (*sorted(lower), side, i, j, "lower")))
-                triangles.append(tuple.__new__(Triangle, (*sorted(upper), side, i, j, "upper")))
+            triangles += _row_triangles(side, i, n, s)
 
     # endpoint pairs are unique, so the keys sort by (u, v) alone and no Line
     # is ever compared; each key then gives way to its validated Line in

@@ -26,7 +26,6 @@ from pillowdeg import (
     verify_configuration,
     verify_conservation,
 )
-from pillowdeg.degeneration import _configuration
 
 
 class TestNPointBudget:
@@ -249,7 +248,7 @@ class TestVerifyConfiguration:
             "cusp_total",
             "lines_row_contributes_nothing",
             "doubled_lines_give_branch_degree",
-            "transpose_isomorphism",
+            "triangles_at_grid_positions",
         )
         assert report.all_passed, str(report)
 
@@ -264,7 +263,7 @@ class TestVerifyConfiguration:
     def test_a_check_prints_a_str_side_as_it_is(self):
         check = Check("line_degrees_in_local_models", "outside {3, 6}: [('p', 1)]", None)
         assert str(check) == "FAIL  line_degrees_in_local_models: outside {3, 6}: [('p', 1)] == None"
-        assert str(Check("transpose_isomorphism", True, True)) == "PASS  transpose_isomorphism: True == True"
+        assert str(Check("forced", True, True)) == "PASS  forced: True == True"
 
     def test_line_degree_outside_local_models_is_reported(self):
         # the last line of (3, 2) replaced by a copy of its first: the table
@@ -281,11 +280,10 @@ class TestVerifyConfiguration:
             "line_degrees_match_triangle_degrees": (4, 0),
             "disjoint_pairs_degree_method_vs_formula": (470, 468),
             "line_degrees_in_local_models": (message, None),
-            "transpose_isomorphism": (False, True),
         }
         names = [ch.name for ch in report.checks]
         assert names[names.index("two_surface_point_inclusion_exclusion") + 1:] == [
-            "line_degrees_in_local_models", "transpose_isomorphism",
+            "line_degrees_in_local_models", "triangles_at_grid_positions",
         ]
         # the missing rhs is a JSON null, not the string "None"
         assert report["line_degrees_in_local_models"].as_dict()["rhs"] is None
@@ -316,20 +314,13 @@ class TestVerifyConfiguration:
             counted["route"] += 1
             return route(c, degrees)
 
-        c, ct = build_pillow(3, 4), build_pillow(4, 3)
+        c = build_pillow(3, 4)
         monkeypatch.setattr(PillowConfig, "line_degrees", counting_degrees)
         monkeypatch.setattr(pillow, "_disjoint_pairs", counting_route)
-        report = _configuration(c, ct)
+        report = verify_configuration(c)
         assert counted == {"line_degrees": 1, "route": 1}
         assert report.all_passed, str(report)
         assert report["disjoint_pairs_degree_method_vs_formula"].lhs == formula_disjoint_pairs(c.g)
-
-    @pytest.mark.parametrize("a", range(2, 7))
-    def test_reused_transpose_gives_the_same_checks(self, a):
-        for b in range(2, 7):
-            c = build_pillow(a, b)
-            reused = _configuration(c, c if a == b else build_pillow(b, a))
-            assert reused.checks == verify_configuration(c).checks
 
 
 class TestSerialization:

@@ -401,8 +401,8 @@ class TestMutatedPillows:
         names = [ch.name for ch in report.checks]
         assert names[:len(head)] == head
         assert names[len(head):] in (
-            [*CONSERVATION_CHECKS, "transpose_isomorphism"],
-            ["line_degrees_in_local_models", "transpose_isomorphism"],
+            [*CONSERVATION_CHECKS, "triangles_at_grid_positions"],
+            ["line_degrees_in_local_models", "triangles_at_grid_positions"],
         )
         sections = verify_pillow(c).checks + _stages(c, incidence_index(c)).checks
         assert report.checks[:len(head)] == sections
@@ -413,6 +413,10 @@ class TestMutatedPillows:
             assert not report.checks[len(head)].passed
         else:
             assert report.checks[len(head):-1] == verify_conservation(table).checks
+        # the grid-position check against the built triangles, keyed by position
+        placed = {t[3:]: t[:3] for t in build_pillow(c.a, c.b).triangles}
+        misplaced = sum(1 for t in c.triangles if placed.get(t[3:]) != t[:3])
+        assert report.checks[-1] == Check("triangles_at_grid_positions", misplaced, 0)
 
     # unhashable labels are outside the verifiers' contract of hashable
     # labels (pillowdeg.checks), so that complex alone is left out

@@ -7,6 +7,7 @@ import tracemalloc
 import pytest
 from reference import config_to_dict, edge_pairs, reference_count
 from test_cli import EXPORT_DIGESTS, sha256, traced_peak
+from test_mutations import relabelled
 
 from pillowdeg import degeneration, pillow
 from pillowdeg import (
@@ -132,11 +133,17 @@ class TestLineRecord:
 
 
 class TestRecordShape:
-    """A PillowConfig holds lines of 4 fields with u < v and triangles of
-    7 fields: construction and _replace refuse any other record, so no
-    operation is given one."""
+    """A PillowConfig holds tuples of hashable vertices, of lines of 4
+    fields with u < v and of triangles of 7 hashable fields: construction
+    and _replace refuse any other field or record, so no operation is
+    given one."""
 
     C = build_pillow(2, 2)
+    MAKE = pytest.mark.parametrize("make", [
+        lambda c, fields: c._replace(**fields),
+        lambda c, fields: PillowConfig(**{**c._asdict(), **fields}),
+        lambda c, fields: PillowConfig._make({**c._asdict(), **fields}.values()),
+    ], ids=["_replace", "PillowConfig", "_make"])
 
     @pytest.mark.parametrize("field,record,message", [
         ("lines", (5,), r"a line must be 4 fields \(u, v, kind, side\) with u < v, got \(5,\)$"),
@@ -144,20 +151,92 @@ class TestRecordShape:
         ("lines", (3, 3, "x", "y"), r"a line must be .*, got \(3, 3, 'x', 'y'\)$"),
         ("lines", (C.lines[1].v, C.lines[1].u, "x", "y"), "a line must be "),
         ("lines", ("p", 1, "x", "y"), "a line must be "),
-        ("triangles", (1, 2), r"a triangle must be 7 fields, got \(1, 2\)$"),
+        ("triangles", (1, 2), r"a triangle must be 7 hashable fields, got \(1, 2\)$"),
         ("triangles", tuple.__new__(Triangle, (1, 2, "top", 9, 9, "lower")),
-         r"a triangle must be 7 fields, got \(1, 2, 'top', 9, 9, 'lower'\)$"),
+         r"a triangle must be 7 hashable fields, got \(1, 2, 'top', 9, 9, 'lower'\)$"),
+        ("triangles", C.triangles[0]._replace(half=[]),
+         r"a triangle must be 7 hashable fields, got \(2, 8, 9, 'top', 1, 1, \[\]\)$"),
     ], ids=["short line", "line with no length", "loop", "line with u > v",
-            "endpoints that do not compare", "short triangle", "6-field triangle"])
-    @pytest.mark.parametrize("make", [
-        lambda c, fields: c._replace(**fields),
-        lambda c, fields: PillowConfig(**{**c._asdict(), **fields}),
-        lambda c, fields: PillowConfig._make({**c._asdict(), **fields}.values()),
-    ], ids=["_replace", "PillowConfig", "_make"])
+            "endpoints that do not compare", "short triangle", "6-field triangle",
+            "unhashable triangle"])
+    @MAKE
     def test_record_of_the_wrong_shape_is_refused(self, make, field, record, message):
         c = self.C
         with pytest.raises(InvalidParameter, match=message):
             make(c, {field: getattr(c, field) + (record,)})
+
+    @pytest.mark.parametrize("field,value,message", [
+        ("lines", 5, "the lines must be a tuple, got <class 'int'>$"),
+        ("triangles", None, "the triangles must be a tuple, got <class 'NoneType'>$"),
+        ("vertices", 5, "the vertices must be a tuple, got <class 'int'>$"),
+        ("vertices", None, "the vertices must be a tuple, got <class 'NoneType'>$"),
+        ("vertices", C.vertices + ([1],), r"a vertex must be hashable, got \[1\]$"),
+        # shown by its type, however long the list
+        ("lines", list(C.lines), "the lines must be a tuple, got <class 'list'>$"),
+    ], ids=["lines an int", "triangles None", "vertices an int", "vertices None",
+            "a list vertex", "lines a list"])
+    @MAKE
+    def test_field_that_is_no_tuple_of_records_is_refused(self, make, field, value, message):
+        # each field holds a tuple, and each vertex is hashable, as every
+        # verifier and export reads them
+        with pytest.raises(InvalidParameter, match=message):
+            make(self.C, {field: value})
+
+
+class TestGridPositions:
+    """``triangles_at_grid_positions`` counts the triangles whose labels are
+    not the ones ``build_pillow`` places at their (side, row, col, half)."""
+
+    C = build_pillow(3, 2)
+
+    @staticmethod
+    def check(c):
+        return verify_configuration(c)["triangles_at_grid_positions"]
+
+    @pytest.mark.parametrize("a", range(2, 13))
+    def test_every_built_pillow_reads_zero(self, a):
+        for b in range(2, 13):
+            check = self.check(build_pillow(a, b))
+            assert (check.lhs, check.rhs, check.passed) == (0, 0, True), (a, b)
+
+    def test_swapped_labels_read_eight(self):
+        # the interior labels 11 and 12 swapped: a sphere with the pillow's
+        # census, on which each triangle at 11 or 12 is misplaced
+        swapped = relabelled(relabelled(relabelled(self.C, 11, 0), 12, 11), 0, 12)
+        assert verify_sphere_triangulation(swapped).all_passed
+        assert self.check(swapped).lhs == 8
+
+    @pytest.mark.parametrize("position,fields", [
+        # the last row's triangle at row 0, which must not wrap around to it
+        (("top", 2, 1, "lower"), {"row": 0}),
+        (("top", 1, 1, "lower"), {"row": 3}),
+        # the last column's triangle at column 0
+        (("bottom", 1, 3, "upper"), {"col": 0}),
+        (("top", 1, 1, "lower"), {"col": "x"}),
+        (("top", 1, 1, "lower"), {"side": "left"}),
+        (("bottom", 2, 2, "upper"), {"half": None}),
+    ], ids=["row 0", "row b + 1", "col 0", "col x", "side left", "half None"])
+    def test_a_position_off_the_grid_counts_once(self, position, fields):
+        triangles = list(self.C.triangles)
+        k = [t[3:] for t in triangles].index(position)
+        triangles[k] = triangles[k]._replace(**fields)
+        check = self.check(self.C._replace(triangles=tuple(triangles)))
+        assert (check.lhs, check.passed) == (1, False)
+
+    def test_the_check_reads_the_build_helper(self, monkeypatch):
+        # the helper patched after the build: each top cell's halves trade
+        # corners, so the check misplaces exactly the 12 top triangles
+        c = self.C
+        real = pillow._row_triangles
+
+        def halves_swapped(side, i, n, s):
+            return [t._replace(half="upper" if t.half == "lower" else "lower")
+                    if side == "top" else t for t in real(side, i, n, s)]
+
+        monkeypatch.setattr(pillow, "_row_triangles", halves_swapped)
+        report = verify_configuration(c)
+        assert [(ch.name, ch.lhs) for ch in report.failures] == [
+            ("triangles_at_grid_positions", 12)]
 
 
 class TestSizeLimits:
@@ -483,7 +562,6 @@ class TestDisjointPairs:
                 "disjoint_pairs_degree_method_vs_formula": (501, 468),
                 "quadric_line_count": (25, 24),
                 "line_degrees_in_local_models": (message, None),
-                "transpose_isomorphism": (False, True),
             }
             return
         with pytest.raises(MalformedComplex) as raised:
@@ -531,7 +609,8 @@ class TestSmallStoredBidegree:
 
 
 class TestTransposeIsomorphism:
-    @pytest.mark.parametrize("a,b", [(2, 3), (3, 2), (2, 2), (4, 2), (5, 3)])
+    # every bidegree of the CI's full verify box, which no longer checks it
+    @pytest.mark.parametrize("a,b", [(a, b) for a in range(2, 13) for b in range(2, 13)])
     def test_transpose_is_isomorphism(self, a, b):
         c = build_pillow(a, b)
         ct = build_pillow(b, a)
@@ -597,8 +676,6 @@ class TestTransposeIsomorphism:
         other = c._replace(**{field: records[:-1] + records[1:2]})
         identity = {v: v for v in c.vertices}
         assert not is_complex_isomorphism(repeated, other, identity)
-        check = verify_configuration(repeated)["transpose_isomorphism"]
-        assert (check.lhs, check.passed) == (False, False)
 
     def test_proper_subcomplex_rejected(self):
         # lines and triangles still map into (2, 3), but not onto it
