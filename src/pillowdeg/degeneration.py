@@ -163,14 +163,15 @@ def verify_configuration(c: pillow.PillowConfig) -> Report:
         report.extend(verify_conservation(_table(c, degrees, two_points)))
     except MalformedComplex as exc:
         report.add("line_degrees_in_local_models", str(exc), None)
-    # the build's triangles, by its one rule; each triangle is looked up
-    # whole among them, so one at a position off the grid matches none
-    placed = set()
+    # the build's triangles, by its one rule, as one sequence; else each triangle
+    # is looked up whole in their set, so one off the grid matches none
+    placed = []
     for side in pillow.SIDES:
         rows = pillow.grid_rows(c.a, c.b, side)
         for i, (n, s) in enumerate(zip(rows, rows[1:]), 1):
-            placed.update(pillow._row_triangles(side, i, n, s))
-    report.add("triangles_at_grid_positions", sum(1 for t in c.triangles if t not in placed), 0)
+            placed += pillow._row_triangles(side, i, n, s)
+    report.add("triangles_at_grid_positions", 0 if c.triangles == tuple(placed) else
+               len(c.triangles) - sum(map(set(placed).__contains__, c.triangles)), 0)
     return report
 
 

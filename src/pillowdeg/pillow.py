@@ -281,16 +281,70 @@ def verify_sphere_triangulation(c: PillowConfig) -> Report:
     characteristic 2; and the vertex census (the four corners on exactly
     three lines and three triangles, every other vertex on six).
 
-    The line incidence is ``incidence_index(c)``; the vertex stars take one
-    more pass, so the check is linear in ``c``.
+    Linear in ``c``.  The link check reads 0, no link walked, under the
+    certificate ``_sphere_report`` proves: each line on two triangles, line
+    pairs distinct, each triangle's three pairs lines, F > 2, a vertex list
+    without repeats that is the set of triangle vertices, V - E + F = 2 and
+    one face component.
     """
     return _sphere_report(c, incidence_index(c), c.line_degrees())
 
 
 def _sphere_report(c: PillowConfig, incidence: dict, line_deg: Counter[int]) -> Report:
     """``verify_sphere_triangulation`` on ``incidence`` and ``line_deg``, the
-    ``incidence_index(c)`` and the ``line_degrees()`` of ``c``."""
+    ``incidence_index(c)`` and the ``line_degrees()`` of ``c``.
+
+    Under the certificate each link is a simple 2-regular graph of c(v) >= 1
+    cycles (two triangles on one triple would hold each other's lines, a face
+    component of its own, so F = 2).  Splitting each vertex into its link
+    cycles gives a connected closed surface of V' = sum c(v) >= V vertices,
+    so 2 >= V' - E + F >= V - E + F = 2, V' = V and each link is one cycle.
+    """
     report = Report(f"sphere triangulation, bidegree ({c.a}, {c.b})")
+    bad_lines = sum(1 for tris in incidence.values() if len(tris) != 2)
+
+    # triangles meet across a line that lies on exactly two of them; the
+    # face graph's components by union-find, with path halving
+    root = list(range(len(c.triangles)))
+
+    def find(i: int) -> int:
+        while root[i] != i:
+            root[i] = i = root[root[i]]
+        return i
+
+    for tris in incidence.values():
+        if len(tris) == 2:
+            root[find(tris[0])] = find(tris[1])
+    components = sum(1 for i, r in enumerate(root) if i == r)
+    euler = len(c.vertices) - len(c.lines) + len(c.triangles)
+
+    # each vertex's triangle degree: its entries in the three vertex columns
+    on = Counter(map(itemgetter(0), c.triangles))
+    on.update(map(itemgetter(1), c.triangles))
+    on.update(map(itemgetter(2), c.triangles))
+    tri_deg = {v: on[v] for v in c.vertices}
+    census = Counter(tri_deg.values())
+    # with no bad line the incidence holds 2E entries, which must be 3F
+    certified = (bad_lines == 0 and len(incidence) == len(c.lines)
+                 and 2 * len(incidence) == 3 * len(c.triangles) > 6
+                 and len(c.vertices) == len(tri_deg) == len(on) and 0 not in census
+                 and components == 1 and euler == 2)
+    report.add("line_in_two_triangles", bad_lines, 0)
+    report.add("vertex_link_single_cycle", 0 if certified else _bad_links(c, incidence), 0)
+    report.add("face_adjacency_connected", components, 1)
+    report.add("euler_characteristic", euler, 2)
+    degree_three = tuple(sorted(v for v, d in tri_deg.items() if d == 3))
+    report.add("degree3_vertices_are_corners", degree_three, tuple(sorted(c.corner_ids)))
+    report.add("triangle_degree_census", tuple(sorted(census.items())),
+               ((3, 4), (6, 2 * c.a * c.b - 2)))
+    report.add("line_degrees_match_triangle_degrees",
+               sum(1 for v, d in tri_deg.items() if d != line_deg[v]), 0)
+    return report
+
+
+def _bad_links(c: PillowConfig, incidence: dict) -> int:
+    """The vertices of ``c`` whose link is not a single closed cycle, each
+    link walked over the vertex's star, built here and nowhere else."""
     # the triangles' fields are read by index: unpacking a tuple subclass
     # takes CPython's generic path, slower than three subscripts
     star: dict[int, list[Triangle]] = {v: [] for v in c.vertices}
@@ -300,9 +354,6 @@ def _sphere_report(c: PillowConfig, incidence: dict, line_deg: Counter[int]) -> 
             tris = at(v)
             if tris is not None:
                 tris.append(tri)
-
-    bad_lines = sum(1 for tris in incidence.values() if len(tris) != 2)
-    report.add("line_in_two_triangles", bad_lines, 0)
 
     def link_is_one_cycle(v: int) -> bool:
         # each star triangle joins its two vertices other than v (on v twice,
@@ -327,34 +378,7 @@ def _sphere_report(c: PillowConfig, incidence: dict, line_deg: Counter[int]) -> 
             steps += 1
         return steps == len(link)
 
-    report.add("vertex_link_single_cycle", sum(1 for v in star if not link_is_one_cycle(v)), 0)
-
-    # triangles meet across a line that lies on exactly two of them; the
-    # face graph's components by union-find, with path halving
-    root = list(range(len(c.triangles)))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = i = root[root[i]]
-        return i
-
-    for tris in incidence.values():
-        if len(tris) == 2:
-            root[find(tris[0])] = find(tris[1])
-    report.add("face_adjacency_connected", sum(1 for i, r in enumerate(root) if i == r), 1)
-
-    euler = len(c.vertices) - len(c.lines) + len(c.triangles)
-    report.add("euler_characteristic", euler, 2)
-
-    tri_deg = {v: len(tris) for v, tris in star.items()}
-    degree_three = tuple(sorted(v for v, d in tri_deg.items() if d == 3))
-    report.add("degree3_vertices_are_corners", degree_three, tuple(sorted(c.corner_ids)))
-    census = tuple(sorted(Counter(tri_deg.values()).items()))
-    report.add("triangle_degree_census", census,
-               ((3, 4), (6, 2 * c.a * c.b - 2)))
-    report.add("line_degrees_match_triangle_degrees",
-               sum(1 for v, d in tri_deg.items() if d != line_deg[v]), 0)
-    return report
+    return sum(1 for v in star if not link_is_one_cycle(v))
 
 
 # ---------------------------------------------------------------------------

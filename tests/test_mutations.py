@@ -30,6 +30,7 @@ from pillowdeg import (
     dot_face_pieces,
     dot_line_pieces,
     is_complex_isomorphism,
+    pillow,
     transpose_map,
     verify_configuration,
     verify_conservation,
@@ -82,6 +83,37 @@ def relabelled(c, vertex, target):
                   for ln in c.lines)
     triangles = tuple(_triangle(t, map(rename, t.vertices)) for t in c.triangles)
     return c._replace(lines=lines, triangles=triangles)
+
+
+def dihedron(c):
+    """Two triangles on the triple (1, 2, 3), the halves of the first cell
+    of ``c`` relabelled, and its three lines: each line on both triangles,
+    one face component and V - E + F = 3 - 3 + 2, yet each vertex link is
+    one edge taken twice."""
+    lines = tuple(Line(u, v, "diagonal", "top") for u, v in ((1, 2), (1, 3), (2, 3)))
+    triangles = tuple(t._replace(v1=1, v2=2, v3=3) for t in c.triangles[:2])
+    return c._replace(vertices=(1, 2, 3), lines=lines, triangles=triangles)
+
+
+def shifted(c, by):
+    """``c`` with every label, its vertex list's too, moved up by ``by``."""
+    return c._replace(
+        vertices=tuple(v + by for v in c.vertices),
+        lines=tuple(ln._replace(u=ln.u + by, v=ln.v + by) for ln in c.lines),
+        triangles=tuple(t._replace(v1=t.v1 + by, v2=t.v2 + by, v3=t.v3 + by)
+                        for t in c.triangles))
+
+
+def read_off(c, k):
+    """Line k of ``c`` dropped, and each triangle on it listing the line's
+    ends in reverse, so that no triangle is on their pair; the ends must be
+    adjacent in each triangle's sorted vertices, so its other pairs stay
+    sorted and on their lines."""
+    u, w = c.lines[k].pair
+    triangles = tuple(t._replace(v1=w, v2=u) if t[:2] == (u, w)
+                      else t._replace(v2=w, v3=u) if t[1:3] == (u, w) else t
+                      for t in c.triangles)
+    return c._replace(lines=c.lines[:k] + c.lines[k + 1:], triangles=triangles)
 
 
 def relabel_vertex(draw, c):
@@ -325,6 +357,11 @@ def export_outcome(pieces, c):
 def odd_complexes():
     """Hand-built complexes off the pillow's conventions, by what they hold."""
     c = build_pillow(2, 2)
+    # the centres of the two 3 x 3 interiors of (4, 4), 21 and 30, share no
+    # neighbour; made one vertex, whose link is two cycles
+    glued = relabelled(build_pillow(4, 4), 30, 21)
+    pinched = glued._replace(vertices=tuple(v for v in glued.vertices if v != 30))
+    twin = shifted(pinched, 100)
 
     def extra_triangle(vertices):
         extra = Triangle(*vertices, "top", 9, 9, "lower")
@@ -346,11 +383,84 @@ def odd_complexes():
         "a repeated vertex in a triangle": extra_triangle((1, 1, 2)),
         "a repeated last vertex in a triangle": extra_triangle((1, 2, 2)),
         "an unsorted triangle": extra_triangle((3, 1, 2)),
+        # the first triangle, (2, 8, 9), listed again as (9, 8, 2)
+        "an unsorted copy of a triangle": c._replace(
+            triangles=c.triangles + (c.triangles[0]._replace(v1=9, v3=2),)),
         "vertices in reverse": c._replace(vertices=c.vertices[::-1]),
         "a repeated vertex": c._replace(vertices=c.vertices + (1,)),
+        "an isolated vertex": c._replace(vertices=c.vertices + (99,)),
+        # 99 is off the vertex list and 10 on no triangle; V - E + F stays 2
+        "a foreign triangle vertex": relabelled(c, 10, 99),
+        "the dihedron": dihedron(c),
+        "a pinched sphere": pinched,
+        # each of these three fails one condition of the link certificate
+        # and keeps V - E + F = 2: 21 listed a second time in place of 30,
+        # the line 1-2 read off the pinched sphere (1 and 2 are the first two
+        # vertices of both its triangles), and two pinched spheres apart
+        "a pinched sphere, its vertex listed twice": glued._replace(
+            vertices=tuple(21 if v == 30 else v for v in glued.vertices)),
+        "a pinched sphere, a line read off its triangles": read_off(pinched, 0),
+        "two pinched spheres": pinched._replace(
+            vertices=pinched.vertices + twin.vertices, lines=pinched.lines + twin.lines,
+            triangles=pinched.triangles + twin.triangles),
         "no lines": c._replace(lines=()),
         "nothing": c._replace(vertices=(), lines=(), triangles=()),
     }
+
+
+# the odd complexes off the link certificate, each with the conditions it
+# breaks.  Each of the last six breaks one alone, so the certificate needs
+# that one; distinct line pairs and no unlisted triangle vertex follow from
+# the other conditions, so no complex breaks either alone
+OFF_THE_CERTIFICATE = (
+    "a repeated line, sorted",  # distinct line pairs; V - E + F = 1
+    "an unsorted copy of a triangle",  # a triangle off its lines; two faces apart; 3
+    "a repeated vertex",  # no vertex listed twice; V - E + F = 3
+    "an isolated vertex",  # each listed vertex on a triangle; V - E + F = 3
+    "the dihedron",  # F > 2
+    "a foreign triangle vertex",  # the vertex list is the set of triangle vertices
+    "a pinched sphere",  # V - E + F = 2
+    "a pinched sphere, its vertex listed twice",  # no vertex listed twice
+    "a pinched sphere, a line read off its triangles",  # each triangle's pairs are lines
+    "two pinched spheres",  # one face component
+)
+
+
+class TestLinkCertificate:
+    @pytest.mark.parametrize("a", range(2, 13))
+    def test_built_pillows_pass_without_the_walk(self, monkeypatch, a):
+        def walk(c, incidence):
+            raise AssertionError(f"the links of ({c.a}, {c.b}) were walked")
+
+        monkeypatch.setattr(pillow, "_bad_links", walk)
+        for b in range(2, 13):
+            c = build_pillow(a, b)
+            assert verify_pillow(c).all_passed
+            assert verify_configuration(c).all_passed
+
+    @pytest.mark.parametrize("name", OFF_THE_CERTIFICATE)
+    def test_a_complex_off_the_certificate_has_its_links_walked(self, monkeypatch, name):
+        c = odd_complexes()[name]
+        walked = []
+        real = pillow._bad_links
+
+        def walk(c, incidence):
+            walked.append(c)
+            return real(c, incidence)
+
+        monkeypatch.setattr(pillow, "_bad_links", walk)
+        report = verify_sphere_triangulation(c)
+        assert walked == [c]
+        assert report["vertex_link_single_cycle"].lhs == bad_links(c)
+
+    def test_the_copied_check_misses_a_link_an_unsorted_triangle_breaks(self):
+        # the extra (3, 1, 2) puts the edge 1-2 in the link of 3, where 1 is
+        # on no line with 3 and 2 now has three neighbours; the copied check
+        # glues that triangle to the two on the line 2-3, which are not glued
+        # back to it, so it counts vertex 3 as one cycle
+        c = odd_complexes()["an unsorted triangle"]
+        assert verify_sphere_triangulation(c)["vertex_link_single_cycle"].lhs == 3
+        assert bad_links(c) == 2
 
 
 class TestExportOracles:

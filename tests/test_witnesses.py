@@ -9,7 +9,7 @@ verifiers emit: no check lands without a witness.
 """
 
 import pytest
-from test_mutations import relabelled
+from test_mutations import dihedron, relabelled
 
 from pillowdeg import (
     DegenerationTable,
@@ -145,10 +145,12 @@ CONFIGURATION = {
         "line_in_two_triangles", "vertex_link_single_cycle", "face_adjacency_connected",
         "euler_characteristic", "degree3_vertices_are_corners", "triangle_degree_census",
         "line_degrees_match_triangle_degrees", "triangles_at_grid_positions"}),
-    "vertex_link_single_cycle": (
-        # the pair of a link's edge no longer sorted
-        faulty(pillow, "_sorted_pair", lambda real: lambda u, v: real(u, v)[::-1]),
-        {"vertex_link_single_cycle"}),
+    # two triangles on one triple, the halves of the first cell, and its
+    # three lines: every vertex link is one edge taken twice
+    "vertex_link_single_cycle": (lambda monkeypatch: verify_configuration(dihedron(C)), {
+        "vertex_link_single_cycle", "degree3_vertices_are_corners", "triangle_degree_census",
+        "disjoint_pairs_degree_method_vs_formula", "quadric_face_count", "quadric_line_count",
+        "two_surface_spans", "line_degrees_in_local_models", "triangles_at_grid_positions"}),
     # a triangle listed twice: its copy meets no other triangle
     "face_adjacency_connected": (configuration(triangles=C.triangles + C.triangles[:1]), {
         "line_in_two_triangles", "vertex_link_single_cycle", "face_adjacency_connected",
@@ -296,6 +298,16 @@ def test_a_missing_cell_fails_the_stage_checks_not_the_grid_check():
     failed = {check.name for check in report.failures}
     assert {"quadric_face_count", "quadric_line_count", "two_surface_spans"} <= failed
     assert report["triangles_at_grid_positions"].passed
+
+
+def test_the_dihedron_fails_the_link_check_alone_of_the_sphere_checks():
+    # each line on both triangles, one face component and V - E + F = 2:
+    # the link check restates none of the other three sphere checks, and
+    # the certificate that stands in for the walk asks for F > 2
+    report = verify_sphere_triangulation(dihedron(C))
+    assert report["vertex_link_single_cycle"].lhs == 3
+    for name in ("line_in_two_triangles", "face_adjacency_connected", "euler_characteristic"):
+        assert report[name].passed, str(report)
 
 
 def test_the_corpus_passes_every_check():
