@@ -2,11 +2,11 @@
 
 A report is a list of checks, each recording both sides of the
 comparison so a failure is diagnosable from the report alone.  A
-PillowConfig refuses a record of the wrong shape, an unhashable vertex and
-an unhashable triangle; the sphere and stage checks, the disjoint-pair
-route and the exports take any other lines and triangles, so a malformed
-complex fails checks.  The verifiers take any hashable labels, whether or
-not they compare with each other.  Only the
+PillowConfig refuses a record of the wrong shape or not hashable; the
+sphere and stage checks and the disjoint-pair route take any other lines
+and triangles, so a malformed complex fails checks, and the exports refuse
+only a field too long to print and, in the DOT graphs, line endpoints that
+do not compare.  The verifiers take labels that do not compare.  Only the
 table raises MalformedComplex, on a line-degree outside {3, 6}, and
 ``verify_configuration`` reports that as a failed check, so no verifier
 raises.  A public verifier takes only its complex: ``verify_configuration``

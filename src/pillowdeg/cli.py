@@ -144,8 +144,8 @@ def cmd_pillow(args) -> int:
     }
     artifacts = ()
 
-    # the exports render any complex, and every argument fault has already
-    # raised above, so --out is never opened by an invocation that exits 2
+    # the exports render every built complex, and every argument fault has
+    # already raised above, so --out is never opened by an invocation that exits 2
     pieces = None
     if args.export == "json":
         pieces = pillow.config_json_pieces(c)

@@ -28,7 +28,7 @@ from __future__ import annotations
 
 from collections import Counter, defaultdict, namedtuple
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import accumulate, chain, islice, pairwise, starmap
+from itertools import chain, islice, pairwise, starmap
 from math import comb
 from operator import itemgetter, lt
 
@@ -115,8 +115,9 @@ class PillowConfig(namedtuple("PillowConfig", "a b vertices lines triangles")):
     stored: ``grid_rows(a, b, side)`` derives it from the bidegree.
     Construction and ``_replace`` reject what ``build_pillow`` rejects, so
     ``g`` is always defined, a vertices, lines or triangles not a tuple, a
-    vertex not hashable, a line not of 4 fields with u < v, as in ``Line``,
-    and a triangle not of 7 hashable fields; nothing checks them together.
+    vertex not hashable, a line not of 4 hashable fields with u < v, as in
+    ``Line``, and a triangle not of 7 hashable fields; nothing checks them
+    together.
     """
 
     __slots__ = ()
@@ -125,14 +126,13 @@ class PillowConfig(namedtuple("PillowConfig", "a b vertices lines triangles")):
         _check_bidegree(a, b)
         for field, records, what, rule, fields in (
                 ("vertices", vertices, "a vertex", "hashable", 0),
-                ("lines", lines, "a line", "4 fields (u, v, kind, side) with u < v", 4),
+                ("lines", lines, "a line", "4 hashable fields (u, v, kind, side) with u < v", 4),
                 ("triangles", triangles, "a triangle", "7 hashable fields", 7)):
             if not isinstance(records, tuple):  # the field is refused, shown by its type
                 records, what, rule, fields = (type(records),), f"the {field}", "a tuple", -1
             for record in records:
                 try:
-                    if fields != 4:
-                        hash(record)  # an unhashable vertex or triangle field raises
+                    hash(record)  # an unhashable vertex or field raises
                     if fields == 0 or len(record) == fields and (fields == 7 or record[0] < record[1]):
                         continue
                 except TypeError:  # unhashable, no length (a type), or endpoints not comparable
@@ -623,80 +623,85 @@ def config_json_pieces(c: PillowConfig) -> Iterator[str]:
 def dot_face_pieces(c: PillowConfig) -> Iterator[str]:
     """The DOT face-adjacency graph in pieces: one node per triangle, named
     ``<side>_r<row>_c<col>_<half>``, one edge per line on exactly two
-    triangles, in endpoint-pair order.
+    triangles, in endpoint-pair order (``_by_pair``), a repeated pair once.
 
     No line index and no list of names is built: the node lines are
     rendered from the records as they are written, and the triangles are
-    then listed at the first endpoints of their pairs
-    (``_first_endpoint_listing``).  The line pairs are walked one first
-    endpoint at a time, in ``c.lines`` order when they strictly increase,
-    as ``build_pillow`` sorts them, and else sorted without repeats; each
-    triangle listed at that endpoint has its name rendered once there."""
-    triangles = c.triangles
-    pairs = map(itemgetter(0, 1), c.lines)
-    if not _increasing(map(itemgetter(0, 1), c.lines)):
-        pairs = sorted(dict.fromkeys(pairs))
+    then listed at the first endpoints of their pairs (``_runs``).  The
+    pairs are walked one first endpoint at a time, and each triangle listed
+    at that endpoint has its name rendered once there."""
+    triangles, lines = c.triangles, _by_pair(c.lines)
+    if lines is not c.lines:  # sorted: each pair once, grouped by first endpoint
+        groups = defaultdict(dict)
+        for u, v in map(itemgetter(0, 1), lines):
+            groups[u][v] = None
+        lines = [(u, v) for u, others in groups.items() for v in others]
     return _pieces(chain(
         ("graph face_adjacency {",),
         (f'\n  "{side}_r{row}_c{col}_{half}";' for _, _, _, side, row, col, half in triangles),
-        _shared_line_edges(triangles, pairs),
+        _shared_line_edges(triangles, lines),
         ("\n}\n",),
     ))
 
 
-def _first_endpoint_listing(triangles: Sequence[Triangle]) -> tuple[list, dict[object, int]]:
-    """Each triangle (p, q, r) lies on the pairs (p, q), (p, r) and (q, r),
-    so it is listed at p and at q, the first endpoints of its pairs: two
-    entries a triangle, one when q == p.  The entries are one flat list,
-    each endpoint's together, in triangle order and followed by their
-    count; the dict gives the offset of each endpoint's count.  So the
-    listing holds no list per vertex."""
-    counts = Counter(map(itemgetter(0), triangles))
-    counts.update(q for p, q, _, _, _, _, _ in triangles if q != p)
-    # a plain dict indexes faster than a Counter; each endpoint's offset
-    # moves from its first entry to its count as the entries are placed
-    ends = dict(counts)
-    del counts
-    listed: list = [None] * (len(ends) + sum(ends.values()))
-    offset = 0
-    for label, n in ends.items():
-        ends[label] = offset
-        offset += n
-        listed[offset] = n
-        offset += 1
-    for tri in triangles:
-        p, q = tri[0], tri[1]
-        i = ends[p]
-        listed[i] = tri
-        ends[p] = i + 1
+def _by_pair(lines: Sequence[Line]) -> Sequence[Line]:
+    """``lines`` in endpoint-pair order: themselves when their pairs
+    strictly increase, as ``build_pillow`` sorts them, else sorted by pair,
+    stably.  Endpoints that do not compare are refused by InvalidParameter."""
+    if _increasing(map(itemgetter(0, 1), lines)):
+        return lines
+    try:
+        return sorted(lines, key=itemgetter(0, 1))
+    except TypeError as err:
+        raise InvalidParameter(f"a record the export cannot render: {err}") from None
+
+
+def _runs(records: Iterable[Sequence], counts: dict[object, int]) -> tuple[list, dict[object, int]]:
+    """Each record listed at its first two fields, once where the two are
+    equal, in one flat list of one run per label, in ``counts`` order, each
+    ``counts[label]`` long.  ``counts`` becomes the dict from each label to
+    the end of its run: the listing holds one dict and no list per label."""
+    # each label's offset moves from the start of its run to its end
+    start = 0
+    for label, n in counts.items():
+        counts[label], start = start, start + n
+    listed: list = [None] * start
+    for record in records:
+        p, q = record[0], record[1]
+        i = counts[p]
+        listed[i] = record
+        counts[p] = i + 1
         if q != p:
-            i = ends[q]
-            listed[i] = tri
-            ends[q] = i + 1
-    return listed, ends
+            i = counts[q]
+            listed[i] = record
+            counts[q] = i + 1
+    return listed, counts
 
 
-def _shared_line_edges(triangles: Sequence[Triangle], pairs: Iterable[tuple]) -> Iterator[str]:
-    """The DOT edge of each of ``pairs`` that lies on exactly two
-    ``triangles``, read from their ``_first_endpoint_listing``, which is
-    built when the first edge is drawn.  The pairs come grouped by first
-    endpoint, and each group renders the names of the triangles listed
-    there and reads their other vertices once, in listing order."""
-    listed, ends = _first_endpoint_listing(triangles)
-    here, on = object(), defaultdict(list)
-    for u, v in pairs:
+def _shared_line_edges(triangles: Sequence[Triangle], pairs: Sequence[Sequence]) -> Iterator[str]:
+    """The DOT edge of each of ``pairs``, grouped by first endpoint, that
+    lies on exactly two ``triangles``.  Each triangle (p, q, r) is listed
+    at p and q, the first endpoints of its pairs, when the first edge is
+    drawn, the runs in the order of the groups; each group reads the next
+    run and the other vertices of the triangles there, in listing order."""
+    # a plain dict, which indexes faster than a Counter, in the walk's order
+    counts = dict.fromkeys(map(itemgetter(0), pairs), 0)
+    counts.update(Counter(chain(map(itemgetter(0), triangles),
+                                (q for p, q, _, _, _, _, _ in triangles if q != p))))
+    listed, ends = _runs(triangles, counts)
+    here, on, start = object(), defaultdict(list), 0
+    for u, v in map(itemgetter(0, 1), pairs):
         if u != here:
-            here = u
+            here, end = u, ends[u]
             on.clear()
-            end = ends.get(u)
-            for p, q, r, side, row, col, half in (
-                    () if end is None else listed[end - listed[end]:end]):
+            for p, q, r, side, row, col, half in listed[start:end]:
                 name = f'"{side}_r{row}_c{col}_{half}"'
                 if p == u:
                     on[q].append(name)
                     on[r].append(name)
                 if q == u:
                     on[r].append(name)
+            start = end
         names = on.get(v, ())
         if len(names) == 2:
             yield f"\n  {names[0]} -- {names[1]};"
@@ -708,30 +713,12 @@ def dot_line_pieces(c: PillowConfig) -> Iterator[str]:
     lines by endpoint pair.  The vertices come in ``line_degrees`` order:
     the vertex list, then any endpoint outside it.
 
-    The degrees give each vertex a run of one flat list, and each line is
-    placed in the runs of both its endpoints, walked in endpoint-pair
-    order, so a run holds its vertex's lines by pair.  The list holds the
-    records; the names of a run are rendered only when its edges are
-    written, so no list of every line's name is built."""
-    degrees = c.line_degrees()
-    # each vertex's offset moves from the start of its run to its end
-    ends = dict(zip(degrees, accumulate(degrees.values(), initial=0)))
-    del degrees
-    lines = c.lines
-    if not _increasing(map(itemgetter(0, 1), lines)):
-        # stably: a line's name is a function of its pair, so the order of
-        # lines sharing a pair does not show
-        lines = sorted(lines, key=itemgetter(0, 1))
-    at: list = [None] * (2 * len(lines))
-    for ln in lines:
-        u, v = ln[0], ln[1]
-        i = ends[u]
-        at[i] = ln
-        ends[u] = i + 1
-        i = ends[v]
-        at[i] = ln
-        ends[v] = i + 1
-    at_vertices = ([f'"L{ln[0]}_{ln[1]}"' for ln in at[start:end]]
+    ``_runs`` lists the lines, in endpoint-pair order (``_by_pair``), at
+    both their endpoints, one run a vertex; the names of a run are rendered
+    only when its edges are written, so no list of every name is built."""
+    degrees = dict(c.line_degrees())  # a plain dict indexes faster than a Counter
+    listed, ends = _runs(_by_pair(c.lines), degrees)
+    at_vertices = ([f'"L{ln[0]}_{ln[1]}"' for ln in listed[start:end]]
                    for start, end in pairwise(chain((0,), ends.values())))
     return _pieces(chain(
         ("graph line_intersection {",),

@@ -9,7 +9,7 @@ sphere checks, and those two fail the census or the corner check of the
 sphere report."""
 
 from collections.abc import Iterable, Iterator, Sequence
-from itertools import chain
+from itertools import chain, permutations
 from math import comb
 from operator import itemgetter
 
@@ -19,6 +19,7 @@ from reference import edge_pairs, reference_count
 
 from pillowdeg import (
     Check,
+    InvalidParameter,
     Line,
     MalformedComplex,
     Report,
@@ -234,8 +235,9 @@ CONSERVATION_CHECKS = (
 
 
 # The link check and the union-find as they were written before the
-# reachability rewrite, copied verbatim: the oracle for the link count and,
-# through face_components, for the face count.
+# reachability rewrite, copied, the link check gluing each pair of
+# triangles both ways: the oracle for the link count and, through
+# face_components, for the face count.
 def _components(nodes: Iterable[int], edges: Iterable[Sequence[int]]) -> int:
     """Number of connected components of a graph, by union-find."""
     root = {n: n for n in nodes}
@@ -254,13 +256,16 @@ def _components(nodes: Iterable[int], edges: Iterable[Sequence[int]]) -> int:
 def _vertex_link_is_single_cycle(c, vertex: int, star: list[int],
                                  incidence: dict[tuple[int, int], list[int]]) -> bool:
     """The triangles of a vertex's star, glued along shared lines through
-    it, must form exactly one closed cycle (the closed-surface condition)."""
+    it, must form exactly one closed cycle (the closed-surface condition).
+    Two triangles on a line through the vertex are glued both ways."""
     adjacency: dict[int, set[int]] = {i: set() for i in star}
-    for i in adjacency:
+    for i in star:
         for other in c.triangles[i].vertices:
             if other != vertex:
-                adjacency[i].update(incidence.get(_sorted_pair(vertex, other), ()))
-        adjacency[i].discard(i)
+                for j in incidence.get(_sorted_pair(vertex, other), ()):
+                    if j != i:
+                        adjacency[i].add(j)
+                        adjacency[j].add(i)
     if any(len(neigh) != 2 for neigh in adjacency.values()):
         return False
     # connected + 2-regular => a single cycle (an empty star has no component)
@@ -373,11 +378,11 @@ def odd_complexes():
         "str labels in place of an int line": c._replace(
             lines=c.lines[1:] + (Line("p", "q", "x", "y"),)),
         "a str vertex after int ones": c._replace(vertices=c.vertices + ("x",)),
-        "unhashable labels": c._replace(lines=c.lines + (([1], [2], "x", "y"),)),
         "a float label": c._replace(lines=c.lines + (Line(1.5, 2, "x", "y"),)),
         "a label equal to a vertex of another type": c._replace(
             lines=(c.lines[0]._replace(u=True),) + c.lines[1:]),
         "a repeated line, sorted": c._replace(lines=tuple(sorted(c.lines + (c.lines[3],)))),
+        "a repeated line, unsorted": c._replace(lines=c.lines + (c.lines[3],)),
         "a repeated pair of two kinds, sorted": c._replace(
             lines=tuple(sorted(c.lines + (c.lines[3]._replace(kind="zz"),)))),
         "a repeated vertex in a triangle": extra_triangle((1, 1, 2)),
@@ -407,6 +412,12 @@ def odd_complexes():
         "nothing": c._replace(vertices=(), lines=(), triangles=()),
     }
 
+
+# the odd complexes whose line endpoints do not all compare
+INCOMPARABLE = (
+    "str labels after int ones", "str labels before int ones",
+    "str labels in place of an int line",
+)
 
 # the odd complexes off the link certificate, each with the conditions it
 # breaks.  Each of the last six breaks one alone, so the certificate needs
@@ -453,14 +464,21 @@ class TestLinkCertificate:
         assert walked == [c]
         assert report["vertex_link_single_cycle"].lhs == bad_links(c)
 
-    def test_the_copied_check_misses_a_link_an_unsorted_triangle_breaks(self):
-        # the extra (3, 1, 2) puts the edge 1-2 in the link of 3, where 1 is
-        # on no line with 3 and 2 now has three neighbours; the copied check
-        # glues that triangle to the two on the line 2-3, which are not glued
-        # back to it, so it counts vertex 3 as one cycle
-        c = odd_complexes()["an unsorted triangle"]
-        assert verify_sphere_triangulation(c)["vertex_link_single_cycle"].lhs == 3
-        assert bad_links(c) == 2
+    @pytest.mark.parametrize("name", sorted(odd_complexes()))
+    def test_the_copied_check_matches_the_walk_on_odd_complexes(self, name):
+        c = odd_complexes()[name]
+        assert pillow._bad_links(c, incidence_index(c)) == bad_links(c)
+
+    def test_the_copied_check_matches_the_walk_on_unsorted_triangles(self):
+        # each of the first four triangles of (2, 2) with its vertices in
+        # each of the six orders; a copy that glues one way only counts 2
+        # or 3 bad links on the 20 unsorted ones, where the walk counts 0
+        c = build_pillow(2, 2)
+        for k, t in enumerate(c.triangles[:4]):
+            for v1, v2, v3 in permutations(t.vertices):
+                d = c._replace(triangles=c.triangles[:k] + (t._replace(v1=v1, v2=v2, v3=v3),)
+                               + c.triangles[k + 1:])
+                assert pillow._bad_links(d, incidence_index(d)) == bad_links(d) == 0, (k, v1, v2, v3)
 
 
 class TestExportOracles:
@@ -473,9 +491,48 @@ class TestExportOracles:
 
     @pytest.mark.parametrize("name", sorted(odd_complexes()))
     def test_dot_exports_match_the_copies_on_odd_complexes(self, name):
+        # where a copy's sort raises TypeError on the call, on labels that
+        # do not compare, the export raises InvalidParameter there instead
         c = odd_complexes()[name]
         for pieces, reference in EXPORT_ORACLES:
-            assert export_outcome(pieces, c) == export_outcome(reference, c)
+            expected = export_outcome(reference, c)
+            assert (expected[:2] == ("call", TypeError)) == (name in INCOMPARABLE)
+            if name in INCOMPARABLE:
+                expected = ("call", InvalidParameter,
+                            f"a record the export cannot render: {expected[2]}")
+            assert export_outcome(pieces, c) == expected
+
+    @pytest.mark.parametrize("name", INCOMPARABLE)
+    def test_labels_that_do_not_compare_are_refused_on_the_call(self, name):
+        # both DOT graphs put the lines in pair order; the JSON export keeps
+        # the records' order and renders them
+        c = odd_complexes()[name]
+        for pieces in (dot_face_pieces, dot_line_pieces):
+            with pytest.raises(InvalidParameter,
+                               match="^a record the export cannot render: '<' not supported"):
+                pieces(c)
+        assert "".join(config_json_pieces(c)).count('"u": ') == len(c.lines)
+
+    def test_first_endpoints_of_no_total_order_come_grouped(self):
+        # frozensets order by inclusion, and {1} and {2} do not compare
+        # either way, so the sort leaves the pair of {2} between those of
+        # {1}; the face graph, which reads one run per first endpoint, draws
+        # the copy's edges with those of each first endpoint together
+        f = frozenset
+        one, two = f({1}), f({2})
+        labels = (one, two, f({1, 3}), f({2, 3}), f({1, 4}), f({1, 5}), f({1, 4, 6}), f({2, 7}))
+        _, _, x, y, z, w, v, t = labels
+        lines = tuple(Line(p, q, "k", "s") for p, q in ((one, x), (two, y), (one, z)))
+        triangles = tuple(Triangle(*vertices, "top", 1, col, "lower") for col, vertices in enumerate(
+            ((one, x, z), (one, x, w), (one, z, v), (two, y, t), (two, y, v)), 1))
+        c = build_pillow(2, 2)._replace(vertices=labels, lines=lines, triangles=triangles)
+        face = "".join(dot_face_pieces(c))
+        copy = "".join(_reference_dot_face_pieces(c))
+        assert sorted(face.splitlines()) == sorted(copy.splitlines())
+        assert face.endswith('\n  "top_r1_c1_lower" -- "top_r1_c2_lower";'
+                             '\n  "top_r1_c1_lower" -- "top_r1_c3_lower";'
+                             '\n  "top_r1_c4_lower" -- "top_r1_c5_lower";\n}\n')
+        assert "".join(dot_line_pieces(c)) == "".join(_reference_dot_line_pieces(c))
 
     @pytest.mark.parametrize("a,b", [(a, b) for a in range(2, 9) for b in range(2, 9)]
                              + [(64, 64), (2, 2048), (2048, 2)])
@@ -528,9 +585,7 @@ class TestMutatedPillows:
         misplaced = sum(1 for t in c.triangles if placed.get(t[3:]) != t[:3])
         assert report.checks[-1] == Check("triangles_at_grid_positions", misplaced, 0)
 
-    # unhashable labels are outside the verifiers' contract of hashable
-    # labels (pillowdeg.checks), so that complex alone is left out
-    @pytest.mark.parametrize("name", sorted(set(odd_complexes()) - {"unhashable labels"}))
+    @pytest.mark.parametrize("name", sorted(odd_complexes()))
     def test_verify_configuration_reports_every_odd_complex_of_records(self, name):
         # labels that do not compare with each other, among the vertices or
         # on degrees outside {3, 6}, and repeated or unsorted records fail

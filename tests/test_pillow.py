@@ -134,9 +134,9 @@ class TestLineRecord:
 
 class TestRecordShape:
     """A PillowConfig holds tuples of hashable vertices, of lines of 4
-    fields with u < v and of triangles of 7 hashable fields: construction
-    and _replace refuse any other field or record, so no operation is
-    given one."""
+    hashable fields with u < v and of triangles of 7 hashable fields:
+    construction and _replace refuse any other field or record, so no
+    operation is given one."""
 
     C = build_pillow(2, 2)
     MAKE = pytest.mark.parametrize("make", [
@@ -146,19 +146,23 @@ class TestRecordShape:
     ], ids=["_replace", "PillowConfig", "_make"])
 
     @pytest.mark.parametrize("field,record,message", [
-        ("lines", (5,), r"a line must be 4 fields \(u, v, kind, side\) with u < v, got \(5,\)$"),
+        ("lines", (5,),
+         r"a line must be 4 hashable fields \(u, v, kind, side\) with u < v, got \(5,\)$"),
         ("lines", 5, "a line must be .*, got 5$"),
         ("lines", (3, 3, "x", "y"), r"a line must be .*, got \(3, 3, 'x', 'y'\)$"),
         ("lines", (C.lines[1].v, C.lines[1].u, "x", "y"), "a line must be "),
         ("lines", ("p", 1, "x", "y"), "a line must be "),
+        # lists compare, so only the hash refuses these two
+        ("lines", ([1], [2], "x", "y"), r"a line must be .*, got \(\[1\], \[2\], 'x', 'y'\)$"),
+        ("lines", (1, 99, [], "y"), r"a line must be .*, got \(1, 99, \[\], 'y'\)$"),
         ("triangles", (1, 2), r"a triangle must be 7 hashable fields, got \(1, 2\)$"),
         ("triangles", tuple.__new__(Triangle, (1, 2, "top", 9, 9, "lower")),
          r"a triangle must be 7 hashable fields, got \(1, 2, 'top', 9, 9, 'lower'\)$"),
         ("triangles", C.triangles[0]._replace(half=[]),
          r"a triangle must be 7 hashable fields, got \(2, 8, 9, 'top', 1, 1, \[\]\)$"),
     ], ids=["short line", "line with no length", "loop", "line with u > v",
-            "endpoints that do not compare", "short triangle", "6-field triangle",
-            "unhashable triangle"])
+            "endpoints that do not compare", "unhashable labels", "unhashable kind",
+            "short triangle", "6-field triangle", "unhashable triangle"])
     @MAKE
     def test_record_of_the_wrong_shape_is_refused(self, make, field, record, message):
         c = self.C
