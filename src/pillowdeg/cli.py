@@ -14,8 +14,12 @@ Exit codes: 0 all checks passed, 1 at least one check failed, 2 invalid
 parameters or usage, 3 file I/O failure.  Every package error ends with
 ``error: ...`` on stderr and exits 2.  Every failed write to stdout, the
 last one of a buffered stdout included, and a closed stdout end with one
-``i/o error: ...`` line on stderr and exit 3.  The arguments are parsed
-under Python's limit on int digits, and no integer computed from them is.
+``i/o error: ...`` line on stderr and exit 3.  Each flag is declared once,
+in ``_COMMANDS``.  An argv of a subcommand and its exact full flags, each
+once, each value in its choices and not starting with "-", is read off that
+table; argparse, built from it, parses any other argv and alone writes help
+and usage text.  Both parse under Python's limit on int digits, and no
+integer computed from the arguments is.
 
 Size limits (exit 2 with ``error: ...``): every subcommand, ``pillow
 --verify`` and each ``verify`` configuration included, accepts a*b up to
@@ -28,11 +32,11 @@ measured times and peaks at these limits.
 """
 from __future__ import annotations
 
-import argparse
 import gc
 import os
 import sys
 from collections.abc import Iterable
+from types import SimpleNamespace
 
 from . import degeneration, pillow, surfaces
 from .checks import Check
@@ -255,60 +259,76 @@ def cmd_verify(args) -> int:
 
 def _parameters(args) -> dict:
     """Every option that holds a value, given or defaulted, but the
-    format, in the order the parser declares them."""
+    format, in the order the option table declares them."""
     return {name: value for name, value in vars(args).items()
             if name not in ("command", "format", "func") and value is not None}
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="pillowdeg",
-        description="Pillow plane configurations and branch-curve invariants, exactly.",
-    )
+# each subcommand's help, function and options in the parser's order, --format last:
+# (flag, dest, type, required, choices, default, help), type None a str, bool a switch
+_FORMAT = ("--format", "format", None, False, ("text", "json"), "text", None)
+_AB = (("--a", "a", int, True, None, None, None), ("--b", "b", int, True, None, None, None))
+_COMMANDS = {command: (text, func, (*options, _FORMAT)) for command, (text, func, options) in {
+    "characters": ("branch-curve characters of a surface", cmd_characters, (
+        ("--family", "family", None, True, (*surfaces.FAMILIES, "custom"), None, None),
+        ("--r", "r", int, False, None, None, "parameter for veronese/scroll"),
+        ("--deg", "deg", int, False, None, None, "degree for delpezzo (3..9)"),
+        ("--g", "g", int, False, None, None, "genus for k3 (>= 3)"),
+        ("--d", "d", int, False, None, None, "surface degree H^2 (custom)"),
+        ("--kh", "kh", int, False, None, None, "K.H (custom)"),
+        ("--k2", "k2", int, False, None, None, "K^2 (custom)"),
+        ("--euler", "euler", int, False, None, None, "Euler number e(S) (custom)"))),
+    "pillow": ("build (and verify/export) a pillow configuration", cmd_pillow, (
+        *_AB,
+        ("--verify", "verify", bool, False, None, False,
+         "run the sphere-triangulation and pair-count checks"),
+        ("--export", "export", None, False, ("json", "dot"), None, None),
+        ("--dot-graph", "dot_graph", None, False, ("faces", "lines"), "faces",
+         "which graph --export dot writes (default: faces)"),
+        ("--out", "out", None, False, None, None, "write the export here instead of stdout"))),
+    "table": ("singularity-distribution table for (a, b)", cmd_table, _AB),
+    "verify": ("sweep all invariants over (a, b) ranges", cmd_verify, (
+        ("--a", "a", None, True, None, None, "range, e.g. 2..4 or 3"),
+        ("--b", "b", None, True, None, None, "range, e.g. 2..4 or 3"),
+        ("--limit", "limit", int, False, None, 6,
+         "upper bound allowed for the ranges (default 6)"))),
+}.items()}
+
+
+def _canonical(argv: list[str]) -> SimpleNamespace | None:
+    """argparse's namespace for an argv the table reads (see the module docstring), else None."""
+    _, func, options = _COMMANDS.get(argv[0] if argv else "", (None, None, ()))
+    left, given = {o[0]: o for o in options}, {o[1]: o[5] for o in options}
+    try:
+        for flag in (tokens := iter(argv[1:])):
+            _, dest, kind, _, choices, _, _ = left.pop(flag)
+            value = True if kind is bool else next(tokens)
+            if kind is not bool and (value.startswith("-") or choices and value not in choices):
+                return None
+            given[dest] = int(value) if kind is int else value  # under the caller's digit limit
+    except (KeyError, StopIteration, ValueError):
+        return None
+    if not options or any(o[3] for o in left.values()):
+        return None
+    return SimpleNamespace(command=argv[0], **given, func=func)
+
+
+def build_parser():
+    """The argparse parser of the table, for the argv ``_canonical`` leaves."""
+    import argparse
+    parser = argparse.ArgumentParser(prog="pillowdeg", description=(
+        "Pillow plane configurations and branch-curve invariants, exactly."))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_chars = sub.add_parser("characters", help="branch-curve characters of a surface")
-    p_chars.add_argument("--family", required=True,
-                         choices=[*surfaces.FAMILIES, "custom"])
-    p_chars.add_argument("--r", type=int, help="parameter for veronese/scroll")
-    p_chars.add_argument("--deg", type=int, help="degree for delpezzo (3..9)")
-    p_chars.add_argument("--g", type=int, help="genus for k3 (>= 3)")
-    p_chars.add_argument("--d", type=int, help="surface degree H^2 (custom)")
-    p_chars.add_argument("--kh", type=int, help="K.H (custom)")
-    p_chars.add_argument("--k2", type=int, help="K^2 (custom)")
-    p_chars.add_argument("--euler", type=int, help="Euler number e(S) (custom)")
-    p_chars.set_defaults(func=cmd_characters)
-
-    p_pillow = sub.add_parser("pillow", help="build (and verify/export) a pillow configuration")
-    p_pillow.add_argument("--a", type=int, required=True)
-    p_pillow.add_argument("--b", type=int, required=True)
-    p_pillow.add_argument("--verify", action="store_true",
-                          help="run the sphere-triangulation and pair-count checks")
-    p_pillow.add_argument("--export", choices=["json", "dot"])
-    p_pillow.add_argument("--dot-graph", dest="dot_graph", choices=["faces", "lines"],
-                          default="faces",
-                          help="which graph --export dot writes (default: faces)")
-    p_pillow.add_argument("--out", help="write the export here instead of stdout")
-    p_pillow.set_defaults(func=cmd_pillow)
-
-    p_table = sub.add_parser("table", help="singularity-distribution table for (a, b)")
-    p_table.add_argument("--a", type=int, required=True)
-    p_table.add_argument("--b", type=int, required=True)
-    p_table.set_defaults(func=cmd_table)
-
-    p_verify = sub.add_parser("verify", help="sweep all invariants over (a, b) ranges")
-    p_verify.add_argument("--a", required=True, help="range, e.g. 2..4 or 3")
-    p_verify.add_argument("--b", required=True, help="range, e.g. 2..4 or 3")
-    p_verify.add_argument("--limit", type=int, default=6,
-                          help="upper bound allowed for the ranges (default 6)")
-    p_verify.set_defaults(func=cmd_verify)
-    for p in (p_chars, p_pillow, p_table, p_verify):
-        p.add_argument("--format", choices=["text", "json"], default="text")
+    for command, (text, func, options) in _COMMANDS.items():
+        p = sub.add_parser(command, help=text)
+        for flag, dest, kind, required, choices, default, about in options:
+            form = {"action": "store_true"} if kind is bool else {"type": kind, "choices": choices}
+            p.add_argument(flag, dest=dest, required=required, default=default, help=about, **form)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     # the records are tuples, which hold no reference cycle, so the cyclic
     # collector would only rescan tens of thousands of them to free nothing;
     # it stays off while the command runs and is then put back as it was
@@ -319,7 +339,8 @@ def main(argv=None) -> int:
         if sys.stdout is None:
             raise OSError("stdout is closed")
         try:
-            args = parser.parse_args(argv)
+            args = (_canonical(sys.argv[1:] if argv is None else argv)
+                    or build_parser().parse_args(argv))
         except SystemExit as exc:
             # --help exits 0, a usage fault 2
             code = exc.code if isinstance(exc.code, int) else EXIT_USAGE

@@ -543,12 +543,17 @@ _RUN = 64
 
 
 class _JSONStrings(dict):
-    """The JSON literal of each string, encoded once per distinct value."""
+    """The JSON text of a field the JSON export writes but an exact int: a str,
+    bool, None or int as ``json.dumps`` writes it, each str encoded once; any
+    other value raises ValueError, which ``_pieces`` reports."""
 
-    def __missing__(self, text: str) -> str:
+    def __missing__(self, value: object) -> str:
+        if not (value is None or type(value) in (int, bool) or isinstance(value, str)):
+            raise ValueError(f"a {type(value).__name__} field {_text(value, False, repr)}")
         import json
-
-        self[text] = literal = json.dumps(text)
+        literal = json.dumps(value)
+        if isinstance(value, str):  # no value takes the text of an equal one of another type
+            self[value] = literal
         return literal
 
 
@@ -602,18 +607,22 @@ def config_json_pieces(c: PillowConfig) -> Iterator[str]:
     q = _JSONStrings()
     return _pieces(chain(
         (f'{{\n  "a": {c.a},\n  "b": {c.b},\n  "g": {c.g},\n  "vertices": ',),
-        _json_array(len(c.vertices), (f",\n    {v}" for v in c.vertices)),
+        _json_array(len(c.vertices), (
+            f",\n    {v if type(v) is int else q[v]}" for v in c.vertices)),
         (',\n  "lines": ',),
         _json_array(len(c.lines), (
-            f',\n    {{\n      "u": {u},\n      "v": {v},\n'
+            f',\n    {{\n      "u": {u if type(u) is int else q[u]},\n'
+            f'      "v": {v if type(v) is int else q[v]},\n'
             f'      "kind": {q[kind]},\n      "side": {q[side]}\n    }}'
             for u, v, kind, side in c.lines
         )),
         (',\n  "triangles": ',),
         _json_array(len(c.triangles), (
-            f',\n    {{\n      "v1": {v1},\n      "v2": {v2},\n'
-            f'      "v3": {v3},\n      "side": {q[side]},\n'
-            f'      "row": {row},\n      "col": {col},\n      "half": {q[half]}\n    }}'
+            f',\n    {{\n      "v1": {v1 if type(v1) is int else q[v1]},\n'
+            f'      "v2": {v2 if type(v2) is int else q[v2]},\n'
+            f'      "v3": {v3 if type(v3) is int else q[v3]},\n      "side": {q[side]},\n'
+            f'      "row": {row if type(row) is int else q[row]},\n'
+            f'      "col": {col if type(col) is int else q[col]},\n      "half": {q[half]}\n    }}'
             for v1, v2, v3, side, row, col, half in c.triangles
         )),
         ("\n}\n",),

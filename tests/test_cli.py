@@ -19,7 +19,7 @@ from hypothesis import example, given, settings, strategies as st
 
 from pillowdeg import pillow, surfaces
 from pillowdeg.checks import Report
-from pillowdeg.cli import _finish, main
+from pillowdeg.cli import _canonical, _finish, build_parser, main
 from pillowdeg.errors import MalformedComplex, PillowDegError
 
 
@@ -549,17 +549,36 @@ OPTIONS = {
 FORMATS = mostly(st.sampled_from(["text", "json"]), st.just("xml"))
 
 
+# forms only argparse reads: a flag joined to its value by "=", a flag cut
+# to a prefix such as --form or --exp, a flag and its value given twice, a
+# value that starts with "-", a flag without its value, an unknown flag and
+# a help flag
+FORMS = ("joined", "abbreviated", "repeated", "dash value", "bare", "unknown", "help")
+
+
 @st.composite
 def cli_argv(draw):
-    """argv for one subcommand; every flag, required or not, may be absent."""
+    """argv for one subcommand; every flag, required or not, may be absent,
+    and one argv in four takes one of FORMS at one of its flags."""
     command = draw(st.sampled_from(sorted(OPTIONS)))
-    argv = [command]
+    groups = []
     for flag, values in OPTIONS[command] + [("--format", FORMATS)]:
         if draw(mostly(st.just(True), st.just(False))):
-            argv.append(flag)
-            if values is not None:
-                argv.append(draw(values))
-    return argv
+            groups.append([flag] if values is None else [flag, draw(values)])
+    if draw(mostly(st.just(False), st.just(True))):
+        form = draw(st.sampled_from(FORMS))
+        at = draw(st.integers(0, len(groups)))
+        flag, *value = groups[at] if at < len(groups) else ["--format", "json"]
+        groups[at:at + 1] = {
+            "joined": [[f"{flag}={value[0]}" if value else flag]],
+            "abbreviated": [[flag[:draw(st.integers(3, len(flag)))], *value]],
+            "repeated": [[flag, *value]] * 2,
+            "dash value": [[flag, draw(st.sampled_from(["-6", "-x", "--", "-"]))]],
+            "bare": [[flag]],
+            "unknown": [["--nope"], [flag, *value]],
+            "help": [[draw(st.sampled_from(["-h", "--help"]))], [flag, *value]],
+        }[form]
+    return [command, *(arg for group in groups for arg in group)]
 
 
 class TestArgvProperties:
@@ -579,6 +598,72 @@ class TestArgvProperties:
         assert code in (0, 1, 2, 3), (argv, err.getvalue())
         if code == 3:
             assert err.getvalue().startswith("i/o error: ")
+
+
+class TestCanonicalParse:
+    """The option table's own parse returns argparse's namespace wherever
+    it takes an argv, and every other argv goes to argparse."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(argv=cli_argv())
+    @example(argv=["pillow", "--verify", "--b", "2", "--a", "3", "--out", "x", "--dot-graph",
+                   "lines", "--export", "dot", "--format", "json"])
+    @example(argv=["verify", "--a", "2..3", "--b", "2", "--limit", "8"])
+    def test_agrees_with_argparse(self, argv):
+        parsed = _canonical(argv)
+        if parsed is not None:
+            with contextlib.redirect_stdout(io.StringIO()), \
+                    contextlib.redirect_stderr(io.StringIO()):
+                expected = build_parser().parse_args(argv)
+            assert list(vars(parsed).items()) == list(vars(expected).items())
+
+    @pytest.mark.parametrize("argv", [
+        ["characters", "--family", "custom", "--d", "4", "--kh", "-6", "--k2", "9",
+         "--euler", "3"],
+        ["table", "--a", "3", "--b", "2", "--form", "json"],
+        ["pillow", "--exp", "json", "--a", "2", "--b", "2"],
+        ["table", "--a=3", "--b", "2"],
+        ["table", "--a", "3", "--b", "2", "--a", "4"],
+        ["pillow", "--a", "2", "--b", "2", "--verify", "--verify"],
+        ["table", "--a", "3", "--b", "2", "--nope"],
+        ["table", "--a", "3"],
+        ["table", "--a", "3", "--b"],
+        ["pillow", "--a", "2", "--b", "2", "--out"],
+        ["table", "--a", "x", "--b", "2"],
+        ["pillow", "--a", "2", "--b", "2", "--export", "png"],
+        ["verify", "--a", "2", "--b", "2", "-h"],
+        ["tables", "--a", "3", "--b", "2"],
+        ["--help"],
+        [],
+    ])
+    def test_other_forms_go_to_argparse(self, argv):
+        assert _canonical(argv) is None
+
+    def test_an_int_past_the_callers_digit_limit_goes_to_argparse(self):
+        if not hasattr(sys, "set_int_max_str_digits"):
+            pytest.skip("this Python has no limit on int digits")
+        argv = ["table", "--a", "2", "--b", "9" * 4301]
+        with int_digits(4300):
+            assert _canonical(argv) is None
+        with int_digits(0):
+            assert _canonical(argv).b == int("9" * 4301)
+
+    # a fresh interpreter, without site, as the CI step runs it
+    PROBE = ("import sys\n"
+             "from pillowdeg.cli import main\n"
+             "code = main(sys.argv[1:])\n"
+             "print(code, *sorted({'argparse', 'gettext', 'locale'} & set(sys.modules)),"
+             " file=sys.stderr)\n")
+
+    def test_canonical_argv_loads_no_argparse(self):
+        result = run_python("-S", "-c", self.PROBE, "table", "--a", "2", "--b", "2")
+        assert (result.returncode, result.stderr) == (0, b"0\n")
+        assert b"conservation checks:" in result.stdout
+
+    def test_other_forms_still_run_through_argparse(self):
+        result = run_python("-S", "-c", self.PROBE, "table", "--a=2", "--b", "2")
+        assert (result.returncode, result.stderr.split()[:2]) == (0, [b"0", b"argparse"])
+        assert b"conservation checks:" in result.stdout
 
 
 # Intersection numbers far outside every family, so most runs end in a

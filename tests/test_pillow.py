@@ -808,6 +808,49 @@ class TestExports:
         for config in (escaped, empty):
             assert joined(config_json_pieces, config) == reference_json(config)
 
+    @pytest.mark.parametrize("labels", [
+        ("p1", 'q"u\\o\n', "\u00e9"), (False, True, False), (None, None, None),
+    ], ids=["str", "bool", "None"])
+    def test_config_to_json_writes_labels_of_other_types_as_json(self, labels):
+        # a vertex, a line (where the labels order) and a triangle whose
+        # vertices, row and col are of the type; the rest of (2, 2) as built
+        c = build_pillow(2, 2)
+        p, q, r = labels
+        lines = (Line(p, q, "x", "y"),) if p is not None else ()
+        triangle = Triangle(p, q, r, "top", q, r, "upper")
+        odd = c._replace(vertices=c.vertices + labels, lines=c.lines + lines,
+                         triangles=(triangle,) + c.triangles)
+        text = joined(config_json_pieces, odd)
+        assert text == reference_json(odd)
+        assert json.loads(text)["triangles"][0] == dict(zip(
+            ("v1", "v2", "v3", "side", "row", "col", "half"), triangle))
+
+    def test_config_to_json_keeps_equal_fields_of_two_types_apart(self):
+        # 1 and True are equal, and so are a dict's keys for them
+        c = build_pillow(2, 2)
+        odd = c._replace(lines=c.lines + (Line(1, 2, 1, "y"), Line(1, 3, True, "y")))
+        assert joined(config_json_pieces, odd) == reference_json(odd)
+
+    @pytest.mark.parametrize("label,above,shown", [
+        (1.5, 2.5, "a float field 1.5"),
+        ((1, 2), (1, 3), "a tuple field (1, 2)"),
+        (re.RegexFlag.I, 99, "a RegexFlag field re.IGNORECASE"),
+        (frozenset({1}), frozenset({1, 2}), "a frozenset field frozenset({1})"),
+    ], ids=["float", "tuple", "int-subclass", "frozenset"])
+    @pytest.mark.parametrize("where", ["vertex", "line", "row", "kind"])
+    def test_config_to_json_refuses_fields_it_cannot_write(self, label, above, shown, where):
+        c = build_pillow(2, 2)
+        odd = {
+            "vertex": lambda: c._replace(vertices=c.vertices + (label,)),
+            "line": lambda: c._replace(lines=c.lines + (Line(label, above, "x", "y"),)),
+            "row": lambda: c._replace(triangles=c.triangles + (c.triangles[0]._replace(row=label),)),
+            "kind": lambda: c._replace(lines=c.lines + (Line(1, 2, label, "y"),)),
+        }[where]()
+        pieces = config_json_pieces(odd)  # nothing is rendered before the pieces are drawn
+        with pytest.raises(InvalidParameter) as raised:
+            "".join(pieces)
+        assert str(raised.value) == f"a record the export cannot render: {shown}"
+
     @pytest.mark.parametrize("a,b", [(4, 3), (2, 64), (64, 2), (16, 16)])
     def test_pieces_join_to_the_text_and_are_cut_by_length(self, a, b):
         c = build_pillow(a, b)
