@@ -18,10 +18,12 @@ the closed forms serve only as cross-checks.
 from __future__ import annotations
 
 from collections import Counter, namedtuple
+from collections.abc import Iterator
+from operator import eq
 
 from . import pillow
 from .checks import Report
-from .errors import MalformedComplex, _integer, _text
+from .errors import InvalidParameter, MalformedComplex, _Record, _integer, _record, _text
 from .surfaces import branch_characters, del_pezzo_characters, k3
 
 _ROW_LABELS = {
@@ -32,11 +34,14 @@ _ROW_LABELS = {
 }
 
 
-class NPointBudget(namedtuple("NPointBudget", "n branch_points nodes cusps")):
+class NPointBudget(_Record, namedtuple("NPointBudget", "n branch_points nodes cusps")):
     """How many branch points, nodes, and cusps collapse to one point
-    where n of the doubled lines meet."""
+    where n of the doubled lines meet; every field an int."""
 
     __slots__ = ()
+
+    def __new__(cls, n: int, branch_points: int, nodes: int, cusps: int) -> NPointBudget:
+        return _record(cls, (n, branch_points, nodes, cusps), "n-point budget fields must be ints")
 
 
 def npoint_budget(n: int) -> NPointBudget:
@@ -49,10 +54,18 @@ def npoint_budget(n: int) -> NPointBudget:
     return NPointBudget(n, local.turning_points - n, local.nodes, local.cusps)
 
 
-class TableRow(namedtuple("TableRow", "object_type count branch_points nodes cusps")):
-    """One row: how many objects of this type exist and what each absorbs."""
+class TableRow(_Record, namedtuple("TableRow", "object_type count branch_points nodes cusps")):
+    """One row: how many objects of this type exist and what each absorbs;
+    a type of the table's four and four ints."""
 
     __slots__ = ()
+
+    def __new__(cls, object_type: str, count: int, branch_points: int, nodes: int, cusps: int) -> TableRow:
+        if object_type not in tuple(_ROW_LABELS):  # by ==, so an unhashable type is refused too
+            raise InvalidParameter(f"row type must be one of {tuple(_ROW_LABELS)}, "
+                                   f"got {_text(object_type, False, repr)}")
+        return _record(cls, (object_type, count, branch_points, nodes, cusps),
+                       "row numbers must be ints", slice(1, None))
 
     def weighted(self) -> tuple[int, int, int]:
         return (
@@ -66,10 +79,15 @@ class TableTotals(namedtuple("TableTotals", "branch_points nodes cusps")):
     __slots__ = ()
 
 
-class DegenerationTable(namedtuple("DegenerationTable", "g rows")):
-    """The table of one g: its rows, a tuple of ``TableRow``."""
+class DegenerationTable(_Record, namedtuple("DegenerationTable", "g rows")):
+    """The table of one g, an int: its rows, a tuple of ``TableRow``."""
 
     __slots__ = ()
+
+    def __new__(cls, g: int, rows: tuple[TableRow, ...]) -> DegenerationTable:
+        if not isinstance(rows, tuple) or not all(isinstance(r, TableRow) for r in rows):
+            raise InvalidParameter(f"table rows must be a tuple of TableRows, got {_text(rows, False, repr)}")
+        return _record(cls, (g, rows), "table g must be an int", slice(1))
 
     @property
     def totals(self) -> TableTotals:
@@ -158,21 +176,28 @@ def verify_configuration(c: pillow.PillowConfig) -> Report:
     two_points = pillow._disjoint_pairs(c, degrees)
     report.extend(pillow._verify_pillow(c, incidence, degrees, two_points))
     report.extend(pillow._stages(c, incidence))
-    del incidence  # freed before the grid-position check builds its triangles
+    del incidence  # freed before the table and the grid-position check
     try:
         report.extend(verify_conservation(_table(c, degrees, two_points)))
     except MalformedComplex as exc:
         report.add("line_degrees_in_local_models", str(exc), None)
-    # the build's triangles, by its one rule, as one sequence; else each triangle
-    # is looked up whole in their set, so one off the grid matches none
-    placed = []
-    for side in pillow.SIDES:
-        rows = pillow.grid_rows(c.a, c.b, side)
-        for i, (n, s) in enumerate(zip(rows, rows[1:]), 1):
-            placed += pillow._row_triangles(side, i, n, s)
-    report.add("triangles_at_grid_positions", 0 if c.triangles == tuple(placed) else
-               len(c.triangles) - sum(map(set(placed).__contains__, c.triangles)), 0)
+    # the triangles in order against the 4ab the build places by its one
+    # rule, made row by row as they are compared; only where one differs is
+    # each looked up whole in their set, so one off the grid matches none
+    triangles = c.triangles
+    report.add("triangles_at_grid_positions",
+               0 if len(triangles) == 4 * c.a * c.b and all(map(eq, triangles, _placed(c.a, c.b)))
+               else len(triangles) - sum(map(set(_placed(c.a, c.b)).__contains__, triangles)), 0)
     return report
+
+
+def _placed(a: int, b: int) -> Iterator[pillow.Triangle]:
+    """The triangles ``build_pillow(a, b)`` places, in its order, generated
+    one row at a time by ``_row_triangles``."""
+    for side in pillow.SIDES:
+        rows = pillow.grid_rows(a, b, side)
+        for i, (n, s) in enumerate(zip(rows, rows[1:]), 1):
+            yield from pillow._row_triangles(side, i, n, s)
 
 
 def verify_box(a_range: range, b_range: range) -> list[Report]:

@@ -1,5 +1,5 @@
 """Exception types shared across the package, and its one integer rule,
-``_integer``, which every public function that takes a number applies."""
+``_integer``, which every public function and record taking a number applies."""
 
 
 class PillowDegError(Exception):
@@ -50,3 +50,19 @@ def _integer(value: object, rule: str, low: int | None = None, high: int | None 
         raise InvalidParameter(f"{rule}, got {type(value).__name__} {_text(value, form=repr)}")
     if low is not None and value < low or high is not None and value > high:
         raise InvalidParameter(f"{rule}, got {_text(value)}")
+
+
+class _Record:
+    """The first base of each record whose ``__new__`` validates it:
+    ``_replace`` builds its copy through ``_make``, here the ``__new__``."""
+
+    __slots__ = ()
+    _make = classmethod(lambda cls, fields: cls(*fields))
+
+
+def _record(cls, fields: tuple, rule: str, numbers: slice = slice(None)):
+    """The record ``cls`` of ``fields`` once each of ``fields[numbers]`` passes
+    ``_integer(number, rule)``: the rule of every record of numbers."""
+    for number in fields[numbers]:
+        _integer(number, rule)
+    return tuple.__new__(cls, fields)

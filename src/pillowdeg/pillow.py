@@ -33,7 +33,7 @@ from math import comb
 from operator import itemgetter, lt
 
 from .checks import Report
-from .errors import InvalidParameter, _integer, _text
+from .errors import InvalidParameter, _Record, _integer, _text
 
 SIDES = ("top", "bottom")
 
@@ -60,7 +60,7 @@ def _check_bidegree(a: int, b: int) -> None:
                                f"cells, above the limit {MAX_PILLOW_CELLS}")
 
 
-class Line(namedtuple("Line", "u v kind side")):
+class Line(_Record, namedtuple("Line", "u v kind side")):
     """A double line of the configuration: endpoints u < v, its kind and
     its side.  Boundary lines are shared by both grids (side == "shared");
     all other lines belong to one grid.
@@ -82,11 +82,6 @@ class Line(namedtuple("Line", "u v kind side")):
             pass
         raise InvalidParameter(f"line endpoints must satisfy u < v, got ({_text(u)}, {_text(v)})")
 
-    @classmethod
-    def _make(cls, fields) -> Line:
-        # _replace builds its copy through _make; validate it the same way
-        return cls(*fields)
-
     @property
     def pair(self) -> tuple[int, int]:
         return (self.u, self.v)
@@ -107,7 +102,7 @@ class Triangle(namedtuple("Triangle", "v1 v2 v3 side row col half")):
         return self[:3]
 
 
-class PillowConfig(namedtuple("PillowConfig", "a b vertices lines triangles")):
+class PillowConfig(_Record, namedtuple("PillowConfig", "a b vertices lines triangles")):
     """The full plane configuration as a labeled simplicial complex.
 
     An immutable tuple like every record of the package: a changed copy is
@@ -141,10 +136,6 @@ class PillowConfig(namedtuple("PillowConfig", "a b vertices lines triangles")):
                 shown = tuple(record) if isinstance(record, tuple) else record
                 raise InvalidParameter(f"{what} must be {rule}, got {_text(shown, False, repr)}")
         return tuple.__new__(cls, (a, b, vertices, lines, triangles))
-
-    @classmethod
-    def _make(cls, fields) -> PillowConfig:
-        return cls(*fields)
 
     @property
     def g(self) -> int:
@@ -260,16 +251,31 @@ def build_pillow(a: int, b: int) -> PillowConfig:
 # Verification.
 
 
-def incidence_index(c: PillowConfig) -> dict[tuple[int, int], list[int]]:
+def incidence_index(c: PillowConfig) -> dict[tuple[int, int], int]:
     """One pass over the triangles: each line's endpoint pair to the indices
-    of the triangles on that line, built once per verified configuration."""
-    incidence = {pair: [] for pair in map(itemgetter(0, 1), c.lines)}
-    on_pair = incidence.get
+    of the triangles on that line, packed in one int, built once per
+    verified configuration.  With F = len(c.triangles), a line's value is
+
+    * -1 when it is on no triangle,
+    * t when it is on the one triangle t,
+    * F * (t + 1) + u when it is on exactly the two triangles t <= u (t = u
+      for a triangle that has the line twice), and
+    * -2 when it is on three or more.
+
+    So a line is on exactly two triangles when its value is at least F, and
+    ``divmod(value, F)`` is then (t + 1, u): all that the verifiers read."""
+    n = len(c.triangles)
+    incidence = dict.fromkeys(map(itemgetter(0, 1), c.lines), -1)
+    at = incidence.get
+    # the three pairs of each triangle, unrolled: a line's first triangle is
+    # its value, the second is packed with it, and a third makes it -2
     for idx, (p, q, r) in enumerate(map(itemgetter(0, 1, 2), c.triangles)):
-        for pair in ((p, q), (p, r), (q, r)):
-            tris = on_pair(pair)
-            if tris is not None:
-                tris.append(idx)
+        if (x := at(pair := (p, q))) is not None:
+            incidence[pair] = idx if x == -1 else n * x + n + idx if 0 <= x < n else -2
+        if (x := at(pair := (p, r))) is not None:
+            incidence[pair] = idx if x == -1 else n * x + n + idx if 0 <= x < n else -2
+        if (x := at(pair := (q, r))) is not None:
+            incidence[pair] = idx if x == -1 else n * x + n + idx if 0 <= x < n else -2
     return incidence
 
 
@@ -301,32 +307,34 @@ def _sphere_report(c: PillowConfig, incidence: dict, line_deg: Counter[int]) -> 
     so 2 >= V' - E + F >= V - E + F = 2, V' = V and each link is one cycle.
     """
     report = Report(f"sphere triangulation, bidegree ({c.a}, {c.b})")
-    bad_lines = sum(1 for tris in incidence.values() if len(tris) != 2)
+    n = len(c.triangles)
+    # a packed value below n is a line on other than two triangles
+    bad_lines = sum(1 for x in incidence.values() if x < n)
 
     # triangles meet across a line that lies on exactly two of them; the
-    # face graph's components by union-find, with path halving
-    root = list(range(len(c.triangles)))
-
-    def find(i: int) -> int:
-        while root[i] != i:
-            root[i] = i = root[root[i]]
-        return i
-
-    for tris in incidence.values():
-        if len(tris) == 2:
-            root[find(tris[0])] = find(tris[1])
+    # face graph's components by union-find, with path halving, its find
+    # inlined on both triangles of each packed pair
+    root = list(range(n))
+    for x in incidence.values():
+        if x >= n:
+            t, u = x // n - 1, x % n
+            while root[t] != t:
+                root[t] = t = root[root[t]]
+            while root[u] != u:
+                root[u] = u = root[root[u]]
+            root[t] = u
     components = sum(1 for i, r in enumerate(root) if i == r)
-    euler = len(c.vertices) - len(c.lines) + len(c.triangles)
+    euler = len(c.vertices) - len(c.lines) + n
 
     # each vertex's triangle degree: its entries in the three vertex columns
     on = Counter(map(itemgetter(0), c.triangles))
     on.update(map(itemgetter(1), c.triangles))
     on.update(map(itemgetter(2), c.triangles))
-    tri_deg = {v: on[v] for v in c.vertices}
+    tri_deg = dict(zip(c.vertices, map(on.__getitem__, c.vertices)))
     census = Counter(tri_deg.values())
-    # with no bad line the incidence holds 2E entries, which must be 3F
+    # with no bad line the incidence packs 2E triangle entries, which must be 3F
     certified = (bad_lines == 0 and len(incidence) == len(c.lines)
-                 and 2 * len(incidence) == 3 * len(c.triangles) > 6
+                 and 2 * len(incidence) == 3 * n > 6
                  and len(c.vertices) == len(tri_deg) == len(on) and 0 not in census
                  and components == 1 and euler == 2)
     report.add("line_in_two_triangles", bad_lines, 0)
@@ -469,12 +477,25 @@ def _stages(c: PillowConfig, incidence: dict) -> Report:
     """``verify_stages`` on ``incidence``, the ``incidence_index`` of ``c``."""
     a, b = c.a, c.b
     report = Report(f"stages, bidegree ({a}, {b})")
-    quadric = list(map(itemgetter(3, 4, 5), c.triangles))
-    report.add("quadric_face_count", len(set(quadric)), 2 * a * b)
-    # a quadric line is a line of c not inside one quadric
-    report.add("quadric_line_count",
-               sum(1 for tris in map(incidence.__getitem__, map(itemgetter(0, 1), c.lines))
-                   if len(tris) != 2 or quadric[tris[0]] != quadric[tris[1]]), 4 * a * b)
+    triangles, n = c.triangles, len(c.triangles)
+    report.add("quadric_face_count", len(set(map(itemgetter(3, 4, 5), triangles))), 2 * a * b)
+    # a quadric line is a line of c not inside one quadric: one not on
+    # exactly two triangles (a packed value below n) or on two whose (side,
+    # row, col) differ, compared field by field in place, a field equal to
+    # itself as in a tuple.  The values are read off the index itself when
+    # no endpoint pair repeats
+    values = (incidence.values() if len(incidence) == len(c.lines)
+              else map(incidence.__getitem__, map(itemgetter(0, 1), c.lines)))
+    quadric_lines = 0
+    for x in values:
+        if x < n:
+            quadric_lines += 1
+            continue
+        s, r = triangles[x // n - 1], triangles[x % n]
+        if (s[3] is not r[3] and s[3] != r[3] or s[4] is not r[4] and s[4] != r[4]
+                or s[5] is not r[5] and s[5] != r[5]):
+            quadric_lines += 1
+    report.add("quadric_line_count", quadric_lines, 4 * a * b)
 
     # a surface spans the coordinate points of its vertices: their count less one
     top, bottom = ({v for tri in c.triangles if tri[3] == side for v in (tri[0], tri[1], tri[2])}

@@ -15,10 +15,11 @@ from __future__ import annotations
 from collections import namedtuple
 
 from .checks import Report
-from .errors import InvalidParameter, NegativeCharacter, NonIntegralNodeCount, _integer, _text
+from .errors import (InvalidParameter, NegativeCharacter, NonIntegralNodeCount, _Record, _integer,
+                     _record, _text)
 
 
-class SurfaceClasses(namedtuple("SurfaceClasses", "d kh k2 euler label")):
+class SurfaceClasses(_Record, namedtuple("SurfaceClasses", "d kh k2 euler label")):
     """Intersection numbers of a smooth projective surface.
 
     d:     degree of the surface, H^2 (at least 1)
@@ -42,16 +43,15 @@ class SurfaceClasses(namedtuple("SurfaceClasses", "d kh k2 euler label")):
             raise InvalidParameter(f"sectional genus would be negative (d + kh = {_text(d + kh)} < -2)")
         return tuple.__new__(cls, (d, kh, k2, euler, label))
 
-    @classmethod
-    def _make(cls, fields) -> SurfaceClasses:
-        # _replace builds its copy through _make; validate it the same way
-        return cls(*fields)
 
-
-class BranchCharacters(namedtuple("BranchCharacters", "degree nodes cusps turning_points")):
-    """Degree and singularity counts of a general branch curve."""
+class BranchCharacters(_Record, namedtuple("BranchCharacters", "degree nodes cusps turning_points")):
+    """Degree and singularity counts of a general branch curve; construction
+    and ``_replace`` both reject a count that is not an int."""
 
     __slots__ = ()
+
+    def __new__(cls, degree: int, nodes: int, cusps: int, turning_points: int) -> BranchCharacters:
+        return _record(cls, (degree, nodes, cusps, turning_points), "branch characters must be ints")
 
     def __str__(self) -> str:
         return " ".join(f"{k}={_text(n, False)}" for k, n in zip("bnkt", self))

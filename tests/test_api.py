@@ -1,6 +1,7 @@
 """The public API: ``pillowdeg.__all__`` names exactly what the package
-exports, so a re-export cannot outlive the name it points to, and every
-public callable that takes a number takes it only as an int."""
+exports, so a re-export cannot outlive the name it points to, every
+public callable that takes a number takes it only as an int, and every
+record a public function takes is refused when it is made or handled."""
 
 import inspect
 import math
@@ -13,16 +14,25 @@ from test_cli import int_digits
 
 import pillowdeg
 from pillowdeg import (
+    BranchCharacters,
+    DegenerationTable,
     InvalidParameter,
     PillowDegError,
     SurfaceClasses,
+    TableRow,
     build_pillow,
+    build_table,
     del_pezzo_characters,
     formula_disjoint_pairs,
     grid_rows,
+    k3,
     k3_characters,
     npoint_budget,
+    render_table,
+    table_to_dict,
     transpose_map,
+    verify_character_identities,
+    verify_conservation,
     veronese,
 )
 from pillowdeg.pillow import MAX_PILLOW_CELLS
@@ -40,8 +50,12 @@ def test_every_name_in_all_resolves():
 # every public callable that takes a number, with valid arguments; each int
 # among them is a numeric argument, and the property test draws each in turn
 NUMERIC = {
+    "BranchCharacters": (48, 840, 168, 72),
+    "DegenerationTable": (9, ()),
+    "NPointBudget": (2, 0, 4, 0),
     "PillowConfig": (3, 2, (), (), ()),
     "SurfaceClasses": (2, 0, 0, 24),
+    "TableRow": ("lines", 24, 0, 0, 0),
     "build_pillow": (3, 2),
     "del_pezzo": (3,),
     "del_pezzo_characters": (3,),
@@ -63,18 +77,14 @@ RECORD = "a plain record: its fields are what the package computed"
 COMPLEX = "takes a built complex or the records of one"
 ERROR = "an exception type"
 NOT_NUMERIC = {
-    "BranchCharacters": RECORD,
     "Check": "a plain record of one comparison, its sides of any type",
-    "DegenerationTable": RECORD + "; verify_conservation checks its g through k3",
     "InvalidParameter": ERROR,
     "Line": "its endpoints are labels, any values that compare",
     "MalformedComplex": ERROR,
-    "NPointBudget": RECORD,
     "NegativeCharacter": ERROR + ": it reports a computed character, it takes no input",
     "NonIntegralNodeCount": ERROR,
     "PillowDegError": ERROR,
     "Report": "takes a title",
-    "TableRow": RECORD,
     "TableTotals": RECORD,
     "Triangle": "a plain record of one plane: its vertices are labels",
     "branch_characters": "takes a SurfaceClasses, whose numbers are checked",
@@ -203,3 +213,79 @@ def test_a_non_int_is_refused_by_its_rule(call, args, message):
     with pytest.raises(InvalidParameter) as raised:
         call(*args)
     assert str(raised.value) == message
+
+
+# each public record that holds numbers, a valid instance, and the public
+# functions that take it, the characters' own str among them; none takes an
+# NPointBudget, and a row is taken in place of each row of the table
+TABLE = build_table(build_pillow(2, 2))
+RECORDS = {
+    "BranchCharacters": (k3_characters(3), (
+        str, lambda chars: verify_character_identities(k3(3), chars))),
+    "NPointBudget": (npoint_budget(3), ()),
+    "TableRow": (TABLE.rows[0], (lambda row: row.weighted(), *(
+        lambda row, k=k, take=take: take(TABLE._replace(rows=TABLE.rows[:k] + (row,) + TABLE.rows[k + 1:]))
+        for k in range(len(TABLE.rows)) for take in (verify_conservation, render_table, table_to_dict)))),
+    "DegenerationTable": (TABLE, (verify_conservation, render_table, table_to_dict)),
+}
+UNHASHABLES = [[], [1], {}, {1: 2}, set(), bytearray(b"3")]
+FIELDS = st.one_of(
+    NUMBERS,
+    st.text(max_size=4),
+    st.none(),
+    st.lists(st.integers(), max_size=3),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=2),
+    st.sampled_from(UNHASHABLES),
+    st.recursive(st.integers() | st.text(max_size=2) | st.none(),
+                 lambda inner: st.tuples(inner) | st.tuples(inner, inner), max_leaves=4),
+    # the values a record's other fields take: row types, rows and tuples of them
+    st.sampled_from([r.object_type for r in TABLE.rows]),
+    st.lists(st.sampled_from(TABLE.rows + (TABLE.rows[0]._replace(count=0),)), max_size=5).map(tuple),
+    st.sampled_from([TABLE.rows, (TABLE.rows,), TABLE.rows[:1] + (None,), TABLE]),
+)
+
+
+@pytest.mark.parametrize("name,field", [
+    (name, field) for name, (record, _) in RECORDS.items() for field in record._fields
+])
+@pytest.mark.usefixtures("no_digit_limit")
+@settings(max_examples=40, deadline=None)
+@given(value=FIELDS)
+def test_every_record_is_refused_or_handled(name, field, value):
+    # each field of each record drawn from every kind of value: the record
+    # made with it, or its _replace, raises a PillowDegError, or every public
+    # function that takes the record returns or raises a PillowDegError
+    record, takers = RECORDS[name]
+    made = [
+        lambda: record._replace(**{field: value}),
+        lambda: type(record)(*(value if f == field else v for f, v in zip(record._fields, record))),
+    ]
+    for limit in (4300, 0):
+        with int_digits(limit):
+            for make in made:
+                try:
+                    changed = make()
+                except PillowDegError:
+                    continue
+                # a number is an int, a row type one of the table's, rows a tuple of rows
+                assert (type(value) is int if field not in ("object_type", "rows") else
+                        value in [r.object_type for r in TABLE.rows] if field == "object_type" else
+                        type(value) is tuple and all(type(r) is TableRow for r in value))
+                for take in takers:
+                    try:
+                        take(changed)
+                    except PillowDegError:
+                        pass
+
+
+@pytest.mark.parametrize("call", [
+    lambda: verify_conservation(TABLE._replace(rows=None)),
+    lambda: render_table(DegenerationTable(TABLE.g, None)),
+    lambda: table_to_dict(TABLE._replace(rows=None)),
+    lambda: verify_conservation(TABLE._replace(rows=(TABLE.rows[0]._replace(count=None),))),
+    lambda: verify_character_identities(k3(3), BranchCharacters(None, 1, 2, 3)),
+])
+def test_a_record_that_cannot_be_taken_cannot_be_made(call):
+    # each of these ended in a bare TypeError while its record could be made
+    with pytest.raises(InvalidParameter):
+        call()

@@ -286,6 +286,24 @@ def _incidence_and_stars(c):
     return incidence, star
 
 
+def decoded(c, incidence):
+    """The packed ``incidence_index(c)`` as triangle lists: the exact
+    triangle indices of a line on at most two, THREE_OR_MORE for the others.
+    A value outside the encoding raises KeyError."""
+    n = len(c.triangles)
+    return {pair: [x // n - 1, x % n] if x >= n else [x] if x >= 0
+            else {-1: [], -2: THREE_OR_MORE}[x] for pair, x in incidence.items()}
+
+
+def at_most_two(incidence):
+    """The copied incidence, each line on three or more triangles as
+    THREE_OR_MORE: all the packed index keeps."""
+    return {pair: tris if len(tris) <= 2 else THREE_OR_MORE for pair, tris in incidence.items()}
+
+
+THREE_OR_MORE = "three or more"
+
+
 def bad_links(c):
     """Vertices whose link is not a single cycle, by the copied check."""
     incidence, star = _incidence_and_stars(c)
@@ -307,7 +325,7 @@ def face_components(c):
 def _reference_dot_face_pieces(c) -> Iterator[str]:
     """The DOT face-adjacency graph in pieces: one node per triangle, named
     ``<side>_r<row>_c<col>_<half>``, one edge per line shared by two."""
-    incidence = incidence_index(c)
+    incidence = _incidence_and_stars(c)[0]  # the index of triangle lists it read
     # the triangles of each line on exactly two, by endpoint pair; the index
     # is freed before the names are rendered, so they reuse its memory
     shared = [on for on in map(incidence.__getitem__, sorted(incidence)) if len(on) == 2]
@@ -469,6 +487,28 @@ class TestLinkCertificate:
     def test_the_copied_check_matches_the_walk_on_odd_complexes(self, name):
         c = odd_complexes()[name]
         assert pillow._bad_links(c, incidence_index(c)) == bad_links(c)
+
+    @pytest.mark.parametrize("name", sorted(odd_complexes()))
+    def test_the_packed_index_decodes_to_the_copied_one_on_odd_complexes(self, name):
+        c = odd_complexes()[name]
+        assert decoded(c, incidence_index(c)) == at_most_two(_incidence_and_stars(c)[0])
+
+    def test_the_packed_index_encodes_each_count(self):
+        # three triangles after the 16 of (2, 2), so F = 19: (1, 1, 99) is
+        # on the line 1-99 twice, (5, 97, 98) alone on 97-98, no triangle on
+        # 98-99, and (1, 1, 2) twice on the line 1-2, already on two
+        c = build_pillow(2, 2)
+        extra = [Triangle(*vertices, "top", 9, 9, "lower")
+                 for vertices in ((1, 1, 99), (5, 97, 98), (1, 1, 2))]
+        d = c._replace(lines=c.lines + tuple(Line(u, v, "x", "y") for u, v in
+                                             ((1, 99), (97, 98), (98, 99))),
+                       triangles=c.triangles + tuple(extra))
+        incidence = incidence_index(d)
+        assert (incidence[1, 99], incidence[97, 98], incidence[98, 99], incidence[1, 2]) == (
+            19 * 17 + 16, 17, -1, -2)
+        # every line of (2, 2) but 1-2 keeps its two triangles t < u of c
+        for pair, (t, u) in _incidence_and_stars(c)[0].items():
+            assert incidence[pair] == (-2 if pair == (1, 2) else 19 * (t + 1) + u)
 
     def test_the_copied_check_matches_the_walk_on_unsorted_triangles(self):
         # each of the first four triangles of (2, 2) with its vertices in
@@ -659,12 +699,12 @@ class TestMutatedPillows:
     def test_link_walk_matches_the_oracles(self, mutant):
         # the walk over each vertex's link counts the vertices whose
         # triangles the copied check fails to glue into one cycle, the index
-        # is the copied line incidence, the sphere report on the shared
-        # inputs is the public one, and the stage report is the same with
-        # and without a passed-in index
+        # decodes to the copied line incidence, the sphere report on the
+        # shared inputs is the public one, and the stage report is the same
+        # with and without a passed-in index
         c = mutant[1]
         incidence = incidence_index(c)
-        assert incidence == _incidence_and_stars(c)[0]
+        assert decoded(c, incidence) == at_most_two(_incidence_and_stars(c)[0])
         report = _sphere_report(c, incidence, c.line_degrees())
         assert report["vertex_link_single_cycle"].lhs == bad_links(c)
         assert report["face_adjacency_connected"].lhs == face_components(c)

@@ -291,6 +291,24 @@ class TestSizeLimits:
         assert all(p is label[p - 1] and q is label[q - 1] and r is label[r - 1]
                    for p, q, r, _, _, _, _ in c.triangles)
 
+    @pytest.mark.parametrize("a,b", [(64, 64), (2, 2048), (2048, 2)])
+    def test_verifiers_peak_little_above_their_complex(self, a, b):
+        # traced on Python 3.11.7, as a share of the complex:
+        # verify_configuration 1.02-1.26 and verify_pillow 0.97-1.05 with one
+        # packed int a line and the grid positions compared as they are made,
+        # against 1.61-1.84 and 1.38-1.44 with a list of triangles a line and
+        # a second copy of the built triangles
+        tracemalloc.start()
+        try:
+            held = tracemalloc.get_traced_memory()[0]
+            c = build_pillow(a, b)
+            size = tracemalloc.get_traced_memory()[0] - held
+            for verify, bound in ((verify_configuration, 1.4), (verify_pillow, 1.2)):
+                peak = traced_peak(lambda: verify(c))
+                assert peak < bound * size, (verify.__name__, peak, size)
+        finally:
+            tracemalloc.stop()
+
 
 # a = 2 leaves one interior column and b = 2 one middle row
 LABELING_BIDEGREES = [(a, b) for a in (2, 3, 5) for b in (2, 3, 5)]
@@ -748,7 +766,7 @@ class TestExports:
     @pytest.mark.parametrize("n", [32, 64])
     def test_dot_face_export_holds_less_than_the_line_index(self, n):
         # each triangle is listed at the first endpoints of its pairs, two
-        # entries a triangle, where the index holds a pair and a list a line
+        # entries a triangle, where the index holds a pair and an int a line
         c = build_pillow(n, n)
         index = traced_peak(lambda: incidence_index(c))
         assert traced_peak(lambda: all(dot_face_pieces(c))) < index

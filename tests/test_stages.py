@@ -196,3 +196,25 @@ class TestVerifyStages:
         report = verify_stages(c)
         assert {ch.name: (ch.lhs, ch.rhs) for ch in report.failures} == {
             "quadric_line_count": (25, 24)}
+
+    @pytest.mark.parametrize("field", ["side", "row", "col"])
+    def test_a_field_equal_only_to_itself_groups_as_in_a_tuple(self, field):
+        # one nan object in a field of every lower half, a fresh one in every
+        # upper half: as tuples compare, a field is equal to itself, so each
+        # lower half shares a quadric with the lower halves it meets and no
+        # upper half with any other triangle
+        c = build_pillow(3, 2)
+        shared = float("nan")
+        c = c._replace(triangles=tuple(
+            t._replace(**{field: shared if t.half == "lower" else float("nan")})
+            for t in c.triangles))
+        cells = [t[3:6] for t in c.triangles]
+        on = defaultdict(list)
+        for k, t in enumerate(c.triangles):
+            for pair in edge_pairs(t):
+                on[pair].append(k)
+        inside = sum(1 for ln in c.lines if len(on[ln.pair]) == 2
+                     and cells[on[ln.pair][0]] == cells[on[ln.pair][1]])
+        report = verify_stages(c)
+        assert report["quadric_line_count"].lhs == len(c.lines) - inside
+        assert report["quadric_face_count"].lhs == len(set(cells))
